@@ -46,7 +46,8 @@ def run(args):
     ]
     result = train(trajectories, FeatureConfig(3, 3, 2))
     save_model(out / "model.txt", result.operator)
-    for ic, score in zip(TRAIN_ICS, result.per_trajectory_rrmse):
+    train_scores = result.operator.training_summary.per_trajectory_rrmse
+    for ic, score in zip(TRAIN_ICS, train_scores):
         print(f"train {ic}: rrmse {score:.3e}")
 
     reference = integrate(system, TEST_IC, SPAN, SAMPLES, settings)
@@ -61,7 +62,7 @@ def run(args):
             "system": "lorenz",
             "rel_tol": args.rel_tol,
             "abs_tol": args.abs_tol,
-            "per_trajectory_rrmse": result.per_trajectory_rrmse,
+            "per_trajectory_rrmse": train_scores,
             "train_mean_rrmse": result.mean_rrmse,
             "test_rrmse": test_score,
         },

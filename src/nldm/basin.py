@@ -9,13 +9,15 @@ its plane.  Cells whose trajectories blow up are labeled ``diverged``;
 cells that never settle within the horizon stay ``unresolved``.
 
 Each cell is treated independently: ground-truth cells get their own
-adaptive integration, and operator cells are advanced with elementwise
-batch arithmetic that is bitwise independent of the batch, so refining
-the grid never relabels a point that both grids share.
+adaptive integration, and operator cells are advanced by the forecasting
+kernel of ``predict``, whose batch arithmetic is bitwise independent of
+the batch, so refining the grid never relabels a point that both grids
+share.  The operator walk stops once every cell has a label.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +32,7 @@ from .odes import (
     PointAttractor,
     integrate,
 )
-from .predict import DIVERGENCE_THRESHOLD, step_batch
+from .predict import DIVERGENCE_THRESHOLD, _iterate
 
 __all__ = [
     "UNRESOLVED",
@@ -90,6 +92,13 @@ def _check_window(window, resolution):
     return (float(x_lo), float(x_hi)), (float(y_lo), float(y_hi))
 
 
+def _check_capture(tol, persistence):
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if persistence < 1:
+        raise ValueError(f"persistence must be >= 1, got {persistence}")
+
+
 def _grid_points(x_range, y_range, resolution, num_states, fixed_coords):
     """Full-dimension initial conditions for every cell, x-major."""
     fixed = dict(fixed_coords or {})
@@ -136,6 +145,7 @@ def classify_series(
     ties.  A non-finite sample before any capture completes means
     ``diverged``; otherwise ``unresolved``.
     """
+    _check_capture(tol, persistence)
     states = np.asarray(states, dtype=float)
     finite = np.isfinite(states).all(axis=1)
     first_bad = int(np.argmax(~finite)) if not finite.all() else states.shape[0]
@@ -201,24 +211,18 @@ def ground_truth_grid(
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     x_range, y_range = _check_window(window, resolution)
+    _check_capture(tol, persistence)
     if settings is None:
         settings = GRID_SETTINGS
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
 
+    args = (horizon, num_samples, tol, persistence, settings)
     if n_jobs > 1:
-        rows = np.array_split(points, resolution)
-        tasks = [
-            (system, row, horizon, num_samples, tol, persistence, settings)
-            for row in rows
-        ]
-        labels = []
+        tasks = [(system, row, *args) for row in np.array_split(points, resolution)]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for chunk in pool.map(_classify_chunk, tasks):
-                labels.extend(chunk)
+            labels = [label for chunk in pool.map(_classify_chunk, tasks) for label in chunk]
     else:
-        labels = _classify_cells(
-            system, points, horizon, num_samples, tol, persistence, settings
-        )
+        labels = _classify_cells(system, points, *args)
 
     grid = np.array(labels, dtype=object).reshape(resolution, resolution)
     return BasinGrid(
@@ -245,47 +249,37 @@ def _operator_labels(
     """Label a batch of start points by iterating the operator.
 
     Implements the same first-capture-wins walk as ``classify_series``,
-    but incrementally so the full (n, steps) state history is never
-    materialized.  Seed rows participate in the capture runs exactly as
-    the initial samples do in the ground-truth walk.
+    but incrementally on the states the forecasting kernel yields, so the
+    full (n, steps) state history is never materialized.  Seed rows
+    participate in the capture runs exactly as the initial samples do in
+    the ground-truth walk.  A label is final once set, so the walk stops
+    as soon as no cell is still open.
     """
     config = operator.config
-    basis = monomial_basis(config)
     n = points.shape[0]
     codes = np.full(n, -1, dtype=np.int64)  # -1 open, -2 diverged
     counters = np.zeros((len(attractors), n), dtype=np.int64)
-
-    def absorb(rows):
-        # One sample per cell: update runs, then settle new captures in
-        # catalog order so ties at the same step go to the earlier one.
+    seeds = np.repeat(points[:, None, :], config.delays, axis=1)
+    kernel = _iterate(
+        seeds, steps, monomial_basis(config), operator.matrix, divergence_threshold
+    )
+    # One sample per cell: the seed rows, then each state the kernel yields
+    # (a diverged row comes out NaN).
+    for rows in itertools.chain([points] * config.delays, kernel):
+        codes[np.isnan(rows).any(axis=1) & (codes == -1)] = -2
         for code, attractor in enumerate(attractors):
             hit = _capture_mask(rows, attractor, tol)
             counters[code] = np.where(hit, counters[code] + 1, 0)
+        # Settle new captures in catalog order so ties at the same step
+        # go to the earlier one.
         for code in range(len(attractors)):
-            done = (counters[code] >= persistence) & (codes == -1)
-            codes[done] = code
+            codes[(counters[code] >= persistence) & (codes == -1)] = code
+        if not (codes == -1).any():
+            break
 
-    windows = np.repeat(points[:, None, :], config.delays, axis=1)
-    for _ in range(config.delays):
-        absorb(points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            nxt = step_batch(windows, basis, operator.matrix)
-            bad = ~np.isfinite(nxt).all(axis=1)
-            bad |= np.abs(nxt).max(axis=1) > divergence_threshold
-            nxt[bad] = np.nan
-            codes[bad & (codes == -1)] = -2
-            absorb(nxt)
-            windows = np.concatenate([windows[:, 1:], nxt[:, None]], axis=1)
-
-    idents = [attractor.ident for attractor in attractors]
-    return np.array(
-        [
-            idents[code] if code >= 0 else (DIVERGED if code == -2 else UNRESOLVED)
-            for code in codes
-        ],
-        dtype=object,
-    )
+    # Code -1 indexes the last entry and -2 the one before it.
+    names = [attractor.ident for attractor in attractors] + [DIVERGED, UNRESOLVED]
+    return np.array(names, dtype=object)[codes]
 
 
 def operator_grid(
@@ -317,15 +311,10 @@ def operator_grid(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     x_range, y_range = _check_window(window, resolution)
+    _check_capture(tol, persistence)
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
     labels = _operator_labels(
-        operator,
-        system.attractors,
-        points,
-        steps,
-        tol,
-        persistence,
-        divergence_threshold,
+        operator, system.attractors, points, steps, tol, persistence, divergence_threshold
     )
     return BasinGrid(
         x_range=x_range,
@@ -360,16 +349,10 @@ def label_operator_cell(
         raise DimensionError(
             f"point has {point.shape[1]} entries, system has {system.num_states}"
         )
-    labels = _operator_labels(
-        operator,
-        system.attractors,
-        point,
-        steps,
-        tol,
-        persistence,
-        divergence_threshold,
-    )
-    return labels[0]
+    _check_capture(tol, persistence)
+    return _operator_labels(
+        operator, system.attractors, point, steps, tol, persistence, divergence_threshold
+    )[0]
 
 
 def grid_agreement(truth: BasinGrid, predicted: BasinGrid) -> GridAgreement:

@@ -112,11 +112,7 @@ class _Pipeline:
         return result
 
     def simulate(self):
-        def stage():
-            self.train_data = _simulate_role(self.config, "train", self.global_seed)
-            self.test_data = _simulate_role(self.config, "test", self.global_seed)
-
-        self._timed("simulate", stage)
+        self.ensure_simulated()
         for role, series in (("train", self.train_data), ("test", self.test_data)):
             for index, data in enumerate(series):
                 self._write_csv(f"{role}_{index:02d}_clean.csv", data.clean)
@@ -171,8 +167,6 @@ class _Pipeline:
 
     def predict(self, evaluate: bool):
         self.ensure_simulated()
-        if self.operator is None:
-            raise ConfigError("no model available; train first or pass --model")
         delays = self.operator.config.delays
         scores = []
 
@@ -197,8 +191,6 @@ class _Pipeline:
 
     def basin(self):
         spec = self.config.basin
-        if spec is None:
-            raise ConfigError("config has no basin section")
         system = make_system(self.config.system.ident, **self.config.system.params)
         dt = self.config.train[0].dt
         horizon = spec.steps * dt

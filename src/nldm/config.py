@@ -97,16 +97,24 @@ def _reject_unknown(mapping: dict, allowed, where: str):
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
+def _number(kind, value, name: str):
+    """``kind(value)``, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
 def _parse_noise(raw, where: str) -> NoiseSpec | None:
     if raw is None:
         return None
     _reject_unknown(raw, ("sigma_pct", "seed"), where)
-    sigma_pct = float(_require(raw, "sigma_pct", where))
+    sigma_pct = _number(float, _require(raw, "sigma_pct", where), f"{where}.sigma_pct")
     if sigma_pct < 0:
         raise ConfigError(f"sigma_pct must be >= 0 in {where}, got {sigma_pct}")
     seed = raw.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = _number(int, seed, f"{where}.seed")
         if seed < 0:
             raise ConfigError(f"seed must be >= 0 in {where}, got {seed}")
     return NoiseSpec(sigma_pct=sigma_pct, seed=seed)
@@ -123,14 +131,14 @@ def _parse_series(raw, where: str) -> SeriesSpec:
     t_span = (float(t_span_raw[0]), float(t_span_raw[1]))
     if not t_span[1] > t_span[0]:
         raise ConfigError(f"t_span must increase in {where}, got {t_span}")
-    num_samples = int(_require(raw, "num_samples", where))
+    num_samples = _number(int, _require(raw, "num_samples", where), f"{where}.num_samples")
     if num_samples < 2:
         raise ConfigError(f"num_samples must be >= 2 in {where}, got {num_samples}")
     noise = _parse_noise(raw.get("noise"), f"{where}.noise")
     return SeriesSpec(ic=ic, t_span=t_span, num_samples=num_samples, noise=noise)
 
 
-def _parse_basin(raw) -> BasinSpec | None:
+def _parse_basin(raw, num_states: int) -> BasinSpec | None:
     if raw is None:
         return None
     where = "basin"
@@ -144,17 +152,24 @@ def _parse_basin(raw) -> BasinSpec | None:
     )
     if not (window[0][1] > window[0][0] and window[1][1] > window[1][0]):
         raise ConfigError(f"basin.window must have positive extent, got {window}")
-    resolution = int(_require(raw, "resolution", where))
+    resolution = _number(int, _require(raw, "resolution", where), "basin.resolution")
     if resolution < 2:
         raise ConfigError(f"basin.resolution must be >= 2, got {resolution}")
-    steps = int(raw.get("steps", 1000))
+    steps = _number(int, raw.get("steps", 1000), "basin.steps")
     if steps < 1:
         raise ConfigError(f"basin.steps must be >= 1, got {steps}")
-    tol = float(raw.get("tol", 0.05))
+    tol = _number(float, raw.get("tol", 0.05), "basin.tol")
     if not tol > 0:
         raise ConfigError(f"basin.tol must be positive, got {tol}")
     fixed_raw = raw.get("fixed", {})
-    fixed = tuple(sorted((int(axis), float(value)) for axis, value in fixed_raw.items()))
+    if not isinstance(fixed_raw, dict):
+        raise ConfigError(f"basin.fixed must map axes to values, got {fixed_raw!r}")
+    fixed = tuple(sorted(
+        (_number(int, axis, "basin.fixed axis"), _number(float, value, "basin.fixed value"))
+        for axis, value in fixed_raw.items()
+    ))
+    if any(not 0 <= axis < num_states for axis, _ in fixed):
+        raise ConfigError(f"basin.fixed axes must lie in 0..{num_states - 1}, got {fixed}")
     return BasinSpec(window=window, resolution=resolution, steps=steps, tol=tol, fixed=fixed)
 
 
@@ -179,8 +194,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     model_raw = _require(raw, "model", "config")
     _reject_unknown(model_raw, ("delays", "degree"), "model")
     model = ModelSpec(
-        delays=int(_require(model_raw, "delays", "model")),
-        degree=int(_require(model_raw, "degree", "model")),
+        delays=_number(int, _require(model_raw, "delays", "model"), "model.delays"),
+        degree=_number(int, _require(model_raw, "degree", "model"), "model.degree"),
     )
     if model.delays < 1:
         raise ConfigError(f"model.delays must be >= 1, got {model.delays}")
@@ -219,11 +234,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"implies dt={dt}, series 0 implies dt={dts[0]}"
             )
 
-    basin = _parse_basin(raw.get("basin"))
+    basin = _parse_basin(raw.get("basin"), catalog.num_states)
     output_dir = str(raw.get("output_dir", "runs/experiment"))
     if not output_dir:
         raise ConfigError("output_dir must be non-empty")
-    global_seed = int(raw.get("global_seed", 0))
+    global_seed = _number(int, raw.get("global_seed", 0), "global_seed")
     if global_seed < 0:
         raise ConfigError(f"global_seed must be >= 0, got {global_seed}")
 

@@ -34,16 +34,15 @@ class MonomialBasis:
     """Ordered monomial basis over ``num_vars`` variables.
 
     ``exponents`` has one row per monomial.  Evaluation is incremental:
-    each monomial of degree g >= 2 is one variable times a previously
-    evaluated monomial of degree g - 1, so a batch evaluation performs
-    exactly one elementwise multiply per higher-degree monomial.  The
-    result is therefore bitwise identical whether points are evaluated
-    one at a time or in a batch.
+    each monomial of degree g >= 2 is one variable times a monomial of
+    degree g - 1, and every monomial of one total degree is evaluated by
+    a single elementwise multiply over that degree block.  Each value is
+    therefore one multiply of the same two operands whether points are
+    evaluated one at a time or in a batch, and bitwise identical.
     """
 
     exponents: np.ndarray
-    _first_var: np.ndarray
-    _parent: np.ndarray
+    _blocks: tuple  # (columns, first variables, parents or None) per degree
 
     @classmethod
     def from_exponents(cls, exponents: np.ndarray) -> "MonomialBasis":
@@ -79,7 +78,12 @@ class MonomialBasis:
                     raise ValueError(
                         f"monomial {key} appears before its divisor {tuple(reduced)}"
                     ) from None
-        return cls(exponents, first_var, parent)
+        degrees = exponents.sum(axis=1)
+        blocks = []
+        for degree in np.unique(degrees):
+            cols = np.flatnonzero(degrees == degree)
+            blocks.append((cols, first_var[cols], parent[cols] if degree > 1 else None))
+        return cls(exponents, tuple(blocks))
 
     @property
     def num_monomials(self) -> int:
@@ -106,15 +110,11 @@ class MonomialBasis:
                 f"expected points of shape (n, {self.num_vars}), got {points.shape}"
             )
         values = np.empty((points.shape[0], self.num_monomials))
-        for j in range(self.num_monomials):
-            if self._parent[j] < 0:
-                values[:, j] = points[:, self._first_var[j]]
+        for cols, first_var, parent in self._blocks:
+            if parent is None:
+                values[:, cols] = points[:, first_var]
             else:
-                np.multiply(
-                    points[:, self._first_var[j]],
-                    values[:, self._parent[j]],
-                    out=values[:, j],
-                )
+                values[:, cols] = points[:, first_var] * values[:, parent]
         return values
 
     def evaluate(self, point: np.ndarray) -> np.ndarray:

@@ -118,19 +118,24 @@ def load_model(path) -> LearnedOperator:
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0].strip() != MODEL_MAGIC:
         raise ValueError(f"{path}: not a {MODEL_MAGIC!r} file")
-    dims = dict(part.split("=", 1) for part in lines[1].split())
-    config = FeatureConfig(
-        num_states=int(dims["num_states"]),
-        delays=int(dims["delays"]),
-        degree=int(dims["degree"]),
+    header = dict(
+        part.split("=", 1) for line in lines[1:4] for part in line.split() if "=" in part
     )
-    if int(dims["num_features"]) != config.num_features:
+    for key in ("num_states", "delays", "degree", "num_features", "dt", "ordering"):
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key}= field")
+    config = FeatureConfig(
+        num_states=int(header["num_states"]),
+        delays=int(header["delays"]),
+        degree=int(header["degree"]),
+    )
+    if int(header["num_features"]) != config.num_features:
         raise ValueError(
-            f"{path}: header claims {dims['num_features']} features, "
+            f"{path}: header claims {header['num_features']} features, "
             f"configuration implies {config.num_features}"
         )
-    dt = float(lines[2].split("=", 1)[1])
-    ordering = lines[3].split("=", 1)[1].strip()
+    dt = float(header["dt"])
+    ordering = header["ordering"]
     if ordering != MODEL_ORDERING:
         raise ValueError(f"{path}: unsupported feature ordering {ordering!r}")
     rows = [[float(token) for token in line.split()] for line in lines[4:]]

@@ -1,13 +1,14 @@
 """Iterative forecasting with a learned one-step operator.
 
 Starting from ``delays`` seed states, each step lifts the most recent
-window and applies the operator matrix to produce the next state.  The
-update is accumulated feature by feature in a fixed order with
-elementwise operations only, so a state predicted for one start point
-is bitwise identical whether that point is advanced alone or inside a
-batch of any size.  Once a produced state exceeds the divergence
-threshold in max-norm (or is non-finite), the remainder of the
-trajectory is filled with NaN.
+window and applies the operator matrix to produce the next state.
+``_iterate`` is the one loop that steps an operator: forecasts, training
+re-prediction and operator basin grids all consume it.  The update is
+accumulated feature by feature in a fixed order with elementwise
+operations only, so a state predicted for one start point is bitwise
+identical whether that point is advanced alone or inside a batch of any
+size.  Once a produced state exceeds the divergence threshold in
+max-norm (or is non-finite), the rest of the trajectory is NaN.
 """
 
 from __future__ import annotations
@@ -47,10 +48,24 @@ def step_batch(
     n, delays, num_states = windows.shape
     stacked = windows[:, ::-1, :].reshape(n, delays * num_states)
     feats = basis.evaluate_batch(stacked)
-    nxt = np.zeros((n, num_states))
-    for j in range(matrix.shape[1]):
-        nxt += feats[:, j:j + 1] * matrix[:, j]
-    return nxt
+    # A running sum in feature order; adding 0.0 turns an all -0.0 sum
+    # into +0.0, as a sum started from +0.0 would be.
+    return np.add.accumulate(feats[:, :, None] * matrix.T, axis=1)[:, -1] + 0.0
+
+
+def _iterate(seeds, steps, basis, matrix, divergence_threshold):
+    """Yield the next state of every row, ``steps`` times, from windows
+    shifted in place; rows past ``divergence_threshold`` come out NaN."""
+    windows = np.array(seeds, dtype=float)
+    for _ in range(steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = step_batch(windows, basis, matrix)
+            bad = ~np.isfinite(nxt).all(axis=1)
+            bad |= np.abs(nxt).max(axis=1) > divergence_threshold
+        nxt[bad] = np.nan
+        windows[:, :-1] = windows[:, 1:]
+        windows[:, -1] = nxt
+        yield nxt
 
 
 def iterate_batch(
@@ -76,20 +91,13 @@ def iterate_batch(
     """
     seeds = np.asarray(seeds, dtype=float)
     n, delays, num_states = seeds.shape
-    total = delays + steps
-    states = np.empty((n, total, num_states))
+    states = np.empty((n, delays + steps, num_states))
     states[:, :delays] = seeds
     diverged_at = np.full(n, -1, dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            t = delays + i
-            nxt = step_batch(states[:, t - delays:t], basis, matrix)
-            bad = ~np.isfinite(nxt).all(axis=1)
-            bad |= np.abs(nxt).max(axis=1) > divergence_threshold
-            fresh = bad & (diverged_at < 0)
-            diverged_at[fresh] = t
-            nxt[fresh] = np.nan
-            states[:, t] = nxt
+    kernel = _iterate(seeds, steps, basis, matrix, divergence_threshold)
+    for t, nxt in enumerate(kernel, start=delays):
+        states[:, t] = nxt
+        diverged_at[np.isnan(nxt[:, 0]) & (diverged_at < 0)] = t
     return states, diverged_at
 
 
@@ -102,8 +110,9 @@ def predict(
 ) -> Prediction:
     """Forecast ``steps`` states from exactly ``delays`` seed states.
 
-    ``seeds`` must have shape (delays, num_states) and be finite; the
-    returned trajectory has the seeds as its first rows and inherits the
+    ``seeds`` must have shape (delays, num_states) and be finite, and
+    seeds plus steps must make at least two samples; the returned
+    trajectory has the seeds as its first rows and inherits the
     operator's sampling interval.
     """
     config = operator.config
@@ -117,14 +126,8 @@ def predict(
         raise ValueError("seeds contain non-finite entries")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    if config.delays + steps < 2:
-        raise DimensionError(
-            "need at least two samples overall; a single seed state with "
-            "steps=0 does not form a trajectory"
-        )
-    basis = monomial_basis(config)
     states, diverged = iterate_batch(
-        seeds[None], steps, basis, operator.matrix, divergence_threshold
+        seeds[None], steps, monomial_basis(config), operator.matrix, divergence_threshold
     )
     trajectory = Trajectory(states[0], dt=operator.dt, t0=t0)
     return Prediction(

@@ -106,3 +106,46 @@ def lho_closed_form(ic, damping: float, times: np.ndarray) -> np.ndarray:
     a = np.array([[0.0, 1.0], [-1.0, -damping]])
     ic = np.asarray(ic, dtype=float)
     return np.stack([taylor_expm(a * t) @ ic for t in times])
+
+
+def loop_iterate(seeds, steps, exponents, matrix, divergence_threshold=1e6):
+    """Forecast loop lifting one monomial at a time and summing features
+    with ``+=`` in feature order from a +0.0 start.
+
+    Each monomial of degree >= 2 is its first variable times the monomial
+    with that variable's exponent lowered by one, so rows must list every
+    divisor before its multiples.  The window is rebuilt from the state
+    history every step.  Returns (states, diverged_at) like
+    ``iterate_batch``.
+    """
+    rows = [tuple(int(e) for e in row) for row in exponents]
+    index_of = {row: j for j, row in enumerate(rows)}
+    first_var = [next(i for i, e in enumerate(row) if e > 0) for row in rows]
+    parent = []
+    for row, var in zip(rows, first_var):
+        reduced = list(row)
+        reduced[var] -= 1
+        parent.append(index_of.get(tuple(reduced), -1))
+    seeds = np.asarray(seeds, dtype=float)
+    n, delays, num_states = seeds.shape
+    states = np.empty((n, delays + steps, num_states))
+    states[:, :delays] = seeds
+    diverged_at = np.full(n, -1, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(delays, delays + steps):
+            stacked = states[:, t - delays:t][:, ::-1].reshape(n, -1)
+            feats = np.empty((n, len(rows)))
+            for j in range(len(rows)):
+                feats[:, j] = stacked[:, first_var[j]]
+                if parent[j] >= 0:
+                    feats[:, j] *= feats[:, parent[j]]
+            nxt = np.zeros((n, num_states))
+            for j in range(len(rows)):
+                nxt += feats[:, j:j + 1] * matrix[:, j]
+            bad = ~np.isfinite(nxt).all(axis=1)
+            bad |= np.abs(nxt).max(axis=1) > divergence_threshold
+            fresh = bad & (diverged_at < 0)
+            diverged_at[fresh] = t
+            nxt[fresh] = np.nan
+            states[:, t] = nxt
+    return states, diverged_at

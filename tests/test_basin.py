@@ -1,5 +1,7 @@
 """Basin grids: per-cell classification, agreement scoring, parallelism."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from nldm.basin import (
     operator_grid,
 )
 from nldm.core import DimensionError, FeatureConfig, LearnedOperator
-from nldm.odes import CycleAttractor, PointAttractor, make_system
+from nldm.features import monomial_basis
+from nldm.identify import train
+from nldm.odes import CycleAttractor, PointAttractor, integrate, make_system
+from nldm.predict import iterate_batch
 
 WINDOW = ((-3.0, 3.0), (-3.0, 3.0))
 
@@ -220,6 +225,58 @@ def test_fixed_coordinates_slice_higher_dimensional_systems():
     # Contraction leaves the cycle band immediately, so nothing captures.
     assert (grid.labels == UNRESOLVED).all()
     assert grid.meta["fixed_coords"] == {2: 1.0}
+
+
+def test_operator_grid_labels_match_classify_series_on_full_histories(monkeypatch):
+    system = make_system("two_attractor")
+    trajs = [
+        integrate(system, ic, (0.0, 4.99), 500)
+        for ic in [(-0.5, 1.0), (1.5, -2.0), (0.2, 0.5)]
+    ]
+    operator = train(trajs, FeatureConfig(2, 2, 3)).operator
+    steps = 300
+    grid = operator_grid(operator, system, WINDOW, 9, steps=steps)
+    assert {"left_sink", "right_sink", DIVERGED, UNRESOLVED} == set(grid.labels.ravel())
+    points = np.array([(x, y) for x in grid.xs for y in grid.ys])
+    seeds = np.repeat(points[:, None, :], operator.config.delays, axis=1)
+    states, _ = iterate_batch(
+        seeds, steps, monomial_basis(operator.config), operator.matrix
+    )
+    for row, label in zip(states, grid.labels.ravel()):
+        assert classify_series(row, system.attractors, 0.05) == label
+
+    # A lone cell stops stepping once it settles, with the same label.
+    # ``nldm.predict`` is the function; the module comes from importlib.
+    kernel = importlib.import_module("nldm.predict")
+    taken = []
+    step_batch = kernel.step_batch
+
+    def counting_step(*args):
+        taken.append(1)
+        return step_batch(*args)
+
+    monkeypatch.setattr(kernel, "step_batch", counting_step)
+    captured = grid.labels.ravel() == "left_sink"
+    point = points[np.flatnonzero(captured)[0]]
+    assert label_operator_cell(operator, system, point, steps=steps) == "left_sink"
+    assert 0 < len(taken) < steps
+
+
+def test_capture_arguments_are_validated():
+    operator = scaling_operator(0.5)
+    system = make_system("lho")
+    calls = [
+        lambda **kw: operator_grid(operator, system, WINDOW, 3, steps=5, **kw),
+        lambda **kw: label_operator_cell(operator, system, (0.0, 0.0), steps=5, **kw),
+        lambda **kw: ground_truth_grid(system, WINDOW, 3, horizon=1.0, **kw),
+        lambda **kw: classify_series([[0.0, 0.0]] * 3, system.attractors, **kw),
+    ]
+    for call in calls:
+        for tol in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                call(tol=tol, persistence=2)
+        with pytest.raises(ValueError, match="persistence"):
+            call(tol=0.05, persistence=0)
 
 
 def test_operator_grid_validation():

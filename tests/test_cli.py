@@ -227,6 +227,29 @@ def test_corrupt_model_file_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_model_file_with_cut_header_exits_2(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "a")]) == EXIT_OK
+    model = tmp_path / "a" / "model.txt"
+    model.write_text("\n".join(model.read_text().splitlines()[:2]) + "\n")
+    argv = ["basin", "--config", str(config_path), "--out", str(tmp_path / "b")]
+    assert main(argv + ["--model", str(model)]) == EXIT_CONFIG
+    assert "header has no dt=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("train", "num_samples", None), ("basin", "fixed", [1]), ("basin", "fixed", {"5": 0.0})],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, section, key, value):
+    raw = base_config()
+    entry = raw["basin"] if section == "basin" else raw["train"][0]
+    entry[key] = value
+    config_path = write_config(tmp_path, raw)
+    assert main(["basin", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_commands_check_required_sections(tmp_path):
     raw = base_config()
     del raw["test"], raw["basin"]

@@ -202,6 +202,30 @@ def test_value_checks(mutate, fragment):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda raw: raw["train"][0].update(num_samples=None), "train[0].num_samples must be int"),
+        (lambda raw: raw["train"][0]["noise"].update(sigma_pct=None), "sigma_pct must be float"),
+        (lambda raw: raw["model"].update(delays="two"), "model.delays must be int"),
+        (lambda raw: raw["basin"].update(tol=None), "basin.tol must be float"),
+        (lambda raw: raw.update(global_seed=[1]), "global_seed must be int"),
+        (lambda raw: raw["basin"].update(fixed=[1]), "basin.fixed must map axes"),
+        (lambda raw: raw["basin"].update(fixed={"x": 1.0}), "basin.fixed axis must be int"),
+        (lambda raw: raw["basin"].update(fixed={"0": None}), "basin.fixed value must be float"),
+        (lambda raw: raw["basin"].update(fixed={"2": 1.0}), "must lie in 0..1"),
+        (lambda raw: raw["basin"].update(fixed={"-1": 1.0}), "must lie in 0..1"),
+    ],
+)
+def test_malformed_values_are_config_errors(mutate, fragment):
+    # Each of these once escaped as a TypeError, AttributeError or
+    # IndexError instead of a ConfigError naming the field.
+    raw = base_raw()
+    mutate(raw)
+    with pytest.raises(ConfigError, match=fragment.replace("[", r"\[")):
+        config_from_dict(raw)
+
+
 def test_derived_seed_is_deterministic_and_distinct():
     assert derived_seed(7, "train", 3) == derived_seed(7, "train", 3)
     seeds = {

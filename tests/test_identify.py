@@ -42,7 +42,6 @@ def test_training_summary_bookkeeping(make_series):
     summary = result.operator.training_summary
     assert summary.num_trajectories == 2
     assert summary.total_columns == 3 + 4
-    assert summary.per_trajectory_rrmse == tuple(result.per_trajectory_rrmse)
     assert not summary.underdetermined
     assert result.elapsed_seconds >= 0.0
 
@@ -74,8 +73,8 @@ def test_trajectory_order_does_not_matter(make_series):
     np.testing.assert_allclose(
         forward.operator.matrix, backward.operator.matrix, atol=1e-10
     )
-    assert backward.per_trajectory_rrmse == pytest.approx(
-        forward.per_trajectory_rrmse[::-1]
+    assert backward.operator.training_summary.per_trajectory_rrmse == pytest.approx(
+        forward.operator.training_summary.per_trajectory_rrmse[::-1]
     )
 
 
@@ -88,7 +87,8 @@ def test_reported_scores_match_independent_re_prediction():
     ]
     config = FeatureConfig(2, 2, 3)
     result = train(trajs, config)
-    for traj, reported in zip(trajs, result.per_trajectory_rrmse):
+    scores = result.operator.training_summary.per_trajectory_rrmse
+    for traj, reported in zip(trajs, scores):
         prediction = predict(
             result.operator,
             traj.states[: config.delays],
@@ -97,9 +97,7 @@ def test_reported_scores_match_independent_re_prediction():
         )
         score = rrmse(prediction.trajectory, traj, skip=config.delays)
         assert score.mean_rrmse == reported
-    np.testing.assert_allclose(
-        result.mean_rrmse, np.mean(result.per_trajectory_rrmse)
-    )
+    np.testing.assert_allclose(result.mean_rrmse, np.mean(scores))
 
 
 def test_clean_references_score_against_the_truth():
@@ -134,6 +132,30 @@ def test_mean_rrmse_propagates_nan(make_series):
     growth = make_series(list(2.0 ** np.arange(20)))
     decay = make_series(list(16.0 * 0.5 ** np.arange(20)))
     result = train([growth, decay], config)
-    assert result.per_trajectory_rrmse[0] < 1e-6
-    assert np.isnan(result.per_trajectory_rrmse[1])
+    scores = result.operator.training_summary.per_trajectory_rrmse
+    assert scores[0] < 1e-6
+    assert np.isnan(scores[1])
     assert np.isnan(result.mean_rrmse)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 2, 2)])
+def test_batched_scores_equal_single_series_forecasts_bitwise(make_series, shape):
+    # Unequal lengths, so the batch pads the shorter rows; under either
+    # shape exactly one series is driven past the divergence threshold.
+    config = FeatureConfig(*shape)
+    trajs = [
+        make_series(list(2.0 ** np.arange(20))),
+        make_series(list(16.0 * 0.5 ** np.arange(18))),
+        make_series(list(1.0 + 0.3 * np.arange(7))),
+    ]
+    result = train(trajs, config)
+    scores = result.operator.training_summary.per_trajectory_rrmse
+    assert np.isnan(scores).sum() == 1
+    for traj, reported in zip(trajs, scores):
+        prediction = predict(
+            result.operator,
+            traj.states[: config.delays],
+            traj.num_samples - config.delays,
+        )
+        alone = rrmse(prediction.trajectory, traj, skip=config.delays).mean_rrmse
+        assert np.float64(alone).tobytes() == np.float64(reported).tobytes()

@@ -130,6 +130,25 @@ def test_model_loader_rejects_corrupted_files(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (lambda lines: [lines[0], lines[1].replace(" num_features=14", "")] + lines[2:], "num_features"),
+        (lambda lines: [lines[0], lines[1].replace("delays=2 ", "")] + lines[2:], "delays"),
+        (lambda lines: lines[:2], "dt"),  # cut after the second line
+        (lambda lines: lines[:3], "ordering"),
+        (lambda lines: lines[:1], "num_states"),
+    ],
+)
+def test_model_loader_names_missing_header_fields(tmp_path, corrupt, field):
+    config = FeatureConfig(2, 2, 2)
+    path = tmp_path / "operator.txt"
+    save_model(path, LearnedOperator(np.ones((2, 14)), config, dt=0.01))
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"operator.txt: header has no {field}="):
+        load_model(path)
+
+
 # ----------------------------------------------------------------- basin csv
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from nldm import (
     DimensionError,
     FeatureConfig,
@@ -99,6 +100,42 @@ def test_step_batch_matches_matrix_product():
         np.testing.assert_allclose(
             stepped[i], matrix @ basis.evaluate(stacked), rtol=1e-12, atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "shape, permuted",
+    [((2, 2, 3), False), ((2, 5, 2), False), ((2, 1, 7), False), ((2, 2, 3), True)],
+)
+def test_iterate_batch_matches_the_loop_reference_bitwise(shape, permuted):
+    from conftest import graded_permutation
+
+    rng = np.random.default_rng(6)
+    config = FeatureConfig(*shape)
+    basis = monomial_basis(config)
+    if permuted:
+        perm = graded_permutation(basis.exponents, rng)
+        basis = MonomialBasis.from_exponents(basis.exponents[perm])
+    matrix = 2.0 / config.num_features * rng.normal(size=(2, config.num_features))
+    # Every third row starts far out and crosses the divergence threshold.
+    seeds = rng.normal(size=(9, config.delays, config.num_states))
+    seeds[::3] *= 20.0
+    states, diverged = iterate_batch(seeds, 50, basis, matrix)
+    expected, expected_div = oracles.loop_iterate(seeds, 50, basis.exponents, matrix)
+    assert states.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(diverged, expected_div)
+    np.testing.assert_array_equal(diverged[::3] >= 0, True)
+    np.testing.assert_array_equal(diverged[1::3] < 0, True)
+
+
+def test_all_zero_window_with_negative_coefficients_steps_to_positive_zero():
+    # Every product is -0.0; a sum started from +0.0 ends at +0.0.
+    config = FeatureConfig(2, 2, 2)
+    basis = monomial_basis(config)
+    matrix = -np.ones((2, config.num_features))
+    stepped = step_batch(np.zeros((3, 2, 2)), basis, matrix)
+    assert not np.signbit(stepped).any()
+    expected, _ = oracles.loop_iterate(np.zeros((3, 2, 2)), 1, basis.exponents, matrix)
+    assert stepped.tobytes() == expected[:, -1].tobytes()
 
 
 def test_feature_order_invariance():
