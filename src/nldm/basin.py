@@ -8,6 +8,7 @@ attractor (Euclidean distance) or within ``tol`` of a cycle's radius in
 its plane.  Cells whose trajectories blow up are labeled ``diverged``;
 cells that never settle within the horizon stay ``unresolved``.
 
+One capture walk labels single series, truth cells and operator cells.
 Each cell is treated independently: ground-truth cells get their own
 adaptive integration, and operator cells are advanced by the forecasting
 kernel of ``predict``, whose batch arithmetic is bitwise independent of
@@ -17,6 +18,7 @@ share.  The operator walk stops once every cell has a label.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +45,7 @@ __all__ = [
     "operator_grid",
     "grid_agreement",
     "classify_series",
+    "label_operator_cell",
 ]
 
 UNRESOLVED = "unresolved"
@@ -51,6 +54,9 @@ DIVERGED = "diverged"
 # Default tolerances for per-cell classification integrations: far looser
 # than trajectory generation, since the capture tolerance dominates.
 GRID_SETTINGS = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9)
+
+_OPEN, _DIVERGED = -1, -2  # capture-walk codes of cells without a label
+_BLOCK = 32  # operator samples per capture-walk block
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +119,7 @@ def _grid_points(x_range, y_range, resolution, num_states, fixed_coords):
     points = np.empty((resolution * resolution, num_states))
     for axis, value in fixed.items():
         points[:, axis] = value
-    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    points[:, free[0]] = grid_x.ravel()
-    points[:, free[1]] = grid_y.ravel()
+    points[:, free] = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     return points
 
 
@@ -135,6 +139,46 @@ def _capture_mask(states: np.ndarray, attractor, tol: float) -> np.ndarray:
     raise TypeError(f"unknown attractor type {type(attractor).__name__}")
 
 
+def _capture_walk(block, attractors, tol, persistence, codes, runs):
+    """Walk every cell through one block of samples, shape (cells, T,
+    num_states), updating ``codes`` (attractor index, ``_OPEN`` or
+    ``_DIVERGED`` per cell) and ``runs`` (capture run per attractor and
+    cell, carried from block to block) in place."""
+    cells, length = block.shape[:2]
+    if length == 0:
+        return
+    finite = np.isfinite(block).all(axis=2)
+    hit = np.array([_capture_mask(block, a, tol) for a in attractors], dtype=bool)
+    hit = hit.reshape(len(attractors), cells, length) & finite
+    # A run counts back to the last miss; a carried run of r samples acts
+    # as a miss at sample -1 - r.
+    t = np.arange(length)
+    run = t - np.maximum.accumulate(np.where(hit, -1 - runs[..., None], t), axis=2)
+    runs[:] = run[..., -1]
+    # First completed run per attractor, then the first non-finite sample
+    # (``length`` if none); the earliest wins, ties in catalog order.
+    first = np.where(run >= persistence, t, length).min(axis=2)
+    bad = np.where(finite, length, t).min(axis=1)
+    first = np.vstack([first, bad])
+    winner = first.argmin(axis=0)
+    settled = (codes == _OPEN) & (first.min(axis=0) < length)
+    codes[settled] = np.where(winner < len(attractors), winner, _DIVERGED)[settled]
+
+
+def _classify(blocks, cells, attractors, tol, persistence):
+    """Label ``cells`` cells from their samples, fed block by block; stops
+    reading blocks once no cell is open."""
+    codes = np.full(cells, _OPEN)
+    runs = np.zeros((len(attractors), cells), dtype=np.int64)
+    for block in blocks:
+        _capture_walk(block, attractors, tol, persistence, codes, runs)
+        if not (codes == _OPEN).any():
+            break
+    # Code -1 (open) indexes the last entry and -2 the one before it.
+    names = [attractor.ident for attractor in attractors] + [DIVERGED, UNRESOLVED]
+    return np.array(names, dtype=object)[codes]
+
+
 def classify_series(
     states: np.ndarray, attractors, tol: float, persistence: int = 10
 ) -> str:
@@ -147,44 +191,19 @@ def classify_series(
     """
     _check_capture(tol, persistence)
     states = np.asarray(states, dtype=float)
-    finite = np.isfinite(states).all(axis=1)
-    first_bad = int(np.argmax(~finite)) if not finite.all() else states.shape[0]
-    prefix = states[:first_bad]
-    best_step = None
-    best_ident = None
-    for attractor in attractors:
-        mask = _capture_mask(prefix, attractor, tol)
-        run = 0
-        for step, hit in enumerate(mask):
-            run = run + 1 if hit else 0
-            if run >= persistence:
-                if best_step is None or step < best_step:
-                    best_step = step
-                    best_ident = attractor.ident
-                break
-    if best_ident is not None:
-        return best_ident
-    return DIVERGED if first_bad < states.shape[0] else UNRESOLVED
+    return _classify([states[None]], 1, attractors, tol, persistence)[0]
 
 
-def _classify_cells(system, points, horizon, num_samples, tol, persistence, settings):
-    labels = []
-    for point in points:
+def _truth_labels(system, horizon, num_samples, tol, persistence, settings, points):
+    """Integrate each start point on its own and label the stacked samples;
+    a failed integration leaves an all-NaN row, so it is ``diverged``."""
+    history = np.full((len(points), num_samples, system.num_states), np.nan)
+    for row, point in zip(history, points):
         try:
-            trajectory = integrate(
-                system, point, (0.0, horizon), num_samples, settings
-            )
+            row[:] = integrate(system, point, (0.0, horizon), num_samples, settings).states
         except IntegrationError:
-            labels.append(DIVERGED)
-            continue
-        labels.append(
-            classify_series(trajectory.states, system.attractors, tol, persistence)
-        )
-    return labels
-
-
-def _classify_chunk(args):
-    return _classify_cells(*args)
+            pass
+    return _classify([history], len(points), system.attractors, tol, persistence)
 
 
 def ground_truth_grid(
@@ -203,8 +222,8 @@ def ground_truth_grid(
 
     Each cell is integrated on its own over ``(0, horizon)`` and sampled
     at ``num_samples`` uniform points, so labels never depend on
-    neighboring cells.  ``n_jobs > 1`` distributes rows of cells across
-    processes.
+    neighboring cells.  Rows of cells are labeled one at a time;
+    ``n_jobs > 1`` distributes them across processes.
     """
     if not system.attractors:
         raise ValueError(f"system {system.ident!r} declares no attractors")
@@ -212,24 +231,23 @@ def ground_truth_grid(
         raise ValueError(f"horizon must be positive, got {horizon}")
     x_range, y_range = _check_window(window, resolution)
     _check_capture(tol, persistence)
-    if settings is None:
-        settings = GRID_SETTINGS
+    settings = settings or GRID_SETTINGS
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
 
-    args = (horizon, num_samples, tol, persistence, settings)
+    label_rows = functools.partial(
+        _truth_labels, system, horizon, num_samples, tol, persistence, settings
+    )
+    rows = np.array_split(points, resolution)
     if n_jobs > 1:
-        tasks = [(system, row, *args) for row in np.array_split(points, resolution)]
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            labels = [label for chunk in pool.map(_classify_chunk, tasks) for label in chunk]
+            labels = list(pool.map(label_rows, rows))
     else:
-        labels = _classify_cells(system, points, *args)
-
-    grid = np.array(labels, dtype=object).reshape(resolution, resolution)
+        labels = list(map(label_rows, rows))
     return BasinGrid(
         x_range=x_range,
         y_range=y_range,
         resolution=resolution,
-        labels=grid,
+        labels=np.concatenate(labels).reshape(resolution, resolution),
         source={"kind": "integrator", "system": system.ident, "params": dict(system.params)},
         meta={
             "horizon": float(horizon),
@@ -243,43 +261,34 @@ def ground_truth_grid(
     )
 
 
+def _check_operator_scan(operator, system, steps, tol, persistence):
+    if not system.attractors:
+        raise ValueError(f"system {system.ident!r} declares no attractors")
+    if operator.config.num_states != system.num_states:
+        raise DimensionError(
+            f"operator has {operator.config.num_states} states, system "
+            f"{system.ident!r} has {system.num_states}"
+        )
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_capture(tol, persistence)
+
+
 def _operator_labels(
     operator, attractors, points, steps, tol, persistence, divergence_threshold
 ):
-    """Label a batch of start points by iterating the operator.
-
-    Implements the same first-capture-wins walk as ``classify_series``,
-    but incrementally on the states the forecasting kernel yields, so the
-    full (n, steps) state history is never materialized.  Seed rows
-    participate in the capture runs exactly as the initial samples do in
-    the ground-truth walk.  A label is final once set, so the walk stops
-    as soon as no cell is still open.
-    """
+    """Label start points from their seed rows and then the states the
+    forecasting kernel yields (NaN once diverged), ``_BLOCK`` samples at
+    a time, so no cell's full history is kept."""
     config = operator.config
-    n = points.shape[0]
-    codes = np.full(n, -1, dtype=np.int64)  # -1 open, -2 diverged
-    counters = np.zeros((len(attractors), n), dtype=np.int64)
     seeds = np.repeat(points[:, None, :], config.delays, axis=1)
     kernel = _iterate(
         seeds, steps, monomial_basis(config), operator.matrix, divergence_threshold
     )
-    # One sample per cell: the seed rows, then each state the kernel yields
-    # (a diverged row comes out NaN).
-    for rows in itertools.chain([points] * config.delays, kernel):
-        codes[np.isnan(rows).any(axis=1) & (codes == -1)] = -2
-        for code, attractor in enumerate(attractors):
-            hit = _capture_mask(rows, attractor, tol)
-            counters[code] = np.where(hit, counters[code] + 1, 0)
-        # Settle new captures in catalog order so ties at the same step
-        # go to the earlier one.
-        for code in range(len(attractors)):
-            codes[(counters[code] >= persistence) & (codes == -1)] = code
-        if not (codes == -1).any():
-            break
-
-    # Code -1 indexes the last entry and -2 the one before it.
-    names = [attractor.ident for attractor in attractors] + [DIVERGED, UNRESOLVED]
-    return np.array(names, dtype=object)[codes]
+    samples = itertools.chain([points] * config.delays, kernel)
+    chunks = iter(lambda: list(itertools.islice(samples, _BLOCK)), [])
+    blocks = (np.stack(chunk, axis=1) for chunk in chunks)
+    return _classify(blocks, len(points), attractors, tol, persistence)
 
 
 def operator_grid(
@@ -301,17 +310,8 @@ def operator_grid(
     label is identical whether it is advanced alone or with the whole
     grid.
     """
-    if not system.attractors:
-        raise ValueError(f"system {system.ident!r} declares no attractors")
-    if operator.config.num_states != system.num_states:
-        raise DimensionError(
-            f"operator has {operator.config.num_states} states, system "
-            f"{system.ident!r} has {system.num_states}"
-        )
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_operator_scan(operator, system, steps, tol, persistence)
     x_range, y_range = _check_window(window, resolution)
-    _check_capture(tol, persistence)
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
     labels = _operator_labels(
         operator, system.attractors, points, steps, tol, persistence, divergence_threshold
@@ -344,12 +344,12 @@ def label_operator_cell(
     divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> str:
     """Label a single start point (same code path as ``operator_grid``)."""
+    _check_operator_scan(operator, system, steps, tol, persistence)
     point = np.asarray(point, dtype=float).reshape(1, -1)
     if point.shape[1] != system.num_states:
         raise DimensionError(
             f"point has {point.shape[1]} entries, system has {system.num_states}"
         )
-    _check_capture(tol, persistence)
     return _operator_labels(
         operator, system.attractors, point, steps, tol, persistence, divergence_threshold
     )[0]
@@ -374,13 +374,9 @@ def grid_agreement(truth: BasinGrid, predicted: BasinGrid) -> GridAgreement:
         )
     a = truth.labels.ravel()
     b = predicted.labels.ravel()
-    both_unresolved = (a == UNRESOLVED) & (b == UNRESOLVED)
-    considered = ~both_unresolved
+    considered = (a != UNRESOLVED) | (b != UNRESOLVED)
     compared = int(considered.sum())
-    if compared:
-        fraction = float(((a == b) & considered).sum() / compared)
-    else:
-        fraction = 1.0
+    fraction = float(((a == b) & considered).sum() / compared) if compared else 1.0
     confusion: dict = {}
     for truth_label, predicted_label in zip(a, b):
         row = confusion.setdefault(str(truth_label), {})

@@ -92,6 +92,8 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _reject_unknown(mapping: dict, allowed, where: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
@@ -103,6 +105,10 @@ def _number(kind, value, name: str):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
+def _vector(value, name: str) -> tuple[float, ...]:
+    return tuple(_number(float, v, name) for v in _number(list, value, name))
 
 
 def _parse_noise(raw, where: str) -> NoiseSpec | None:
@@ -122,13 +128,12 @@ def _parse_noise(raw, where: str) -> NoiseSpec | None:
 
 def _parse_series(raw, where: str) -> SeriesSpec:
     _reject_unknown(raw, ("ic", "t_span", "num_samples", "noise"), where)
-    ic = tuple(float(v) for v in _require(raw, "ic", where))
+    ic = _vector(_require(raw, "ic", where), f"{where}.ic")
     if not ic or not all(np.isfinite(ic)):
         raise ConfigError(f"ic must be a non-empty finite vector in {where}")
-    t_span_raw = _require(raw, "t_span", where)
-    if len(t_span_raw) != 2:
+    t_span = _vector(_require(raw, "t_span", where), f"{where}.t_span")
+    if len(t_span) != 2:
         raise ConfigError(f"t_span must be [start, end] in {where}")
-    t_span = (float(t_span_raw[0]), float(t_span_raw[1]))
     if not t_span[1] > t_span[0]:
         raise ConfigError(f"t_span must increase in {where}, got {t_span}")
     num_samples = _number(int, _require(raw, "num_samples", where), f"{where}.num_samples")
@@ -143,13 +148,10 @@ def _parse_basin(raw, num_states: int) -> BasinSpec | None:
         return None
     where = "basin"
     _reject_unknown(raw, ("window", "resolution", "steps", "tol", "fixed"), where)
-    window_raw = _require(raw, "window", where)
-    if len(window_raw) != 2 or any(len(r) != 2 for r in window_raw):
+    window_raw = _number(list, _require(raw, "window", where), "basin.window")
+    window = tuple(_vector(r, "basin.window") for r in window_raw)
+    if len(window) != 2 or any(len(r) != 2 for r in window):
         raise ConfigError("basin.window must be [[x_lo, x_hi], [y_lo, y_hi]]")
-    window = (
-        (float(window_raw[0][0]), float(window_raw[0][1])),
-        (float(window_raw[1][0]), float(window_raw[1][1])),
-    )
     if not (window[0][1] > window[0][0] and window[1][1] > window[1][0]):
         raise ConfigError(f"basin.window must have positive extent, got {window}")
     resolution = _number(int, _require(raw, "resolution", where), "basin.resolution")
@@ -182,9 +184,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
     system_raw = _require(raw, "system", "config")
     _reject_unknown(system_raw, ("ident", "params"), "system")
+    params = _number(dict, system_raw.get("params", {}), "system.params")
     system = SystemSpec(
         ident=str(_require(system_raw, "ident", "system")),
-        params={str(k): float(v) for k, v in system_raw.get("params", {}).items()},
+        params={str(k): _number(float, v, f"system.params.{k}") for k, v in params.items()},
     )
     try:
         catalog = make_system(system.ident, **system.params)
@@ -202,7 +205,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if model.degree < 1:
         raise ConfigError(f"model.degree must be >= 1, got {model.degree}")
 
-    train_raw = _require(raw, "train", "config")
+    train_raw = _number(list, _require(raw, "train", "config"), "train")
     if not train_raw:
         raise ConfigError("train must list at least one series")
     train = tuple(
@@ -210,7 +213,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
     test = tuple(
         _parse_series(entry, f"test[{i}]")
-        for i, entry in enumerate(raw.get("test", ()) or ())
+        for i, entry in enumerate(_number(list, raw.get("test") or [], "test"))
     )
 
     for role, entries in (("train", train), ("test", test)):

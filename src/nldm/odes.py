@@ -331,7 +331,7 @@ def add_noise(trajectory: Trajectory, sigma_pct: float, seed: int) -> Trajectory
     that channel's range in the clean data, so constant channels stay
     untouched and ``sigma_pct=0`` returns bit-identical values.
     """
-    if sigma_pct < 0:
+    if not sigma_pct >= 0:
         raise ValueError(f"sigma_pct must be >= 0, got {sigma_pct}")
     rng = np.random.default_rng(seed)
     states = trajectory.states

@@ -11,6 +11,7 @@ of its own paths.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -149,3 +150,45 @@ def loop_iterate(seeds, steps, exponents, matrix, divergence_threshold=1e6):
             nxt[fresh] = np.nan
             states[:, t] = nxt
     return states, diverged_at
+
+
+def _loop_captured(row, attractor, tol):
+    """Capture test of one sample, written out coordinate by coordinate."""
+    if hasattr(attractor, "location"):
+        dist2 = 0.0
+        for value, center in zip(row, attractor.location):
+            dist2 += (value - center) ** 2
+        return dist2 < tol * tol
+    ax0, ax1 = attractor.axes
+    radius = math.sqrt(row[ax0] ** 2 + row[ax1] ** 2)
+    if not abs(radius - attractor.radius) < tol:
+        return False
+    return all(abs(row[axis] - value) < tol for axis, value in attractor.plane)
+
+
+def loop_classify_series(states, attractors, tol, persistence):
+    """First-capture label of one series, one attractor and one sample at
+    a time: the winner completes ``persistence`` consecutive captures
+    first, earlier catalog position breaks ties, and only samples before
+    the first non-finite one count.  Returns the attractor's ident,
+    ``"diverged"`` or ``"unresolved"``.
+    """
+    rows = [[float(v) for v in row] for row in states]
+    first_bad = next(
+        (k for k, row in enumerate(rows) if not all(math.isfinite(v) for v in row)),
+        len(rows),
+    )
+    best_step = None
+    best_ident = None
+    for attractor in attractors:
+        run = 0
+        for step, row in enumerate(rows[:first_bad]):
+            run = run + 1 if _loop_captured(row, attractor, tol) else 0
+            if run >= persistence:
+                if best_step is None or step < best_step:
+                    best_step = step
+                    best_ident = attractor.ident
+                break
+    if best_ident is not None:
+        return best_ident
+    return "diverged" if first_bad < len(rows) else "unresolved"

@@ -4,7 +4,9 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nldm import basin
 from nldm.basin import (
     DIVERGED,
     UNRESOLVED,
@@ -20,6 +22,7 @@ from nldm.features import monomial_basis
 from nldm.identify import train
 from nldm.odes import CycleAttractor, PointAttractor, integrate, make_system
 from nldm.predict import iterate_batch
+from oracles import loop_classify_series
 
 WINDOW = ((-3.0, 3.0), (-3.0, 3.0))
 
@@ -164,6 +167,62 @@ def test_cycle_capture_checks_radius_and_pinned_plane():
     assert classify_series(wrong_radius, (orbit,), 0.05, persistence=3) == UNRESOLVED
 
 
+# Attractors and sample rows kept clear of every capture boundary at tol
+# 0.05, so the reference's loop arithmetic cannot disagree on a hit.
+CATALOG = (
+    PointAttractor("near", (0.0, 0.0, 0.0)),
+    PointAttractor("nudged", (0.02, 0.0, 0.0)),
+    PointAttractor("east", (1.0, 0.0, 0.0)),
+    CycleAttractor("ring", radius=1.0),
+)
+PALETTE = np.array([
+    [-0.04, 0.0, 0.0],  # near only
+    [0.06, 0.0, 0.0],  # nudged only
+    [0.01, 0.0, 0.0],  # near and nudged: a same-sample tie
+    [1.0, 0.0, 0.0],  # east and ring: a point/cycle tie
+    [0.0, 1.0, 0.0],  # ring only
+    [3.0, 3.0, 0.0],  # nothing
+    [np.nan, 0.0, 0.0],
+    [0.0, np.inf, 0.0],
+    [1.0, 0.0, np.nan],  # on the ring's axes, but not finite
+])
+MISS = 5
+
+
+@st.composite
+def capture_cases(draw):
+    attractors = draw(st.permutations(CATALOG))[: draw(st.integers(0, len(CATALOG)))]
+    persistence = draw(st.integers(1, 5))
+    stretch = st.tuples(st.integers(0, len(PALETTE) - 1), st.integers(1, 6))
+    cells = [
+        [row for row, count in draw(st.lists(stretch, max_size=8)) for _ in range(count)]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    length = max(len(cell) for cell in cells)
+    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=6)))
+    return attractors, persistence, cells, cuts
+
+
+@settings(max_examples=300)
+@given(case=capture_cases())
+def test_blockwise_capture_walk_matches_the_loop_reference(case):
+    attractors, persistence, cells, cuts = case
+    expected = [
+        loop_classify_series(PALETTE[cell], attractors, 0.05, persistence)
+        for cell in cells
+    ]
+    for cell, label in zip(cells, expected):
+        assert classify_series(PALETTE[cell], attractors, 0.05, persistence) == label
+    # Padding with misses changes no label; the padded cells are walked
+    # together, split into blocks at the drawn cut points (some empty).
+    length = max(len(cell) for cell in cells)
+    history = PALETTE[[cell + [MISS] * (length - len(cell)) for cell in cells]]
+    bounds = [0, *cuts, length]
+    blocks = [history[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    labels = basin._classify(blocks, len(cells), attractors, 0.05, persistence)
+    assert list(labels) == expected
+
+
 # -------------------------------------------------------------- operator grids
 
 
@@ -287,6 +346,14 @@ def test_operator_grid_validation():
         operator_grid(operator, make_system("mfcd"), WINDOW, 3)
     with pytest.raises(ValueError, match="steps"):
         operator_grid(operator, make_system("lho"), WINDOW, 3, steps=0)
+    # A single cell is checked by the same rules.
+    with pytest.raises(ValueError, match="no attractors"):
+        label_operator_cell(operator, make_system("lorenz"), (1.0, 0.0, 0.0))
+    with pytest.raises(DimensionError, match="states"):
+        label_operator_cell(operator, make_system("mfcd"), (1.0, 0.0, 0.0))
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match="steps"):
+            label_operator_cell(operator, make_system("lho"), (1.0, 0.0), steps=steps)
 
 
 # ------------------------------------------------------------------ agreement

@@ -239,11 +239,27 @@ def test_model_file_with_cut_header_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("train", "num_samples", None), ("basin", "fixed", [1]), ("basin", "fixed", {"5": 0.0})],
+    [
+        ("train", "num_samples", None),
+        ("basin", "fixed", [1]),
+        ("basin", "fixed", {"5": 0.0}),
+        ("train", "ic", None),
+        ("train", "ic", [None, 1.0]),
+        ("train", "t_span", None),
+        ("basin", "window", None),
+        ("system", "params", {"delta": None}),
+        ("config", "train", [None]),
+        ("config", "test", [None]),
+        ("config", "system", 5),
+        ("config", "model", 3),
+        ("config", "basin", 5),
+        ("train", "noise", 0.1),
+    ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, section, key, value):
     raw = base_config()
-    entry = raw["basin"] if section == "basin" else raw["train"][0]
+    entry = {"basin": raw["basin"], "train": raw["train"][0], "system": raw["system"],
+             "config": raw}[section]
     entry[key] = value
     config_path = write_config(tmp_path, raw)
     assert main(["basin", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -215,6 +215,21 @@ def test_value_checks(mutate, fragment):
         (lambda raw: raw["basin"].update(fixed={"0": None}), "basin.fixed value must be float"),
         (lambda raw: raw["basin"].update(fixed={"2": 1.0}), "must lie in 0..1"),
         (lambda raw: raw["basin"].update(fixed={"-1": 1.0}), "must lie in 0..1"),
+        (lambda raw: raw["train"][0].update(ic=None), "train[0].ic must be list"),
+        (lambda raw: raw["train"][0].update(ic=[None, 1.0]), "train[0].ic must be float"),
+        (lambda raw: raw["train"][0].update(t_span=None), "train[0].t_span must be list"),
+        (lambda raw: raw["train"][0].update(t_span=[0.0, None]), "t_span must be float"),
+        (lambda raw: raw["basin"].update(window=None), "basin.window must be list"),
+        (lambda raw: raw["basin"].update(window=[[0.0, 1.0], None]), "basin.window must be list"),
+        (lambda raw: raw["system"].update(params={"x": None}), "system.params.x must be float"),
+        (lambda raw: raw["system"].update(params=None), "system.params must be dict"),
+        (lambda raw: raw["train"].append(None), "train[2] must be a mapping"),
+        (lambda raw: raw["test"].append(None), "test[1] must be a mapping"),
+        (lambda raw: raw.update(test=3), "test must be list"),
+        (lambda raw: raw.update(system=5), "system must be a mapping"),
+        (lambda raw: raw.update(model=3), "model must be a mapping"),
+        (lambda raw: raw.update(basin=5), "basin must be a mapping"),
+        (lambda raw: raw["train"][0].update(noise=0.1), "train[0].noise must be a mapping"),
     ],
 )
 def test_malformed_values_are_config_errors(mutate, fragment):

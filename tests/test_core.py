@@ -1,6 +1,9 @@
-"""Container types and the feature-count formula."""
+"""Container types, the feature-count formula and the package exports."""
 
+import ast
 import dataclasses
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from hypothesis import given, strategies as st
 
+import nldm
 import oracles
 from nldm import (
     CapacityError,
@@ -165,3 +169,18 @@ def test_training_summary_round_trip_fields():
     )
     assert summary.num_trajectories == 2
     assert summary.per_trajectory_rrmse == (0.1, 0.2)
+
+
+# --- package exports -------------------------------------------------------
+
+def test_package_exports_are_exported_by_their_modules():
+    # Each name in nldm.__all__ must also be in the __all__ of the module
+    # the package imports it from.
+    home = {
+        alias.name: importlib.import_module(f"nldm.{node.module}")
+        for node in ast.parse(inspect.getsource(nldm)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for name in set(nldm.__all__) - {"__version__"}:
+        assert name in home[name].__all__, f"{home[name].__name__} does not export {name}"

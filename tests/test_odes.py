@@ -222,3 +222,9 @@ def test_noise_validation():
     clean = integrate(system, (2.0, 0.0), (0.0, 5.0), 50)
     with pytest.raises(ValueError):
         add_noise(clean, -0.1, seed=1)
+
+
+def test_nan_noise_level_is_rejected():
+    clean = integrate(make_system("lho"), (2.0, 0.0), (0.0, 5.0), 50)
+    with pytest.raises(ValueError, match="sigma_pct"):
+        add_noise(clean, float("nan"), seed=1)
