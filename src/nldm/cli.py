@@ -19,15 +19,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .basin import ground_truth_grid, grid_agreement, operator_grid
+from .basin import classify_series, ground_truth_grid, grid_agreement, operator_grid
 from .config import (
+    BasinSpec,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
     derived_seed,
 )
-from .core import FeatureConfig, IntegrationError, Trajectory
+from .core import FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError
 from .identify import train as fit_operator
 from .io import (
     load_model,
@@ -63,7 +64,7 @@ def _simulate_role(config: ExperimentConfig, role: str, global_seed: int):
     entries = config.train if role == "train" else config.test
     out = []
     for index, entry in enumerate(entries):
-        clean = integrate(system, entry.ic, entry.t_span, entry.num_samples)
+        clean = integrate(system, entry.ic, entry.t_span, entry.num_samples, config.integrator)
         noisy = None
         seed = None
         if entry.noise is not None:
@@ -77,14 +78,24 @@ def _simulate_role(config: ExperimentConfig, role: str, global_seed: int):
     return out
 
 
-def _score_payload(score, diverged_at):
+def _score_payload(prediction, reference, skip, label):
+    """One ``scores.json`` test entry; a score that is undefined for the
+    reference (a constant state) is written as null with the reason."""
+    try:
+        score = rrmse(prediction.trajectory, reference, skip)
+        per_state, mean, undefined = score.per_state_rrmse, score.mean_rrmse, {}
+    except UndefinedScoreError as exc:
+        per_state, mean, undefined = None, None, {"undefined": str(exc)}
     return {
-        "per_state_rrmse": score.per_state_rrmse,
-        "mean_rrmse": score.mean_rrmse,
-        "compared_points": score.compared_points,
-        "diverged": diverged_at is not None,
-        "diverged_at": diverged_at,
+        "per_state_rrmse": per_state,
+        "mean_rrmse": mean,
+        "compared_points": reference.num_samples - skip,
+        "diverged": prediction.diverged_at is not None,
+        "diverged_at": prediction.diverged_at,
         "rrmse_std_window": "compared samples only",
+        **undefined,
+        "reference_label": label(reference),
+        "forecast_label": label(prediction.trajectory),
     }
 
 
@@ -157,6 +168,7 @@ class _Pipeline:
                 "residual_frobenius": summary.residual_frobenius,
                 "effective_rank": summary.effective_rank,
                 "underdetermined": summary.underdetermined,
+                "origin_multiplier": summary.origin_multiplier,
                 "per_trajectory_rrmse": summary.per_trajectory_rrmse,
                 "mean_rrmse": result.mean_rrmse,
                 "elapsed_seconds": result.elapsed_seconds,
@@ -169,6 +181,11 @@ class _Pipeline:
         self.ensure_simulated()
         delays = self.operator.config.delays
         scores = []
+        attractors = make_system(self.config.system.ident, **self.config.system.params).attractors
+        tol = (self.config.basin or BasinSpec).tol  # the section's, else its default
+
+        def label(trajectory):
+            return classify_series(trajectory.states, attractors, tol)
 
         def stage():
             for index, data in enumerate(self.test_data):
@@ -181,8 +198,7 @@ class _Pipeline:
                     f"predicted_test_{index:02d}.csv", prediction.trajectory
                 )
                 if evaluate:
-                    score = rrmse(prediction.trajectory, data.clean, delays)
-                    scores.append(_score_payload(score, prediction.diverged_at))
+                    scores.append(_score_payload(prediction, data.clean, delays, label))
 
         self._timed("evaluate" if evaluate else "predict", stage)
         if evaluate:

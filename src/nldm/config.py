@@ -1,7 +1,8 @@
 """Experiment configuration: typed dataclasses plus strict JSON parsing.
 
 A configuration names a catalog system, the training and test series to
-simulate from it, the model shape, and optionally a basin scan.  Parsing
+simulate from it, the model shape, and optionally a basin scan and the
+integrator tolerances for the series.  Parsing
 is strict: unknown or missing keys are reported by name, and every
 series must imply the same sampling interval.
 """
@@ -12,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .odes import make_system
+from .odes import IntegratorSettings, make_system
 
 __all__ = [
     "ConfigError",
@@ -83,6 +84,7 @@ class ExperimentConfig:
     basin: BasinSpec | None = None
     output_dir: str = "runs/experiment"
     global_seed: int = 0
+    integrator: IntegratorSettings | None = None
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -175,11 +177,21 @@ def _parse_basin(raw, num_states: int) -> BasinSpec | None:
     return BasinSpec(window=window, resolution=resolution, steps=steps, tol=tol, fixed=fixed)
 
 
+def _parse_integrator(raw) -> IntegratorSettings:
+    _reject_unknown(raw, ("rel_tol", "abs_tol"), "integrator")
+    tols = {key: _number(float, value, f"integrator.{key}") for key, value in raw.items()}
+    for key, value in tols.items():
+        if not 0 < value < np.inf:
+            raise ConfigError(f"integrator.{key} must be positive and finite, got {value}")
+    return IntegratorSettings(**tols)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse and validate a configuration mapping (as loaded from JSON)."""
     _reject_unknown(
         raw,
-        ("system", "model", "train", "test", "basin", "output_dir", "global_seed"),
+        ("system", "model", "train", "test", "basin", "output_dir", "global_seed",
+         "integrator"),
         "config",
     )
     system_raw = _require(raw, "system", "config")
@@ -238,9 +250,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             )
 
     basin = _parse_basin(raw.get("basin"), catalog.num_states)
-    output_dir = str(raw.get("output_dir", "runs/experiment"))
-    if not output_dir:
-        raise ConfigError("output_dir must be non-empty")
+    output_dir = raw.get("output_dir", "runs/experiment")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
     global_seed = _number(int, raw.get("global_seed", 0), "global_seed")
     if global_seed < 0:
         raise ConfigError(f"global_seed must be >= 0, got {global_seed}")
@@ -253,6 +265,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         basin=basin,
         output_dir=output_dir,
         global_seed=global_seed,
+        integrator=_parse_integrator(raw["integrator"]) if "integrator" in raw else None,
     )
 
 
@@ -276,6 +289,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             raw["basin"].pop("fixed", None)
     raw["system"] = {"ident": config.system.ident, "params": dict(config.system.params)}
     raw["model"] = {"delays": config.model.delays, "degree": config.model.degree}
+    if config.integrator is None:
+        raw.pop("integrator")
+    else:
+        raw["integrator"] = {
+            "rel_tol": config.integrator.rel_tol, "abs_tol": config.integrator.abs_tol
+        }
     return raw
 
 

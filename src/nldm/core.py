@@ -187,7 +187,12 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class TrainingSummary:
-    """Fit diagnostics attached to a learned operator."""
+    """Fit diagnostics attached to a learned operator.
+
+    ``origin_multiplier`` is the spectral radius of the learned map's
+    Jacobian at the origin: below 1 the origin attracts, near 1 it is
+    close to neutral.
+    """
 
     num_trajectories: int
     total_columns: int
@@ -195,6 +200,7 @@ class TrainingSummary:
     per_trajectory_rrmse: tuple[float, ...]
     effective_rank: int
     underdetermined: bool
+    origin_multiplier: float
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,19 @@ class TrainingResult:
     elapsed_seconds: float
 
 
+def _origin_multiplier(operator: LearnedOperator) -> float:
+    """Spectral radius of the delay companion matrix of the linear block.
+
+    Monomials of degree two and up vanish to first order at zero, so the
+    map's Jacobian at the origin is the linear block stacked on a shift
+    of the older delays.
+    """
+    states, stacked = operator.config.num_states, operator.config.stacked_dim
+    companion = np.eye(stacked, k=-states)
+    companion[:states] = operator.matrix[:, :stacked]
+    return float(np.abs(np.linalg.eigvals(companion)).max())
+
+
 def train(
     trajectories,
     config: FeatureConfig,
@@ -109,6 +122,7 @@ def train(
         per_trajectory_rrmse=tuple(scores),
         effective_rank=report.effective_rank,
         underdetermined=config.num_features > pair.num_columns,
+        origin_multiplier=_origin_multiplier(operator),
     )
     operator = replace(operator, training_summary=summary)
     elapsed = time.perf_counter() - started

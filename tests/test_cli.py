@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nldm import IntegratorSettings, classify_series, integrate, make_system
 from nldm.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from nldm.config import config_from_dict, derived_seed
 from nldm.io import load_model, load_trajectory_csv
@@ -111,6 +112,19 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert main(["simulate", "--config", str(config_path), "--out", str(out_b)]) == EXIT_OK
     for name in ("train_00_noisy.csv", "test_00_noisy.csv", "train_01_clean.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_integrator_section_sets_series_tolerances(tmp_path):
+    raw = base_config()
+    raw["integrator"] = {"rel_tol": 1e-3, "abs_tol": 1e-6}
+    config_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    states = load_trajectory_csv(out / "train_01_clean.csv").states
+    loose = IntegratorSettings(rel_tol=1e-3, abs_tol=1e-6)
+    args = (make_system("lho"), (-1.0, 2.0), (0.0, 0.59), 60)
+    np.testing.assert_array_equal(states, integrate(*args, loose).states)
+    assert not np.array_equal(states, integrate(*args).states)
 
 
 def test_seed_override_changes_derived_noise_only(tmp_path):
@@ -254,6 +268,11 @@ def test_model_file_with_cut_header_exits_2(tmp_path, capsys):
         ("config", "model", 3),
         ("config", "basin", 5),
         ("train", "noise", 0.1),
+        ("config", "output_dir", None),
+        ("config", "output_dir", 5),
+        ("config", "integrator", {"rel_tol": None}),
+        ("config", "integrator", {"abs_tol": 0.0}),
+        ("config", "integrator", {"max_step": 0.1}),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, section, key, value):
@@ -264,6 +283,44 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, section, key, value):
     config_path = write_config(tmp_path, raw)
     assert main(["basin", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_scores_carry_capture_labels(tmp_path):
+    # Ten seconds let the test series settle at the oscillator's origin;
+    # the labels follow the grids' capture rule at the basin tolerance.
+    raw = base_config()
+    raw["test"][0].update(t_span=[0.0, 9.99], num_samples=1000)
+    raw["basin"]["tol"] = 0.1
+    config_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    entry = json.loads((out / "scores.json").read_text())["test"][0]
+    attractors = make_system("lho").attractors
+    for field, name in (("reference_label", "test_00_clean.csv"),
+                        ("forecast_label", "predicted_test_00.csv")):
+        states = load_trajectory_csv(out / name).states
+        assert entry[field] == classify_series(states, attractors, 0.1) == "origin"
+
+
+def test_undefined_test_score_is_written_not_fatal(tmp_path):
+    # A start on the invariant axis x = 0 keeps x constant, so the
+    # reference's x has no spread and its RRMSE is undefined.
+    raw = base_config()
+    raw["system"] = {"ident": "two_attractor"}
+    raw["train"][0]["ic"] = [2.0, 1.0]
+    raw["train"][1]["ic"] = [-0.5, 2.0]
+    raw["test"] = [{"ic": [0.0, -3.0], "t_span": [0.0, 0.59], "num_samples": 60,
+                    "noise": {"sigma_pct": 0.1, "seed": 52}}]
+    del raw["basin"]
+    config_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    assert "scores.json" in json.loads((out / "manifest.json").read_text())["artifacts"]
+    entry = json.loads((out / "scores.json").read_text())["test"][0]
+    assert entry["mean_rrmse"] is None and entry["per_state_rrmse"] is None
+    assert "reference state 0 is constant" in entry["undefined"]
+    assert entry["diverged"] is False and entry["diverged_at"] is None
+    assert entry["compared_points"] == 58
 
 
 def test_commands_check_required_sections(tmp_path):

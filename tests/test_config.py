@@ -1,8 +1,12 @@
 """Strict config parsing: round trips, key naming, cross-field checks."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nldm import IntegratorSettings
 from nldm.config import (
     ConfigError,
     config_from_dict,
@@ -46,6 +50,8 @@ def base_raw():
 def test_round_trip_is_identity():
     config = config_from_dict(base_raw())
     assert config_from_dict(config_to_dict(config)) == config
+    assert config.integrator is None
+    assert "integrator" not in config_to_dict(config)
 
 
 def test_round_trip_with_params_and_fixed_axes():
@@ -58,10 +64,13 @@ def test_round_trip_with_params_and_fixed_axes():
             "resolution": 20,
             "fixed": {"2": 2.0},
         },
+        "integrator": {"rel_tol": 5e-7, "abs_tol": 5e-10},
     }
     config = config_from_dict(raw)
     assert config.system.params == {"mu": 0.2, "a": -0.1}
     assert config.basin.fixed == ((2, 2.0),)
+    assert config.integrator == IntegratorSettings(rel_tol=5e-7, abs_tol=5e-10)
+    assert config_to_dict(config)["integrator"] == raw["integrator"]
     assert config.basin.steps == 1000  # default survives the trip
     assert config_from_dict(config_to_dict(config)) == config
 
@@ -193,6 +202,10 @@ def test_system_errors_are_wrapped():
         (lambda raw: raw.update(train=[]), "at least one series"),
         (lambda raw: raw.update(output_dir=""), "output_dir"),
         (lambda raw: raw.update(global_seed=-3), "global_seed"),
+        (lambda raw: raw.update(integrator={"rel_tol": 0.0}), "integrator.rel_tol must be positive"),
+        (lambda raw: raw.update(integrator={"abs_tol": -1e-9}), "integrator.abs_tol must be positive"),
+        (lambda raw: raw.update(integrator={"rel_tol": float("nan")}), "integrator.rel_tol must be positive"),
+        (lambda raw: raw.update(integrator={"abs_tol": float("inf")}), "integrator.abs_tol must be positive"),
     ],
 )
 def test_value_checks(mutate, fragment):
@@ -230,6 +243,12 @@ def test_value_checks(mutate, fragment):
         (lambda raw: raw.update(model=3), "model must be a mapping"),
         (lambda raw: raw.update(basin=5), "basin must be a mapping"),
         (lambda raw: raw["train"][0].update(noise=0.1), "train[0].noise must be a mapping"),
+        (lambda raw: raw.update(output_dir=None), "output_dir must be a non-empty string"),
+        (lambda raw: raw.update(output_dir=5), "output_dir must be a non-empty string"),
+        (lambda raw: raw.update(output_dir=["runs"]), "output_dir must be a non-empty string"),
+        (lambda raw: raw.update(integrator={"rel_tol": None}), "integrator.rel_tol must be float"),
+        (lambda raw: raw.update(integrator={"max_step": 0.1}), "'max_step' in integrator"),
+        (lambda raw: raw.update(integrator=None), "integrator must be a mapping"),
     ],
 )
 def test_malformed_values_are_config_errors(mutate, fragment):
@@ -259,3 +278,16 @@ def test_derived_seed_matches_seed_sequence():
     assert derived_seed(9, "test", 0) == expected
     with pytest.raises(KeyError):
         derived_seed(1, "validate", 0)
+
+
+def test_study_configs_parse_and_are_in_the_readme():
+    # The studies are too costly to run here; this keeps every config
+    # valid against the parser and listed in the README's study table.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    table = readme.split("## Studies", 1)[1].split("\n## ", 1)[0]
+    paths = sorted((root / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        config_from_dict(json.loads(path.read_text()))
+        assert f"--config configs/{path.name}" in table, path.name

@@ -166,9 +166,11 @@ def test_training_summary_round_trip_fields():
         per_trajectory_rrmse=(0.1, 0.2),
         effective_rank=3,
         underdetermined=False,
+        origin_multiplier=0.9,
     )
     assert summary.num_trajectories == 2
     assert summary.per_trajectory_rrmse == (0.1, 0.2)
+    assert summary.origin_multiplier == 0.9
 
 
 # --- package exports -------------------------------------------------------

@@ -32,6 +32,9 @@ def test_linear_oscillator_recovers_matrix_exponential():
         np.array([[0.0, 1.0], [-1.0, -1.0]]) * traj.dt
     )
     assert np.linalg.norm(result.operator.matrix - expected, "fro") < 1e-6
+    # The eigenvalues of exp(A dt) have modulus exp(-delta dt / 2).
+    multiplier = np.exp(-system.params["delta"] * traj.dt / 2.0)
+    assert abs(result.operator.training_summary.origin_multiplier - multiplier) < 1e-9
 
 
 def test_training_summary_bookkeeping(make_series):
