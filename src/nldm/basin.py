@@ -8,31 +8,31 @@ attractor (Euclidean distance) or within ``tol`` of a cycle's radius in
 its plane.  Cells whose trajectories blow up are labeled ``diverged``;
 cells that never settle within the horizon stay ``unresolved``.
 
-One capture walk labels single series, truth cells and operator cells.
-Each cell is treated independently: ground-truth cells get their own
-adaptive integration, and operator cells are advanced by the forecasting
-kernel of ``predict``, whose batch arithmetic is bitwise independent of
-the batch, so refining the grid never relabels a point that both grids
-share.  The operator walk stops once every cell has a label.
+One capture walk labels single series, truth cells and operator cells,
+and one loop feeds it: sources yield blocks of samples for the cells
+still open until none is.  Each cell is treated independently:
+ground-truth cells are integrated in one batch in which every cell keeps
+its own adaptive steps, and operator cells are advanced by the
+forecasting kernel of ``predict``; both are bitwise independent of the
+batch, so refining the grid never relabels a point that both grids
+share.  A cell leaves its batch once it has a label.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, IntegrationError, LearnedOperator
+from .core import DimensionError, LearnedOperator
 from .features import monomial_basis
 from .odes import (
     BenchmarkSystem,
     CycleAttractor,
     IntegratorSettings,
     PointAttractor,
-    integrate,
+    _dormand_prince_blocks,
 )
 from .predict import DIVERGENCE_THRESHOLD, _iterate
 
@@ -56,7 +56,7 @@ DIVERGED = "diverged"
 GRID_SETTINGS = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9)
 
 _OPEN, _DIVERGED = -1, -2  # capture-walk codes of cells without a label
-_BLOCK = 32  # operator samples per capture-walk block
+_BLOCK = 32  # samples per capture-walk block
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +166,28 @@ def _capture_walk(block, attractors, tol, persistence, codes, runs):
 
 
 def _classify(blocks, cells, attractors, tol, persistence):
-    """Label ``cells`` cells from their samples, fed block by block; stops
-    reading blocks once no cell is open."""
+    """Label ``cells`` cells from a generator of sample blocks.
+
+    The first block holds every cell, shape (cells, T, num_states).  After
+    each block it sends the generator a mask of that block's cells
+    that are still open, and the next block holds only those; it stops
+    once no cell is open or the blocks run out.
+    """
     codes = np.full(cells, _OPEN)
     runs = np.zeros((len(attractors), cells), dtype=np.int64)
-    for block in blocks:
-        _capture_walk(block, attractors, tol, persistence, codes, runs)
-        if not (codes == _OPEN).any():
+    rows = np.arange(cells)
+    block = next(blocks)
+    while True:
+        open_codes, open_runs = codes[rows], runs[:, rows]
+        _capture_walk(block, attractors, tol, persistence, open_codes, open_runs)
+        codes[rows], runs[:, rows] = open_codes, open_runs
+        still_open = open_codes == _OPEN
+        rows = rows[still_open]
+        if not rows.size:
+            break
+        try:
+            block = blocks.send(still_open)
+        except StopIteration:
             break
     # Code -1 (open) indexes the last entry and -2 the one before it.
     names = [attractor.ident for attractor in attractors] + [DIVERGED, UNRESOLVED]
@@ -191,19 +206,8 @@ def classify_series(
     """
     _check_capture(tol, persistence)
     states = np.asarray(states, dtype=float)
-    return _classify([states[None]], 1, attractors, tol, persistence)[0]
-
-
-def _truth_labels(system, horizon, num_samples, tol, persistence, settings, points):
-    """Integrate each start point on its own and label the stacked samples;
-    a failed integration leaves an all-NaN row, so it is ``diverged``."""
-    history = np.full((len(points), num_samples, system.num_states), np.nan)
-    for row, point in zip(history, points):
-        try:
-            row[:] = integrate(system, point, (0.0, horizon), num_samples, settings).states
-        except IntegrationError:
-            pass
-    return _classify([history], len(points), system.attractors, tol, persistence)
+    blocks = (block for block in [states[None]])  # a generator, so _classify can send
+    return _classify(blocks, 1, attractors, tol, persistence)[0]
 
 
 def ground_truth_grid(
@@ -216,38 +220,37 @@ def ground_truth_grid(
     num_samples: int = 401,
     settings: IntegratorSettings | None = None,
     fixed_coords=None,
-    n_jobs: int = 1,
 ) -> BasinGrid:
     """Label every cell by integrating its initial condition.
 
-    Each cell is integrated on its own over ``(0, horizon)`` and sampled
-    at ``num_samples`` uniform points, so labels never depend on
-    neighboring cells.  Rows of cells are labeled one at a time;
-    ``n_jobs > 1`` distributes them across processes.
+    All cells are integrated in one batch over ``(0, horizon)``, each on
+    its own adaptive Dormand-Prince steps (the steps ``solve_ivp`` with
+    RK45 takes), and sampled at ``num_samples`` uniform points, so labels
+    never depend on neighboring cells.  The capture walk reads the
+    samples in blocks, and a cell stops being integrated once it has a
+    label.  A cell whose integration fails turns non-finite and is
+    ``diverged`` unless a capture completed before.  ``system.rhs`` must
+    evaluate a (num_states, cells) array column by column, as every
+    catalog right-hand side does.
     """
     if not system.attractors:
         raise ValueError(f"system {system.ident!r} declares no attractors")
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    if num_samples < 2:
+        raise ValueError(f"num_samples must be >= 2, got {num_samples}")
     x_range, y_range = _check_window(window, resolution)
     _check_capture(tol, persistence)
     settings = settings or GRID_SETTINGS
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
 
-    label_rows = functools.partial(
-        _truth_labels, system, horizon, num_samples, tol, persistence, settings
-    )
-    rows = np.array_split(points, resolution)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            labels = list(pool.map(label_rows, rows))
-    else:
-        labels = list(map(label_rows, rows))
+    blocks = _dormand_prince_blocks(system.rhs, points, horizon, num_samples, settings, _BLOCK)
+    labels = _classify(blocks, len(points), system.attractors, tol, persistence)
     return BasinGrid(
         x_range=x_range,
         y_range=y_range,
         resolution=resolution,
-        labels=np.concatenate(labels).reshape(resolution, resolution),
+        labels=labels.reshape(resolution, resolution),
         source={"kind": "integrator", "system": system.ident, "params": dict(system.params)},
         meta={
             "horizon": float(horizon),
@@ -274,21 +277,20 @@ def _check_operator_scan(operator, system, steps, tol, persistence):
     _check_capture(tol, persistence)
 
 
-def _operator_labels(
-    operator, attractors, points, steps, tol, persistence, divergence_threshold
-):
-    """Label start points from their seed rows and then the states the
+def _operator_blocks(operator, points, steps, divergence_threshold):
+    """Yield the start points' seed rows and then the states the
     forecasting kernel yields (NaN once diverged), ``_BLOCK`` samples at
-    a time, so no cell's full history is kept."""
+    a time, for the cells ``_classify`` keeps, so no full history is kept."""
     config = operator.config
     seeds = np.repeat(points[:, None, :], config.delays, axis=1)
     kernel = _iterate(
         seeds, steps, monomial_basis(config), operator.matrix, divergence_threshold
     )
     samples = itertools.chain([points] * config.delays, kernel)
-    chunks = iter(lambda: list(itertools.islice(samples, _BLOCK)), [])
-    blocks = (np.stack(chunk, axis=1) for chunk in chunks)
-    return _classify(blocks, len(points), attractors, tol, persistence)
+    rows = np.arange(len(points))
+    for chunk in iter(lambda: list(itertools.islice(samples, _BLOCK)), []):
+        keep = yield np.stack([sample[rows] for sample in chunk], axis=1)
+        rows = rows[keep]
 
 
 def operator_grid(
@@ -313,9 +315,8 @@ def operator_grid(
     _check_operator_scan(operator, system, steps, tol, persistence)
     x_range, y_range = _check_window(window, resolution)
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
-    labels = _operator_labels(
-        operator, system.attractors, points, steps, tol, persistence, divergence_threshold
-    )
+    blocks = _operator_blocks(operator, points, steps, divergence_threshold)
+    labels = _classify(blocks, len(points), system.attractors, tol, persistence)
     return BasinGrid(
         x_range=x_range,
         y_range=y_range,
@@ -350,9 +351,8 @@ def label_operator_cell(
         raise DimensionError(
             f"point has {point.shape[1]} entries, system has {system.num_states}"
         )
-    return _operator_labels(
-        operator, system.attractors, point, steps, tol, persistence, divergence_threshold
-    )[0]
+    blocks = _operator_blocks(operator, point, steps, divergence_threshold)
+    return _classify(blocks, 1, system.attractors, tol, persistence)[0]
 
 
 def grid_agreement(truth: BasinGrid, predicted: BasinGrid) -> GridAgreement:

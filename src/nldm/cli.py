@@ -222,7 +222,6 @@ class _Pipeline:
                 tol=spec.tol,
                 num_samples=min(spec.steps, 400) + 1,
                 fixed_coords=fixed,
-                n_jobs=self.threads,
             ),
         )
         save_basin_csv(self.out / "basin_truth.csv", truth)
@@ -299,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="worker processes for grid scans (default: NLDM_THREADS or 1)",
+            help="accepted and ignored: grid scans run in one process "
+            "(default: NLDM_THREADS or 1)",
         )
     return parser
 
@@ -330,11 +330,11 @@ def main(argv=None) -> int:
         operator = load_model(args.model) if args.model else None
         if args.command in ("predict", "evaluate") and operator is None:
             raise ConfigError(f"--model is required for {args.command}")
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = _Pipeline(config, out_dir, threads, global_seed)
     pipeline.operator = operator
     try:

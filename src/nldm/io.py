@@ -173,21 +173,32 @@ def load_basin_csv(path) -> BasinGrid:
     path = Path(path)
     meta = {}
     labels = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line == "x,y,label":
             continue
         if line.startswith("#"):
             meta = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
             continue
-        labels.append(line.split(",")[2])
-    resolution = int(meta["resolution"])
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected x,y,label, got {line!r}")
+        labels.append(fields[2])
+    for key in ("resolution", "x_range", "y_range"):
+        if key not in meta:
+            raise ValueError(f"{path}: header has no {key}= field")
+    try:
+        resolution = int(meta["resolution"])
+        x_lo, x_hi = (float(v) for v in meta["x_range"].split(":"))
+        y_lo, y_hi = (float(v) for v in meta["y_range"].split(":"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed header: {exc}") from exc
+    if resolution < 2:
+        raise ValueError(f"{path}: resolution must be >= 2, got {resolution}")
     if len(labels) != resolution * resolution:
         raise ValueError(
             f"{path}: expected {resolution * resolution} cells, got {len(labels)}"
         )
-    x_lo, x_hi = (float(v) for v in meta["x_range"].split(":"))
-    y_lo, y_hi = (float(v) for v in meta["y_range"].split(":"))
     return BasinGrid(
         x_range=(x_lo, x_hi),
         y_range=(y_lo, y_hi),

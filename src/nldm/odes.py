@@ -8,7 +8,9 @@ Lorenz system.  Each system records its parameters and, where
 meaningful, descriptors of its attractors for basin classification.
 
 Reference trajectories come from an adaptive Dormand-Prince 5(4) pair
-(scipy's RK45) with dense output evaluated on a uniform grid.
+(scipy's RK45) with dense output evaluated on a uniform grid.  Basin
+grids integrate many start points at once through a batched copy of the
+same pair that keeps every cell on its own steps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .core import DimensionError, IntegrationError, Provenance, Trajectory
 
@@ -68,16 +70,15 @@ class BenchmarkSystem:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and step bounds for the adaptive integrator."""
+    """Tolerances for the adaptive integrator."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    first_step: float | None = None
 
 
-# Right-hand sides are module level (and bound with functools.partial)
-# so systems stay picklable for process-parallel basin scans.
+# Right-hand sides unpack the state row by row, so they also evaluate a
+# (num_states, cells) array of states column by column, as the batched
+# grid integrator needs.
 
 def _lho_rhs(t, state, delta):
     x, y = state
@@ -295,9 +296,6 @@ def integrate(
         raise ValueError(f"num_samples must be >= 2, got {num_samples}")
 
     t_eval = np.linspace(t_start, t_end, num_samples)
-    kwargs = {}
-    if settings.first_step is not None:
-        kwargs["first_step"] = settings.first_step
     solution = solve_ivp(
         system.rhs,
         (t_start, t_end),
@@ -306,8 +304,6 @@ def integrate(
         t_eval=t_eval,
         rtol=settings.rel_tol,
         atol=settings.abs_tol,
-        max_step=settings.max_step,
-        **kwargs,
     )
     if not solution.success:
         reached = solution.t[-1] if solution.t.size else t_start
@@ -322,6 +318,141 @@ def integrate(
         )
     dt = (t_end - t_start) / (num_samples - 1)
     return Trajectory(states, dt=dt, t0=t_start)
+
+
+# Step-size control of scipy's RK45 (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.4).
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+
+
+def _weighted_sum(weights, terms):
+    """``sum_j weights[j] * terms[j]`` added in index order, elementwise:
+    a BLAS reduction could make a cell's result depend on its batch."""
+    total = weights[0] * terms[0]
+    for weight, term in zip(weights[1:], terms[1:]):
+        total = total + weight * term
+    return total
+
+
+def _rms(rows):
+    """RMS over the state rows of a (num_states, cells) array."""
+    return np.sqrt(_weighted_sum(rows, rows)) / len(rows) ** 0.5
+
+
+def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+    """scipy's ``select_initial_step`` (Solving ODEs I, II.4), per cell."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_end)
+        d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT,
+        )
+    return np.minimum(np.minimum(100 * h0, h1), t_end)
+
+
+def _dormand_prince_blocks(rhs, starts, t_end, num_samples, settings, block):
+    """Integrate every start point over ``(0, t_end)`` on its own adaptive
+    Dormand-Prince 5(4) steps and yield its samples at
+    ``linspace(0, t_end, num_samples)``, ``block`` samples at a time.
+
+    Each cell takes the steps ``solve_ivp`` with RK45 would take (same
+    tableau, initial step, error norm and step-size factors) and is
+    sampled from the pair's quartic dense output (Solving ODEs I, II.6).
+    States are held as (num_states, cells), so ``rhs`` runs once per
+    stage for all cells.  Blocks have shape (cells, T, num_states).
+    After each block the caller may send a boolean mask over its cells;
+    only the cells kept are integrated further.  A cell whose step size
+    falls below ten times the spacing of floats at its time fails, and
+    its remaining samples are NaN.  Every stage, error and dense-output
+    combination is an elementwise sum in a fixed order, so a cell's
+    samples are bitwise the same alone or in any batch.
+    """
+    a, b, c, e, p = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
+    rtol, atol = settings.rel_tol, settings.abs_tol
+    times = np.linspace(0.0, t_end, num_samples)
+    y = np.array(starts, dtype=float).T
+    cells = y.shape[1]
+    t = np.zeros(cells)
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
+    rejected = np.zeros(cells, dtype=bool)
+    failed = np.zeros(cells, dtype=bool)
+    emitted = np.zeros(cells, dtype=np.int64)  # samples written so far
+    # Dense output of each cell's last accepted step; before the first
+    # one it evaluates to the start point at t = 0.
+    t_old, h, y_old = np.zeros(cells), np.ones(cells), y.copy()
+    q = np.zeros((p.shape[1],) + y.shape)
+
+    def emit(rows):
+        """Write the block's samples that the rows' last steps cover."""
+        upto = np.minimum(np.searchsorted(times, t[rows], side="right"), stop)
+        counts = upto - emitted[rows]
+        cell = np.repeat(rows, counts)
+        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        sample = np.repeat(emitted[rows], counts) + offset
+        x = (times[sample] - t_old[cell]) / h[cell]
+        powers = [x]
+        for _ in range(1, len(q)):
+            powers.append(powers[-1] * x)
+        values = h[cell] * _weighted_sum(powers, q[:, :, cell]) + y_old[:, cell]
+        out[cell, sample - first] = values.T
+        emitted[rows] = upto
+
+    for first in range(0, num_samples, block):
+        stop = min(first + block, num_samples)
+        out = np.full((len(t), stop - first, y.shape[0]), np.nan)
+        emit(np.arange(len(t)))
+        while True:
+            rows = np.flatnonzero(~failed & (emitted < stop))
+            if not rows.size:
+                break
+            t0, y0, f0 = t[rows], y[:, rows], f[:, rows]
+            min_step = 10 * np.abs(np.nextafter(t0, np.inf) - t0)
+            size = np.where(rejected[rows], h_abs[rows], np.maximum(h_abs[rows], min_step))
+            too_small = ~(size >= min_step)
+            failed[rows[too_small]] = True
+            live = ~too_small
+            rows, t0, y0, f0, size = rows[live], t0[live], y0[:, live], f0[:, live], size[live]
+
+            t1 = np.minimum(t0 + size, t_end)
+            step = t1 - t0
+            k = [f0]
+            for stage in range(1, len(c)):
+                dy = _weighted_sum(a[stage, :stage], k) * step
+                k.append(rhs(t0 + c[stage] * step, y0 + dy))
+            y1 = y0 + step * _weighted_sum(b, k)
+            k.append(rhs(t1, y1))
+            scale = atol + np.maximum(np.abs(y0), np.abs(y1)) * rtol
+            error = _rms(_weighted_sum(e, k) * step / scale)
+
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                factor = _SAFETY * error**_ERROR_EXPONENT
+            accept = error < 1
+            grow = np.where(error == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
+            grow = np.where(rejected[rows], np.minimum(1.0, grow), grow)
+            shrink = np.fmax(_MIN_FACTOR, factor)  # a NaN error shrinks by the minimum
+            h_abs[rows] = step * np.where(accept, grow, shrink)
+            rejected[rows] = ~accept
+
+            done = rows[accept]
+            t_old[done], h[done], y_old[:, done] = t0[accept], step[accept], y0[:, accept]
+            k = [stage[:, accept] for stage in k]
+            q[:, :, done] = [_weighted_sum(p[:, j], k) for j in range(len(q))]
+            t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1]
+            emit(done)
+
+        keep = yield out
+        if keep is not None:
+            t, h_abs, rejected, failed, emitted, t_old, h, y, f, y_old, q = (
+                v[..., keep]
+                for v in (t, h_abs, rejected, failed, emitted, t_old, h, y, f, y_old, q)
+            )
 
 
 def add_noise(trajectory: Trajectory, sigma_pct: float, seed: int) -> Trajectory:

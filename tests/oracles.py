@@ -14,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 def enumerate_monomial_exponents(num_vars: int, degree: int) -> set[tuple[int, ...]]:
@@ -192,3 +193,22 @@ def loop_classify_series(states, attractors, tol, persistence):
     if best_ident is not None:
         return best_ident
     return "diverged" if first_bad < len(rows) else "unresolved"
+
+
+def per_cell_truth_labels(system, points, horizon, num_samples, tol, persistence,
+                          rel_tol, abs_tol):
+    """Truth label of each start point from its own ``solve_ivp`` (RK45)
+    run sampled at ``linspace(0, horizon, num_samples)`` and the loop
+    classifier above; a failed or non-finite integration counts as an
+    all-NaN series, so it is ``"diverged"``.
+    """
+    times = np.linspace(0.0, horizon, num_samples)
+    labels = []
+    for point in points:
+        solution = solve_ivp(system.rhs, (0.0, horizon), np.asarray(point, dtype=float),
+                             method="RK45", t_eval=times, rtol=rel_tol, atol=abs_tol)
+        states = solution.y.T
+        if not solution.success or not np.isfinite(states).all():
+            states = np.full((num_samples, len(point)), np.nan)
+        labels.append(loop_classify_series(states, system.attractors, tol, persistence))
+    return labels

@@ -7,7 +7,6 @@ fixed; a failing line means the capability is genuinely not met.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -272,8 +271,7 @@ def test_basin_grid_agreement():
     started = time.perf_counter()
     system = make_system("two_attractor")
     window = ((-3.0, 3.0), (-3.0, 3.0))
-    workers = os.cpu_count() or 1
-    truth = ground_truth_grid(system, window, 100, horizon=10.0, n_jobs=workers)
+    truth = ground_truth_grid(system, window, 100, horizon=10.0)
 
     split_exact = True
     for i, x in enumerate(truth.xs):

@@ -1,4 +1,4 @@
-"""Basin grids: per-cell classification, agreement scoring, parallelism."""
+"""Basin grids: per-cell classification, agreement scoring, batch invariance."""
 
 import importlib
 
@@ -20,9 +20,17 @@ from nldm.basin import (
 from nldm.core import DimensionError, FeatureConfig, LearnedOperator
 from nldm.features import monomial_basis
 from nldm.identify import train
-from nldm.odes import CycleAttractor, PointAttractor, integrate, make_system
+from nldm.odes import (
+    SYSTEM_IDS,
+    BenchmarkSystem,
+    CycleAttractor,
+    PointAttractor,
+    _dormand_prince_blocks,
+    integrate,
+    make_system,
+)
 from nldm.predict import iterate_batch
-from oracles import loop_classify_series
+from oracles import loop_classify_series, per_cell_truth_labels
 
 WINDOW = ((-3.0, 3.0), (-3.0, 3.0))
 
@@ -82,11 +90,88 @@ def test_refining_resolution_keeps_shared_cell_labels(truth3):
             assert fine.labels[fi, fj] == truth3.labels[ci, cj]
 
 
-def test_parallel_truth_grid_matches_serial(truth3):
-    parallel = ground_truth_grid(
-        make_system("two_attractor"), WINDOW, 3, horizon=10.0, n_jobs=2
+def all_samples(system, points, horizon=10.0, num_samples=401):
+    """Every sample of every cell from the batched integrator, no cell dropped."""
+    blocks = _dormand_prince_blocks(
+        system.rhs, points, horizon, num_samples, basin.GRID_SETTINGS, basin._BLOCK
     )
-    np.testing.assert_array_equal(parallel.labels, truth3.labels)
+    return np.concatenate(list(blocks), axis=1)
+
+
+@pytest.mark.parametrize("ident", ["two_attractor", "dual_limit_cycle", "mfcd"])
+def test_truth_samples_are_bitwise_batch_invariant(ident):
+    system = make_system(ident)
+    points = np.random.default_rng(11).uniform(-2.5, 2.5, (6, system.num_states))
+    batch = all_samples(system, points)
+    for index, point in enumerate(points):
+        alone = all_samples(system, point[None])
+        assert alone[0].tobytes() == batch[index].tobytes(), (ident, index)
+
+
+def test_dropped_cells_leave_the_others_bitwise_unchanged():
+    # _classify sends a mask after each block; the kept cells' later
+    # samples must equal the samples of a run that drops nothing.
+    system = make_system("dual_limit_cycle")
+    points = np.random.default_rng(12).uniform(-2.5, 2.5, (5, 2))
+    full = all_samples(system, points)
+    blocks = _dormand_prince_blocks(system.rhs, points, 10.0, 401, basin.GRID_SETTINGS, 32)
+    rows, got = np.arange(5), [next(blocks)]
+    for keep in ([True, False, True, True, True], [False, True, True, False]):
+        rows = rows[keep]
+        got.append(blocks.send(np.array(keep)))
+    assert got[0].tobytes() == full[:, :32].tobytes()
+    assert got[2].tobytes() == full[rows, 64:96].tobytes()
+
+
+# Windows over both basins where a catalog system has two; mfcd's grid
+# lies in the plane of its orbit.
+TRUTH_WINDOWS = {
+    "lho": (((-2.1, 1.9), (-1.9, 2.1)), None),
+    "dnls": (((-2.1, 1.9), (-1.9, 2.1)), None),
+    "two_attractor": (((-2.9, 3.1), (-3.1, 2.9)), None),
+    "double_well": (((-2.4, 1.6), (-1.1, 0.9)), None),
+    "mfcd": (((-1.6, 1.4), (-1.4, 1.6)), {2: 1.0}),
+    "dual_limit_cycle": (((-2.9, 3.1), (-3.1, 2.9)), None),
+}
+
+
+@pytest.mark.parametrize("ident", sorted(TRUTH_WINDOWS))
+def test_truth_grid_labels_match_per_cell_integration(ident):
+    system = make_system(ident)
+    assert system.attractors
+    window, fixed = TRUTH_WINDOWS[ident]
+    grid = ground_truth_grid(system, window, 6, horizon=10.0, fixed_coords=fixed)
+    points = basin._grid_points(grid.x_range, grid.y_range, 6, system.num_states, fixed)
+    settings = basin.GRID_SETTINGS
+    expected = per_cell_truth_labels(
+        system, points, 10.0, 401, 0.05, 10, settings.rel_tol, settings.abs_tol
+    )
+    assert list(grid.labels.ravel()) == expected
+
+
+def test_every_catalog_system_with_attractors_has_a_truth_window():
+    with_attractors = {i for i in SYSTEM_IDS if make_system(i).attractors}
+    assert with_attractors == set(TRUTH_WINDOWS)
+
+
+def test_truth_grid_labels_finite_time_blowup_as_diverged():
+    # x' = x**2 leaves every cell with x > 0 at t = 1/x; x < 0 creeps to
+    # 0 too slowly to be captured, and x = 0 falls onto the origin.
+    blowup = BenchmarkSystem(
+        ident="blowup",
+        params={},
+        num_states=2,
+        rhs=lambda t, state: np.array([state[0] ** 2, -state[1]]),
+        attractors=(PointAttractor("origin", (0.0, 0.0)),),
+    )
+    grid = ground_truth_grid(blowup, ((-1.5, 1.5), (-1.0, 1.0)), 3, horizon=10.0)
+    assert list(grid.labels[0]) == [UNRESOLVED] * 3
+    assert list(grid.labels[1]) == ["origin"] * 3
+    assert list(grid.labels[2]) == [DIVERGED] * 3
+    points = basin._grid_points(grid.x_range, grid.y_range, 3, 2, None)
+    assert list(grid.labels.ravel()) == per_cell_truth_labels(
+        blowup, points, 10.0, 401, 0.05, 10, 1e-6, 1e-9
+    )
 
 
 def test_truth_grid_validation():
@@ -214,12 +299,19 @@ def test_blockwise_capture_walk_matches_the_loop_reference(case):
     for cell, label in zip(cells, expected):
         assert classify_series(PALETTE[cell], attractors, 0.05, persistence) == label
     # Padding with misses changes no label; the padded cells are walked
-    # together, split into blocks at the drawn cut points (some empty).
+    # together, split into blocks at the drawn cut points (some empty),
+    # each holding only the cells _classify kept open.
     length = max(len(cell) for cell in cells)
     history = PALETTE[[cell + [MISS] * (length - len(cell)) for cell in cells]]
     bounds = [0, *cuts, length]
-    blocks = [history[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    labels = basin._classify(blocks, len(cells), attractors, 0.05, persistence)
+
+    def blocks():
+        rows = np.arange(len(cells))
+        for lo, hi in zip(bounds, bounds[1:]):
+            keep = yield history[rows, lo:hi]
+            rows = rows[keep]
+
+    labels = basin._classify(blocks(), len(cells), attractors, 0.05, persistence)
     assert list(labels) == expected
 
 

@@ -209,6 +209,16 @@ def test_configuration_failures_exit_2(tmp_path, capsys, argv_builder):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_output_path_through_a_file_exits_2(tmp_path, capsys, out):
+    config_path = write_config(tmp_path)
+    (tmp_path / "file").write_text("not a directory\n")
+    argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")

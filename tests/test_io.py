@@ -190,6 +190,55 @@ def test_basin_loader_checks_cell_count(tmp_path):
         load_basin_csv(path)
 
 
+def two_by_two_basin_lines(tmp_path):
+    grid = BasinGrid(
+        x_range=(0.0, 1.0),
+        y_range=(0.0, 1.0),
+        resolution=2,
+        labels=np.array([["a", "b"], ["c", "d"]], dtype=object),
+        source={},
+        meta={},
+    )
+    path = tmp_path / "basin.csv"
+    save_basin_csv(path, grid)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("field", ["resolution", "x_range", "y_range"])
+def test_basin_loader_names_missing_header_fields(tmp_path, field):
+    path, lines = two_by_two_basin_lines(tmp_path)
+    header = " ".join(part for part in lines[0].split() if not part.startswith(field + "="))
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=f"basin.csv: header has no {field}= field"):
+        load_basin_csv(path)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("resolution=2", "resolution=two"),
+        ("resolution=2", "resolution=-2"),
+        ("x_range=0:1", "x_range=0"),
+        ("y_range=0:1", "y_range=0:1:2"),
+    ],
+)
+def test_basin_loader_rejects_malformed_header_values(tmp_path, old, new):
+    path, lines = two_by_two_basin_lines(tmp_path)
+    assert old in lines[0]
+    path.write_text("\n".join([lines[0].replace(old, new)] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="basin.csv: (malformed header|resolution)"):
+        load_basin_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,a", "0,0,a,b", "a"])
+def test_basin_loader_names_the_line_of_a_malformed_row(tmp_path, row):
+    path, lines = two_by_two_basin_lines(tmp_path)
+    lines[3] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="basin.csv:4: expected x,y,label"):
+        load_basin_csv(path)
+
+
 # ---------------------------------------------------------------- json sidecar
 
 

@@ -15,7 +15,7 @@ from nldm import (
     integrate,
     make_system,
 )
-from nldm.odes import CycleAttractor, PointAttractor
+from nldm.odes import CycleAttractor, PointAttractor, _dormand_prince_blocks
 
 
 ALL_IDENTS = [
@@ -157,6 +157,29 @@ def test_integration_error_on_blowup():
     )
     with pytest.raises(IntegrationError):
         integrate(bad, (0.5, 0.5), (0.0, 100.0), 50)
+
+
+@pytest.mark.parametrize("ident", ALL_IDENTS)
+def test_rhs_evaluates_a_batch_of_states_column_by_column(ident):
+    system = make_system(ident)
+    states = np.random.default_rng(3).uniform(-3.0, 3.0, (system.num_states, 7))
+    columns = [system.rhs(0.0, column) for column in states.T]
+    np.testing.assert_array_equal(system.rhs(0.0, states), np.stack(columns, axis=1))
+
+
+@pytest.mark.parametrize("ident", [i for i in ALL_IDENTS if make_system(i).attractors])
+def test_batched_grid_integrator_matches_solve_ivp(ident):
+    # The batch takes solve_ivp's steps; only the order of additions in
+    # the stage sums differs, so samples agree far below the tolerances.
+    # (Lorenz, without attractors, has no grid and would amplify them.)
+    system = make_system(ident)
+    settings = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9)
+    points = np.random.default_rng(4).uniform(-3.0, 3.0, (8, system.num_states))
+    blocks = _dormand_prince_blocks(system.rhs, points, 10.0, 401, settings, 32)
+    samples = np.concatenate(list(blocks), axis=1)
+    for point, got in zip(points, samples):
+        reference = integrate(system, point, (0.0, 10.0), 401, settings).states
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-9)
 
 
 def test_dnls_energy_never_increases():
