@@ -223,12 +223,12 @@ def ground_truth_grid(
 ) -> BasinGrid:
     """Label every cell by integrating its initial condition.
 
-    All cells are integrated in one batch over ``(0, horizon)``, each on
-    its own adaptive Dormand-Prince steps (the steps ``solve_ivp`` with
-    RK45 takes), and sampled at ``num_samples`` uniform points, so labels
-    never depend on neighboring cells.  The capture walk reads the
-    samples in blocks, and a cell stops being integrated once it has a
-    label.  A cell whose integration fails turns non-finite and is
+    All cells are integrated in one batch over ``(0, horizon)`` by the
+    integrator behind ``integrate``, each on its own adaptive
+    Dormand-Prince steps, and sampled at ``num_samples`` uniform points,
+    so labels never depend on neighboring cells.  The capture walk reads
+    the samples in blocks, and a cell stops being integrated once it has
+    a label.  A cell whose integration fails turns non-finite and is
     ``diverged`` unless a capture completed before.  ``system.rhs`` must
     evaluate a (num_states, cells) array column by column, as every
     catalog right-hand side does.
@@ -244,7 +244,9 @@ def ground_truth_grid(
     settings = settings or GRID_SETTINGS
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
 
-    blocks = _dormand_prince_blocks(system.rhs, points, horizon, num_samples, settings, _BLOCK)
+    blocks = _dormand_prince_blocks(
+        system.rhs, points, (0.0, horizon), num_samples, settings, _BLOCK
+    )
     labels = _classify(blocks, len(points), system.attractors, tol, persistence)
     return BasinGrid(
         x_range=x_range,

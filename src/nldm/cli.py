@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .basin import classify_series, ground_truth_grid, grid_agreement, operator_grid
@@ -24,6 +22,7 @@ from .config import (
     BasinSpec,
     ConfigError,
     ExperimentConfig,
+    _dt_differs,
     config_from_dict,
     config_to_dict,
     derived_seed,
@@ -38,7 +37,7 @@ from .io import (
     write_json,
 )
 from .metrics import rrmse
-from .odes import add_noise, integrate, make_system
+from .odes import _integrate_series, add_noise, make_system
 from .predict import predict as run_prediction
 
 EXIT_OK = 0
@@ -62,9 +61,18 @@ class SeriesData:
 def _simulate_role(config: ExperimentConfig, role: str, global_seed: int):
     system = make_system(config.system.ident, **config.system.params)
     entries = config.train if role == "train" else config.test
+    # Series that share a span and a length are integrated in one batch.
+    batches: dict[tuple, list[int]] = {}
+    for index, entry in enumerate(entries):
+        batches.setdefault((entry.t_span, entry.num_samples), []).append(index)
+    cleans = {}
+    for (t_span, num_samples), indices in batches.items():
+        ics = [entries[index].ic for index in indices]
+        series = _integrate_series(system, ics, t_span, num_samples, config.integrator)
+        cleans.update(zip(indices, series))
     out = []
     for index, entry in enumerate(entries):
-        clean = integrate(system, entry.ic, entry.t_span, entry.num_samples, config.integrator)
+        clean = cleans[index]
         noisy = None
         seed = None
         if entry.noise is not None:
@@ -100,10 +108,9 @@ def _score_payload(prediction, reference, skip, label):
 
 
 class _Pipeline:
-    def __init__(self, config, out_dir: Path, threads: int, global_seed: int):
+    def __init__(self, config, out_dir: Path, global_seed: int):
         self.config = config
         self.out = out_dir
-        self.threads = threads
         self.global_seed = global_seed
         self.timings: dict[str, float] = {}
         self.artifacts: list[str] = []
@@ -171,7 +178,6 @@ class _Pipeline:
                 "origin_multiplier": summary.origin_multiplier,
                 "per_trajectory_rrmse": summary.per_trajectory_rrmse,
                 "mean_rrmse": result.mean_rrmse,
-                "elapsed_seconds": result.elapsed_seconds,
                 "rrmse_std_window": "compared samples only",
             },
         )
@@ -258,7 +264,6 @@ class _Pipeline:
             "command": command,
             "config": config_to_dict(self.config),
             "global_seed": self.global_seed,
-            "threads": self.threads,
             "resolved_noise_seeds": {
                 "train": [d.seed for d in self.train_data or []],
                 "test": [d.seed for d in self.test_data or []],
@@ -266,7 +271,6 @@ class _Pipeline:
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "nldm": __version__,
             },
             "timings_seconds": self.timings,
@@ -298,19 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="accepted and ignored: grid scans run in one process "
-            "(default: NLDM_THREADS or 1)",
+            help="accepted and ignored: grid scans run in one process",
         )
     return parser
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("NLDM_THREADS", "1")
-    threads = int(value)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    return threads
+def _check_model_fits(operator, config: ExperimentConfig, path) -> None:
+    """A saved model must have the config's state count and series dt."""
+    num_states = make_system(config.system.ident, **config.system.params).num_states
+    if operator.config.num_states != num_states:
+        raise ConfigError(
+            f"model {path} has {operator.config.num_states} states, system "
+            f"{config.system.ident!r} has {num_states}"
+        )
+    dt = config.train[0].dt
+    if _dt_differs(operator.dt, dt):
+        raise ConfigError(f"model {path} has dt={operator.dt}, the config's series have dt={dt}")
 
 
 def main(argv=None) -> int:
@@ -318,7 +325,6 @@ def main(argv=None) -> int:
     try:
         raw = json.loads(Path(args.config).read_text())
         config = config_from_dict(raw)
-        threads = _resolve_threads(args.threads)
         global_seed = config.global_seed if args.seed is None else args.seed
         if global_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {global_seed}")
@@ -328,6 +334,8 @@ def main(argv=None) -> int:
         if args.command == "basin" and config.basin is None:
             raise ConfigError("config has no basin section")
         operator = load_model(args.model) if args.model else None
+        if operator is not None:
+            _check_model_fits(operator, config, args.model)
         if args.command in ("predict", "evaluate") and operator is None:
             raise ConfigError(f"--model is required for {args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,7 +343,7 @@ def main(argv=None) -> int:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    pipeline = _Pipeline(config, out_dir, threads, global_seed)
+    pipeline = _Pipeline(config, out_dir, global_seed)
     pipeline.operator = operator
     try:
         if args.command == "simulate":

@@ -186,6 +186,11 @@ def _parse_integrator(raw) -> IntegratorSettings:
     return IntegratorSettings(**tols)
 
 
+def _dt_differs(dt: float, reference: float) -> bool:
+    """Whether two sampling intervals differ beyond round-off."""
+    return abs(dt - reference) > 1e-12 * max(abs(reference), 1.0)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse and validate a configuration mapping (as loaded from JSON)."""
     _reject_unknown(
@@ -243,7 +248,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     dts = [entry.dt for entry in train + test]
     for i, dt in enumerate(dts[1:], start=1):
-        if abs(dt - dts[0]) > 1e-12 * max(abs(dts[0]), 1.0):
+        if _dt_differs(dt, dts[0]):
             raise ConfigError(
                 f"all series must share one sampling interval; series {i} "
                 f"implies dt={dt}, series 0 implies dt={dts[0]}"

@@ -13,7 +13,6 @@ the truth rather than against the noise.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -38,7 +37,6 @@ __all__ = ["TrainingResult", "train"]
 class TrainingResult:
     operator: LearnedOperator
     mean_rrmse: float
-    elapsed_seconds: float
 
 
 def _origin_multiplier(operator: LearnedOperator) -> float:
@@ -78,7 +76,6 @@ def train(
         are mean RRMSE across states, and ``mean_rrmse`` averages them
         (NaN if any re-prediction diverged).
     """
-    started = time.perf_counter()
     trajectories = list(trajectories)
     if references is not None:
         references = list(references)
@@ -125,9 +122,4 @@ def train(
         origin_multiplier=_origin_multiplier(operator),
     )
     operator = replace(operator, training_summary=summary)
-    elapsed = time.perf_counter() - started
-    return TrainingResult(
-        operator=operator,
-        mean_rrmse=float(np.mean(scores)),
-        elapsed_seconds=elapsed,
-    )
+    return TrainingResult(operator=operator, mean_rrmse=float(np.mean(scores)))

@@ -70,16 +70,22 @@ def load_trajectory_csv(path) -> Trajectory:
             fields = dict(
                 part.split("=", 1) for part in line[1:].split() if "=" in part
             )
-            if "dt" in fields:
-                dt = float(fields["dt"])
-            if "t0" in fields:
-                t0 = float(fields["t0"])
-            if fields.get("provenance") == "noisy":
-                seed_text = fields.get("seed", "none")
-                provenance = Provenance.noisy(
-                    float(fields["sigma_pct"]),
-                    None if seed_text == "none" else int(seed_text),
-                )
+            noisy = fields.get("provenance") == "noisy"
+            if noisy and "sigma_pct" not in fields:
+                raise ValueError(f"{path}:{lineno}: noisy header has no sigma_pct= field")
+            try:
+                if "dt" in fields:
+                    dt = float(fields["dt"])
+                if "t0" in fields:
+                    t0 = float(fields["t0"])
+                if noisy:
+                    seed_text = fields.get("seed", "none")
+                    provenance = Provenance.noisy(
+                        float(fields["sigma_pct"]),
+                        None if seed_text == "none" else int(seed_text),
+                    )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed header: {exc}") from exc
             continue
         if line.startswith("t,"):
             continue
@@ -88,6 +94,10 @@ def load_trajectory_csv(path) -> Trajectory:
             values = [float(part) for part in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: unparseable row {line!r}") from exc
+        if rows and len(values) != len(rows[0]) + 1:
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(rows[0]) + 1} fields, got {len(values)}"
+            )
         times.append(values[0])
         rows.append(values[1:])
     if len(rows) < 2:

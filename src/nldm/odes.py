@@ -7,10 +7,12 @@ limit cycle, a planar flow with two concentric limit cycles, and the
 Lorenz system.  Each system records its parameters and, where
 meaningful, descriptors of its attractors for basin classification.
 
-Reference trajectories come from an adaptive Dormand-Prince 5(4) pair
-(scipy's RK45) with dense output evaluated on a uniform grid.  Basin
-grids integrate many start points at once through a batched copy of the
-same pair that keeps every cell on its own steps.
+One integrator serves every caller: an adaptive Dormand-Prince 5(4)
+pair, written out here with numpy only, that advances a batch of start
+points at once, keeps every one on its own steps, and samples each from
+its dense output on a uniform time grid.  Training and test series, a
+config's series of one span and length, and whole basin grids each run
+as one batch; a series comes out bitwise the same alone or batched.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from .core import DimensionError, IntegrationError, Provenance, Trajectory
 
@@ -273,57 +274,79 @@ def integrate(
 ) -> Trajectory:
     """Integrate a system and sample it on a uniform time grid.
 
+    A one-point run of the batched Dormand-Prince 5(4) integrator below,
+    sampled from its dense output at ``linspace(*t_span, num_samples)``.
+
     Raises
     ------
     IntegrationError
         If the solver fails or produces non-finite samples; the message
         reports how far the integration got.
     """
+    return _integrate_series(system, [ic], t_span, num_samples, settings)[0]
+
+
+def _integrate_series(system, ics, t_span, num_samples, settings):
+    """``integrate`` for several initial conditions in one batch of
+    ``_dormand_prince_blocks``; each series is bitwise the one it gives
+    alone."""
     if settings is None:
         settings = IntegratorSettings()
-    ic = np.asarray(ic, dtype=float)
-    if ic.shape != (system.num_states,):
-        raise DimensionError(
-            f"initial condition has shape {ic.shape}, system "
-            f"{system.ident!r} expects ({system.num_states},)"
-        )
-    if not np.all(np.isfinite(ic)):
-        raise ValueError("initial condition contains non-finite entries")
+    ics = [np.asarray(ic, dtype=float) for ic in ics]
+    for ic in ics:
+        if ic.shape != (system.num_states,):
+            raise DimensionError(
+                f"initial condition has shape {ic.shape}, system "
+                f"{system.ident!r} expects ({system.num_states},)"
+            )
+        if not np.all(np.isfinite(ic)):
+            raise ValueError("initial condition contains non-finite entries")
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if not t_end > t_start:
         raise ValueError(f"t_span must increase, got ({t_start}, {t_end})")
     if num_samples < 2:
         raise ValueError(f"num_samples must be >= 2, got {num_samples}")
 
-    t_eval = np.linspace(t_start, t_end, num_samples)
-    solution = solve_ivp(
-        system.rhs,
-        (t_start, t_end),
-        ic,
-        method="RK45",
-        t_eval=t_eval,
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
+    blocks = _dormand_prince_blocks(
+        system.rhs, ics, (t_start, t_end), num_samples, settings, num_samples
     )
-    if not solution.success:
-        reached = solution.t[-1] if solution.t.size else t_start
+    samples = next(blocks)
+    finite = np.isfinite(samples).all(axis=(0, 2))
+    if not finite.all():
+        reached = np.linspace(t_start, t_end, num_samples)[finite.argmin()]
         raise IntegrationError(
             f"integration of {system.ident!r} failed at t={reached:.6g}: "
-            f"{solution.message}"
-        )
-    states = solution.y.T
-    if not np.all(np.isfinite(states)):
-        raise IntegrationError(
-            f"integration of {system.ident!r} produced non-finite samples"
+            "non-finite samples"
         )
     dt = (t_end - t_start) / (num_samples - 1)
-    return Trajectory(states, dt=dt, t0=t_start)
+    return [Trajectory(states, dt=dt, t0=t_start) for states in samples]
 
 
-# Step-size control of scipy's RK45 (Hairer, Norsett & Wanner, Solving
-# ODEs I, II.4).
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
+# quartic dense output, and its step-size control (Hairer, Norsett &
+# Wanner, Solving ODEs I, II.4-II.6).
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
 def _weighted_sum(weights, terms):
@@ -340,30 +363,30 @@ def _rms(rows):
     return np.sqrt(_weighted_sum(rows, rows)) / len(rows) ** 0.5
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    """scipy's ``select_initial_step`` (Solving ODEs I, II.4), per cell."""
+def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
+    """The starting step size of Solving ODEs I, II.4, per cell."""
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, t_end)
-        d2 = _rms((rhs(h0, y0 + h0 * f0) - f0) / scale) / h0
+        h0 = np.minimum(h0, interval)
+        d2 = _rms((rhs(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
         h1 = np.where(
             (d1 <= 1e-15) & (d2 <= 1e-15),
             np.maximum(1e-6, h0 * 1e-3),
             (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT,
         )
-    return np.minimum(np.minimum(100 * h0, h1), t_end)
+    return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def _dormand_prince_blocks(rhs, starts, t_end, num_samples, settings, block):
-    """Integrate every start point over ``(0, t_end)`` on its own adaptive
+def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
+    """Integrate every start point over ``t_span`` on its own adaptive
     Dormand-Prince 5(4) steps and yield its samples at
-    ``linspace(0, t_end, num_samples)``, ``block`` samples at a time.
+    ``linspace(*t_span, num_samples)``, ``block`` samples at a time.
 
-    Each cell takes the steps ``solve_ivp`` with RK45 would take (same
-    tableau, initial step, error norm and step-size factors) and is
-    sampled from the pair's quartic dense output (Solving ODEs I, II.6).
+    Each cell chooses its initial step, error norm and step-size factors
+    as in Solving ODEs I, II.4, and is sampled from the pair's quartic
+    dense output (II.6); ``rhs`` sees the true times.
     States are held as (num_states, cells), so ``rhs`` runs once per
     stage for all cells.  Blocks have shape (cells, T, num_states).
     After each block the caller may send a boolean mask over its cells;
@@ -373,21 +396,21 @@ def _dormand_prince_blocks(rhs, starts, t_end, num_samples, settings, block):
     combination is an elementwise sum in a fixed order, so a cell's
     samples are bitwise the same alone or in any batch.
     """
-    a, b, c, e, p = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
     rtol, atol = settings.rel_tol, settings.abs_tol
-    times = np.linspace(0.0, t_end, num_samples)
+    t_start, t_end = t_span
+    times = np.linspace(t_start, t_end, num_samples)
     y = np.array(starts, dtype=float).T
     cells = y.shape[1]
-    t = np.zeros(cells)
+    t = np.full(cells, t_start)
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
+    h_abs = _initial_step(rhs, t, y, f, t_end - t_start, rtol, atol)
     rejected = np.zeros(cells, dtype=bool)
     failed = np.zeros(cells, dtype=bool)
     emitted = np.zeros(cells, dtype=np.int64)  # samples written so far
     # Dense output of each cell's last accepted step; before the first
-    # one it evaluates to the start point at t = 0.
-    t_old, h, y_old = np.zeros(cells), np.ones(cells), y.copy()
-    q = np.zeros((p.shape[1],) + y.shape)
+    # one it evaluates to the start point at the start time.
+    t_old, h, y_old = t.copy(), np.ones(cells), y.copy()
+    q = np.zeros((_P.shape[1],) + y.shape)
 
     def emit(rows):
         """Write the block's samples that the rows' last steps cover."""
@@ -423,13 +446,13 @@ def _dormand_prince_blocks(rhs, starts, t_end, num_samples, settings, block):
             t1 = np.minimum(t0 + size, t_end)
             step = t1 - t0
             k = [f0]
-            for stage in range(1, len(c)):
-                dy = _weighted_sum(a[stage, :stage], k) * step
-                k.append(rhs(t0 + c[stage] * step, y0 + dy))
-            y1 = y0 + step * _weighted_sum(b, k)
+            for stage in range(1, len(_C)):
+                dy = _weighted_sum(_A[stage, :stage], k) * step
+                k.append(rhs(t0 + _C[stage] * step, y0 + dy))
+            y1 = y0 + step * _weighted_sum(_B, k)
             k.append(rhs(t1, y1))
             scale = atol + np.maximum(np.abs(y0), np.abs(y1)) * rtol
-            error = _rms(_weighted_sum(e, k) * step / scale)
+            error = _rms(_weighted_sum(_E, k) * step / scale)
 
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 factor = _SAFETY * error**_ERROR_EXPONENT
@@ -443,7 +466,7 @@ def _dormand_prince_blocks(rhs, starts, t_end, num_samples, settings, block):
             done = rows[accept]
             t_old[done], h[done], y_old[:, done] = t0[accept], step[accept], y0[:, accept]
             k = [stage[:, accept] for stage in k]
-            q[:, :, done] = [_weighted_sum(p[:, j], k) for j in range(len(q))]
+            q[:, :, done] = [_weighted_sum(_P[:, j], k) for j in range(len(q))]
             t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1]
             emit(done)
 

@@ -195,20 +195,28 @@ def loop_classify_series(states, attractors, tol, persistence):
     return "diverged" if first_bad < len(rows) else "unresolved"
 
 
+def solve_ivp_series(system, ic, t_span, num_samples, rel_tol, abs_tol):
+    """scipy's ``solve_ivp`` (RK45) sampled at ``linspace(*t_span,
+    num_samples)``, shape (num_samples, num_states); a failed or
+    non-finite integration gives all NaN."""
+    solution = solve_ivp(system.rhs, t_span, np.asarray(ic, dtype=float), method="RK45",
+                         t_eval=np.linspace(*t_span, num_samples), rtol=rel_tol, atol=abs_tol)
+    states = solution.y.T
+    if not solution.success or not np.isfinite(states).all():
+        states = np.full((num_samples, len(ic)), np.nan)
+    return states
+
+
 def per_cell_truth_labels(system, points, horizon, num_samples, tol, persistence,
                           rel_tol, abs_tol):
-    """Truth label of each start point from its own ``solve_ivp`` (RK45)
-    run sampled at ``linspace(0, horizon, num_samples)`` and the loop
-    classifier above; a failed or non-finite integration counts as an
-    all-NaN series, so it is ``"diverged"``.
+    """Truth label of each start point from its own ``solve_ivp`` run
+    over ``(0, horizon)`` and the loop classifier above; a failed or
+    non-finite integration is all NaN, so it is ``"diverged"``.
     """
-    times = np.linspace(0.0, horizon, num_samples)
-    labels = []
-    for point in points:
-        solution = solve_ivp(system.rhs, (0.0, horizon), np.asarray(point, dtype=float),
-                             method="RK45", t_eval=times, rtol=rel_tol, atol=abs_tol)
-        states = solution.y.T
-        if not solution.success or not np.isfinite(states).all():
-            states = np.full((num_samples, len(point)), np.nan)
-        labels.append(loop_classify_series(states, system.attractors, tol, persistence))
-    return labels
+    return [
+        loop_classify_series(
+            solve_ivp_series(system, point, (0.0, horizon), num_samples, rel_tol, abs_tol),
+            system.attractors, tol, persistence,
+        )
+        for point in points
+    ]

@@ -93,7 +93,7 @@ def test_refining_resolution_keeps_shared_cell_labels(truth3):
 def all_samples(system, points, horizon=10.0, num_samples=401):
     """Every sample of every cell from the batched integrator, no cell dropped."""
     blocks = _dormand_prince_blocks(
-        system.rhs, points, horizon, num_samples, basin.GRID_SETTINGS, basin._BLOCK
+        system.rhs, points, (0.0, horizon), num_samples, basin.GRID_SETTINGS, basin._BLOCK
     )
     return np.concatenate(list(blocks), axis=1)
 
@@ -114,7 +114,7 @@ def test_dropped_cells_leave_the_others_bitwise_unchanged():
     system = make_system("dual_limit_cycle")
     points = np.random.default_rng(12).uniform(-2.5, 2.5, (5, 2))
     full = all_samples(system, points)
-    blocks = _dormand_prince_blocks(system.rhs, points, 10.0, 401, basin.GRID_SETTINGS, 32)
+    blocks = _dormand_prince_blocks(system.rhs, points, (0.0, 10.0), 401, basin.GRID_SETTINGS, 32)
     rows, got = np.arange(5), [next(blocks)]
     for keep in ([True, False, True, True, True], [False, True, True, False]):
         rows = rows[keep]

@@ -68,11 +68,10 @@ def test_run_produces_every_artifact(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "run"
     assert set(manifest["artifacts"]) == expected
-    assert manifest["threads"] == 1
     assert manifest["global_seed"] == 3
     # The echoed config parses back to the exact configuration that ran.
     assert config_from_dict(manifest["config"]) == config_from_dict(base_config())
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy", "nldm"}
+    assert set(manifest["versions"]) == {"python", "numpy", "nldm"}
     for stage in ("simulate", "train", "evaluate", "basin_truth", "basin_operator"):
         assert manifest["timings_seconds"][stage] >= 0
     assert manifest["resolved_noise_seeds"]["train"] == [5, None]
@@ -111,6 +110,16 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert main(["simulate", "--config", str(config_path), "--out", str(out_a)]) == EXIT_OK
     assert main(["simulate", "--config", str(config_path), "--out", str(out_b)]) == EXIT_OK
     for name in ("train_00_noisy.csv", "test_00_noisy.csv", "train_01_clean.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_train_reruns_are_byte_identical(tmp_path):
+    # Wall-clock times live only in the manifest's timings_seconds.
+    config_path = write_config(tmp_path)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--config", str(config_path), "--out", str(out_a)]) == EXIT_OK
+    assert main(["train", "--config", str(config_path), "--out", str(out_b)]) == EXIT_OK
+    for name in ("train_metrics.json", "model.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
@@ -198,7 +207,6 @@ def test_predict_skips_scoring(tmp_path):
     "argv_builder",
     [
         lambda tmp, cfg: ["train", "--config", str(tmp / "missing.json")],
-        lambda tmp, cfg: ["train", "--config", str(cfg), "--threads", "0"],
         lambda tmp, cfg: ["train", "--config", str(cfg), "--seed", "-1"],
         lambda tmp, cfg: ["evaluate", "--config", str(cfg)],  # no --model
     ],
@@ -353,12 +361,51 @@ def test_degenerate_training_series_exits_3(tmp_path, capsys):
     assert "pipeline error" in capsys.readouterr().err
 
 
-def test_threads_come_from_environment(tmp_path, monkeypatch):
-    config_path = write_config(tmp_path)
+def _double_dt(raw):
+    for entry in raw["train"] + raw["test"]:
+        entry["t_span"] = [0.0, 1.18]
+
+
+def _three_states(raw):
+    raw["system"] = {"ident": "mfcd"}
+    for entry in raw["train"] + raw["test"]:
+        entry["ic"] = [1.0, 0.0, 0.5]
+    raw["basin"]["fixed"] = {"2": 1.0}
+
+
+@pytest.mark.parametrize("command", ["basin", "evaluate"])
+@pytest.mark.parametrize("change, message", [(_double_dt, "dt="), (_three_states, "2 states")])
+def test_saved_model_that_does_not_fit_the_config_exits_2(tmp_path, capsys, command,
+                                                          change, message):
+    fit = tmp_path / "fit"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(fit)]) == EXIT_OK
+    raw = base_config()
+    change(raw)
+    config_path = write_config(tmp_path, raw, name="other.json")
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--model", str(fit / "model.txt")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_series_of_several_spans_and_lengths_equal_single_integrations(tmp_path):
+    # The CLI integrates the series that share a span and a length in one
+    # batch; each must be bitwise the series integrated alone.
+    raw = base_config()
+    raw["train"] = [
+        {"ic": [2.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60},
+        {"ic": [-1.0, 2.0], "t_span": [0.0, 1.19], "num_samples": 120},
+        {"ic": [0.5, -1.5], "t_span": [0.0, 0.59], "num_samples": 60},
+        {"ic": [1.5, 1.0], "t_span": [3.0, 3.59], "num_samples": 60},
+    ]
+    config_path = write_config(tmp_path, raw)
     out = tmp_path / "out"
-    monkeypatch.setenv("NLDM_THREADS", "2")
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["threads"] == 2
-    monkeypatch.setenv("NLDM_THREADS", "0")
-    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    system = make_system("lho")
+    for index, entry in enumerate(raw["train"]):
+        alone = integrate(system, entry["ic"], entry["t_span"], entry["num_samples"])
+        written = load_trajectory_csv(out / f"train_{index:02d}_clean.csv")
+        assert written.states.tobytes() == alone.states.tobytes(), index
+        assert written.t0 == alone.t0

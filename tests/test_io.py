@@ -71,6 +71,29 @@ def test_trajectory_loader_names_file_and_line(tmp_path):
         load_trajectory_csv(path)
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# dt=abc t0=0 provenance=clean", r"bad\.csv:1: malformed header"),
+        ("# dt=0.1 t0=0 provenance=noisy seed=3", r"bad\.csv:1: noisy header has no sigma_pct="),
+        ("# dt=0.1 t0=0 provenance=noisy sigma_pct=1 seed=x", r"bad\.csv:1: malformed header"),
+    ],
+)
+def test_trajectory_loader_names_the_line_of_a_malformed_header(tmp_path, header, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\nt,x1\n0,1.0\n0.1,2.0\n")
+    with pytest.raises(ValueError, match=message):
+        load_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0.1,2.0", "0.1,2.0,3.0,4.0"])
+def test_trajectory_loader_names_the_line_of_a_row_of_the_wrong_width(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,x1,x2\n0,1.0,1.0\n{row}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: expected 3 fields"):
+        load_trajectory_csv(path)
+
+
 def test_trajectory_loader_requires_two_samples(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("t,x1\n0,1.0\n")

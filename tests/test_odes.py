@@ -1,9 +1,14 @@
 """Benchmark system catalog, integration, and noise augmentation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 import oracles
 from nldm import (
@@ -15,7 +20,8 @@ from nldm import (
     integrate,
     make_system,
 )
-from nldm.odes import CycleAttractor, PointAttractor, _dormand_prince_blocks
+from nldm import odes
+from nldm.odes import BenchmarkSystem, CycleAttractor, PointAttractor, _dormand_prince_blocks
 
 
 ALL_IDENTS = [
@@ -149,14 +155,51 @@ def test_integration_validation():
 def test_integration_error_on_blowup():
     # Inverting the two-attractor flow makes |x| explode in finite time.
     system = make_system("two_attractor")
-    inverted = lambda t, state: -10.0 * system.rhs(t, state) * (1 + state @ state)
-    from nldm.odes import BenchmarkSystem
-
+    # States arrive as (num_states, cells) columns, hence the column sum.
+    inverted = lambda t, state: -10.0 * system.rhs(t, state) * (1 + (state * state).sum(axis=0))
     bad = BenchmarkSystem(
         ident="inverted", params={}, num_states=2, rhs=inverted, attractors=()
     )
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match="failed at t="):
         integrate(bad, (0.5, 0.5), (0.0, 100.0), 50)
+
+
+def test_inlined_tableau_is_scipys_rk45_bitwise():
+    for name in "ABCEP":
+        ours, reference = getattr(odes, f"_{name}"), getattr(RK45, name)
+        assert ours.dtype == reference.dtype and ours.shape == reference.shape, name
+        assert ours.tobytes() == reference.tobytes(), name
+
+
+@pytest.mark.parametrize("ident", ALL_IDENTS)
+@pytest.mark.parametrize("t_span", [(0.0, 10.0), (2.5, 8.0)])
+def test_integrate_matches_solve_ivp(ident, t_span):
+    # Same steps as scipy's RK45 with the right-hand side at the true
+    # times; only the order of additions in the stage sums differs.
+    system = make_system(ident)
+    for ic in np.random.default_rng(5).uniform(-2.0, 2.0, (3, system.num_states)):
+        got = integrate(system, ic, t_span, 500).states
+        reference = oracles.solve_ivp_series(system, ic, t_span, 500, 1e-9, 1e-12)
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-9)
+
+
+def test_right_hand_side_sees_the_true_times():
+    forced = BenchmarkSystem(
+        ident="forced", params={}, num_states=2, attractors=(),
+        rhs=lambda t, state: np.array([state[1], -state[0] - 0.5 * state[1] + np.cos(t)]),
+    )
+    got = integrate(forced, (1.0, 0.0), (2.5, 8.0), 400).states
+    reference = oracles.solve_ivp_series(forced, (1.0, 0.0), (2.5, 8.0), 400, 1e-9, 1e-12)
+    np.testing.assert_allclose(got, reference, rtol=0, atol=1e-9)
+
+
+def test_package_imports_without_scipy():
+    src = Path(odes.__file__).resolve().parents[1]
+    code = ("import sys, nldm, nldm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("ident", ALL_IDENTS)
@@ -175,10 +218,10 @@ def test_batched_grid_integrator_matches_solve_ivp(ident):
     system = make_system(ident)
     settings = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9)
     points = np.random.default_rng(4).uniform(-3.0, 3.0, (8, system.num_states))
-    blocks = _dormand_prince_blocks(system.rhs, points, 10.0, 401, settings, 32)
+    blocks = _dormand_prince_blocks(system.rhs, points, (0.0, 10.0), 401, settings, 32)
     samples = np.concatenate(list(blocks), axis=1)
     for point, got in zip(points, samples):
-        reference = integrate(system, point, (0.0, 10.0), 401, settings).states
+        reference = oracles.solve_ivp_series(system, point, (0.0, 10.0), 401, 1e-6, 1e-9)
         np.testing.assert_allclose(got, reference, rtol=0, atol=1e-9)
 
 
