@@ -13,14 +13,15 @@ and one loop feeds it: sources yield blocks of samples for the cells
 still open until none is.  Each cell is treated independently:
 ground-truth cells are integrated in one batch in which every cell keeps
 its own adaptive steps, and operator cells are advanced by the
-forecasting kernel of ``predict``; both are bitwise independent of the
-batch, so refining the grid never relabels a point that both grids
-share.  A cell leaves its batch once it has a label.
+state-major forecasting kernel of ``predict``; both are bitwise
+independent of the batch, so refining the grid never relabels a point
+that both grids share.  A cell leaves its batch once it has a label:
+the capture walk's mask of open cells goes back to the source, so the
+integrator and the forecasting kernel stop stepping settled cells.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,17 +283,20 @@ def _check_operator_scan(operator, system, steps, tol, persistence):
 def _operator_blocks(operator, points, steps, divergence_threshold):
     """Yield the start points' seed rows and then the states the
     forecasting kernel yields (NaN once diverged), ``_BLOCK`` samples at
-    a time, for the cells ``_classify`` keeps, so no full history is kept."""
+    a time, so no full history is kept.  ``_classify``'s mask of open
+    cells goes on to the kernel, which then steps only those."""
     config = operator.config
     seeds = np.repeat(points[:, None, :], config.delays, axis=1)
     kernel = _iterate(
         seeds, steps, monomial_basis(config), operator.matrix, divergence_threshold
     )
-    samples = itertools.chain([points] * config.delays, kernel)
-    rows = np.arange(len(points))
-    for chunk in iter(lambda: list(itertools.islice(samples, _BLOCK)), []):
-        keep = yield np.stack([sample[rows] for sample in chunk], axis=1)
-        rows = rows[keep]
+    chunk, keep = [points.T] * config.delays, None
+    for k in range(steps):
+        chunk.append(kernel.send(keep))
+        keep = None
+        if len(chunk) >= _BLOCK or k == steps - 1:
+            keep = yield np.stack(chunk, axis=2).transpose(1, 2, 0)
+            chunk = []
 
 
 def operator_grid(

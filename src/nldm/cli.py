@@ -362,7 +362,7 @@ def main(argv=None) -> int:
             if config.basin is not None:
                 pipeline.basin()
         pipeline.manifest(args.command)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

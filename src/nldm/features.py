@@ -93,6 +93,17 @@ class MonomialBasis:
     def num_vars(self) -> int:
         return self.exponents.shape[1]
 
+    def _evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate every monomial at each column of ``points``, shape
+        (num_vars, n); returns shape (num_monomials, n)."""
+        values = np.empty((self.num_monomials, points.shape[1]))
+        for cols, first_var, parent in self._blocks:
+            if parent is None:
+                values[cols] = points[first_var]
+            else:
+                values[cols] = points[first_var] * values[parent]
+        return values
+
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at each row of ``points``.
 
@@ -103,19 +114,14 @@ class MonomialBasis:
         Returns
         -------
         ndarray, shape (num_points, num_monomials)
+            A transposed view of the state-major values.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.num_vars:
             raise DimensionError(
                 f"expected points of shape (n, {self.num_vars}), got {points.shape}"
             )
-        values = np.empty((points.shape[0], self.num_monomials))
-        for cols, first_var, parent in self._blocks:
-            if parent is None:
-                values[:, cols] = points[:, first_var]
-            else:
-                values[:, cols] = points[:, first_var] * values[:, parent]
-        return values
+        return self._evaluate_rows(points.T).T
 
     def evaluate(self, point: np.ndarray) -> np.ndarray:
         return self.evaluate_batch(np.asarray(point, dtype=float)[None, :])[0]

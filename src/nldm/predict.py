@@ -3,11 +3,17 @@
 Starting from ``delays`` seed states, each step lifts the most recent
 window and applies the operator matrix to produce the next state.
 ``_iterate`` is the one loop that steps an operator: forecasts, training
-re-prediction and operator basin grids all consume it.  The update is
-accumulated feature by feature in a fixed order with elementwise
-operations only, so a state predicted for one start point is bitwise
-identical whether that point is advanced alone or inside a batch of any
-size.  Once a produced state exceeds the divergence threshold in
+re-prediction and operator basin grids all consume it.  It holds its
+arrays state-major, one column per row being forecast: the last
+``delays`` states sit in a ring buffer of shape (delays * num_states,
+rows) whose oldest slot each step overwrites, so windows are never
+shifted, and the lift and the sum work on whole rows of columns.  The
+update is summed feature by feature in a fixed order from +0.0 with
+elementwise operations only, so a state predicted for one start point is
+bitwise identical whether that point is advanced alone or inside a batch
+of any size.  A caller may send the kernel a mask of the rows to keep;
+the basin scanner sends it the cells still open, so settled cells leave
+the kernel.  Once a produced state exceeds the divergence threshold in
 max-norm (or is non-finite), the rest of the trajectory is NaN.
 """
 
@@ -37,35 +43,60 @@ class Prediction:
     steps_requested: int
 
 
+def _step(stacked: np.ndarray, basis: MonomialBasis, weights: np.ndarray) -> np.ndarray:
+    """Next state for each column of ``stacked``, the delayed vectors
+    state-major, shape (stacked_dim, n); ``weights`` is the operator
+    matrix transposed to shape (num_features, num_states, 1).  Returns
+    shape (num_states, n)."""
+    terms = weights * basis._evaluate_rows(stacked)[:, None, :]
+    nxt = np.zeros(terms.shape[1:])
+    for term in terms:  # feature order from +0.0, never a pairwise sum
+        nxt += term
+    return nxt
+
+
 def step_batch(
     windows: np.ndarray, basis: MonomialBasis, matrix: np.ndarray
 ) -> np.ndarray:
     """Advance each window of recent states by one sample.
 
     ``windows`` has shape (n, delays, num_states) with the newest state
-    last along axis 1.
+    last along axis 1.  The forecasting kernel takes the same step.
     """
     n, delays, num_states = windows.shape
-    stacked = windows[:, ::-1, :].reshape(n, delays * num_states)
-    feats = basis.evaluate_batch(stacked)
-    # A running sum in feature order; adding 0.0 turns an all -0.0 sum
-    # into +0.0, as a sum started from +0.0 would be.
-    return np.add.accumulate(feats[:, :, None] * matrix.T, axis=1)[:, -1] + 0.0
+    stacked = windows.transpose(1, 2, 0)[::-1].reshape(delays * num_states, n)
+    return _step(stacked, basis, matrix.T[:, :, None]).T
 
 
 def _iterate(seeds, steps, basis, matrix, divergence_threshold):
-    """Yield the next state of every row, ``steps`` times, from windows
-    shifted in place; rows past ``divergence_threshold`` come out NaN."""
-    windows = np.array(seeds, dtype=float)
-    for _ in range(steps):
+    """Yield the next state of every kept row, shape (num_states, rows),
+    ``steps`` times; rows past ``divergence_threshold`` come out NaN.
+
+    The generator accepts a boolean mask over the rows it last yielded
+    by ``send``, and steps only the rows the mask keeps from then on.
+    """
+    seeds = np.asarray(seeds, dtype=float)
+    n, delays, num_states = seeds.shape
+    # Ring of the last ``delays`` states: before step k, lag i (0 is the
+    # newest) is slot (i - k) mod delays, rows slot*S..slot*S+S-1; the
+    # step overwrites the oldest slot.  ``lags[k % delays]`` gathers the
+    # slots in lag order.
+    ring = np.array(seeds.transpose(1, 2, 0)[::-1].reshape(delays * num_states, n))
+    slots = (np.arange(delays) - np.arange(delays)[:, None]) % delays
+    lags = (slots[:, :, None] * num_states + np.arange(num_states)).reshape(delays, -1)
+    weights = np.ascontiguousarray(matrix.T)[:, :, None]
+    for k in range(steps):
+        phase = k % delays
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = step_batch(windows, basis, matrix)
-            bad = ~np.isfinite(nxt).all(axis=1)
-            bad |= np.abs(nxt).max(axis=1) > divergence_threshold
-        nxt[bad] = np.nan
-        windows[:, :-1] = windows[:, 1:]
-        windows[:, -1] = nxt
-        yield nxt
+            nxt = _step(ring[lags[phase]], basis, weights)
+            # A NaN maximum compares False, so non-finite rows are bad too.
+            bad = ~(np.abs(nxt).max(axis=0) <= divergence_threshold)
+        nxt[:, bad] = np.nan
+        oldest = (delays - 1 - phase) * num_states
+        ring[oldest:oldest + num_states] = nxt
+        keep = yield nxt
+        if keep is not None:
+            ring = ring[:, keep]
 
 
 def iterate_batch(
@@ -96,8 +127,8 @@ def iterate_batch(
     diverged_at = np.full(n, -1, dtype=np.int64)
     kernel = _iterate(seeds, steps, basis, matrix, divergence_threshold)
     for t, nxt in enumerate(kernel, start=delays):
-        states[:, t] = nxt
-        diverged_at[np.isnan(nxt[:, 0]) & (diverged_at < 0)] = t
+        states[:, t] = nxt.T
+        diverged_at[np.isnan(nxt[0]) & (diverged_at < 0)] = t
     return states, diverged_at
 
 

@@ -396,21 +396,28 @@ def test_operator_grid_labels_match_classify_series_on_full_histories(monkeypatc
     for row, label in zip(states, grid.labels.ravel()):
         assert classify_series(row, system.attractors, 0.05) == label
 
-    # A lone cell stops stepping once it settles, with the same label.
-    # ``nldm.predict`` is the function; the module comes from importlib.
+    # A lone cell stops stepping within one block of the sample at which
+    # its capture completes, with the same label.  ``nldm.predict`` is the
+    # function; the module comes from importlib.
     kernel = importlib.import_module("nldm.predict")
     taken = []
-    step_batch = kernel.step_batch
+    one_step = kernel._step
 
     def counting_step(*args):
         taken.append(1)
-        return step_batch(*args)
+        return one_step(*args)
 
-    monkeypatch.setattr(kernel, "step_batch", counting_step)
-    captured = grid.labels.ravel() == "left_sink"
-    point = points[np.flatnonzero(captured)[0]]
-    assert label_operator_cell(operator, system, point, steps=steps) == "left_sink"
-    assert 0 < len(taken) < steps
+    monkeypatch.setattr(kernel, "_step", counting_step)
+    cell = np.flatnonzero(grid.labels.ravel() == "left_sink")[0]
+    assert label_operator_cell(operator, system, points[cell], steps=steps) == "left_sink"
+    row = states[cell]
+    captured_len = next(
+        n for n in range(1, len(row) + 1)
+        if classify_series(row[:n], system.attractors, 0.05) == "left_sink"
+    )
+    delays = operator.config.delays
+    assert captured_len - delays <= len(taken) < captured_len - delays + basin._BLOCK
+    assert len(taken) < steps
 
 
 def test_capture_arguments_are_validated():

@@ -227,6 +227,17 @@ def test_output_path_through_a_file_exits_2(tmp_path, capsys, out):
     assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
+def test_unwritable_artifact_path_exits_2(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    blocker = tmp_path / "out" / "train_00_clean.csv"
+    blocker.mkdir(parents=True)
+    argv = ["simulate", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert str(blocker) in err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")

@@ -9,6 +9,7 @@ from nldm.basin import BasinGrid
 from nldm.core import FeatureConfig, LearnedOperator, Provenance, Trajectory
 from nldm.io import (
     MODEL_MAGIC,
+    _fmt,
     load_basin_csv,
     load_model,
     load_trajectory_csv,
@@ -57,6 +58,22 @@ def test_trajectory_round_trip_keeps_nan_rows(tmp_path):
     loaded = load_trajectory_csv(path)
     assert np.isnan(loaded.states[2]).all()
     np.testing.assert_array_equal(loaded.states[[0, 1, 3]], states[[0, 1, 3]])
+
+
+def test_trajectory_rows_are_written_as_fmt_writes_each_value(tmp_path):
+    specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-320, np.finfo(float).max]
+    states = np.array([specials, specials[::-1]]).T
+    trajectory = Trajectory(states, dt=0.1, t0=-0.0, provenance=Provenance.clean())
+    path = tmp_path / "series.csv"
+    save_trajectory_csv(path, trajectory)
+    rows = path.read_text().splitlines()[2:]
+    expected = [
+        ",".join(_fmt(v) for v in [t, *state])
+        for t, state in zip(trajectory.times, states)
+    ]
+    assert rows == expected
+    assert rows[0].split(",")[1:] == ["-0", "1.7976931348623157e+308"]
+    assert rows[2].split(",")[1:] == ["inf", "4.9406564584124654e-324"]
 
 
 def test_trajectory_loader_names_file_and_line(tmp_path):

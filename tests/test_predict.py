@@ -14,7 +14,7 @@ from nldm import (
     predict,
 )
 from nldm.features import MonomialBasis
-from nldm.predict import DIVERGENCE_THRESHOLD, iterate_batch, step_batch
+from nldm.predict import DIVERGENCE_THRESHOLD, _iterate, iterate_batch, step_batch
 
 
 def scalar_operator(value, delays=1, degree=1, dt=0.1):
@@ -125,6 +125,47 @@ def test_iterate_batch_matches_the_loop_reference_bitwise(shape, permuted):
     np.testing.assert_array_equal(diverged, expected_div)
     np.testing.assert_array_equal(diverged[::3] >= 0, True)
     np.testing.assert_array_equal(diverged[1::3] < 0, True)
+
+
+def test_one_state_model_is_batch_invariant_and_matches_the_loop_reference():
+    # With one state, a pairwise or blocked feature sum would group the
+    # terms differently for one row than for many.
+    rng = np.random.default_rng(7)
+    config = FeatureConfig(1, 3, 3)
+    basis = monomial_basis(config)
+    assert basis.num_monomials == 19
+    matrix = 1.5 / config.num_features * rng.normal(size=(1, config.num_features))
+    seeds = rng.normal(size=(16, 3, 1))
+    states, diverged = iterate_batch(seeds, 60, basis, matrix)
+    expected, expected_div = oracles.loop_iterate(seeds, 60, basis.exponents, matrix)
+    assert states.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(diverged, expected_div)
+    for i in range(seeds.shape[0]):
+        alone, _ = iterate_batch(seeds[i : i + 1], 60, basis, matrix)
+        assert states[i].tobytes() == alone[0].tobytes()
+
+
+@pytest.mark.parametrize("delays", [1, 2, 5])
+def test_kept_rows_match_an_unmasked_run_bitwise(delays):
+    # Masks arrive mid-run, after the ring has wrapped around, and at
+    # steps that start at different ring slots.
+    rng = np.random.default_rng(8)
+    config = FeatureConfig(2, delays, 2)
+    basis = monomial_basis(config)
+    matrix = 1.0 / config.num_features * rng.normal(size=(2, config.num_features))
+    seeds = rng.normal(size=(8, delays, 2))
+    full = np.stack(list(_iterate(seeds, 40, basis, matrix, DIVERGENCE_THRESHOLD)))
+    masks = {7: np.arange(8) % 2 == 0, 18: np.array([True, False, True, True])}
+    rows = np.arange(8)
+    kernel = _iterate(seeds, 40, basis, matrix, DIVERGENCE_THRESHOLD)
+    keep = None
+    for k in range(40):
+        nxt = kernel.send(keep)
+        assert nxt.tobytes() == np.ascontiguousarray(full[k][:, rows]).tobytes()
+        keep = masks.get(k)
+        if keep is not None:
+            rows = rows[keep]
+    assert rows.tolist() == [0, 4, 6]
 
 
 def test_all_zero_window_with_negative_coefficients_steps_to_positive_zero():
