@@ -69,7 +69,7 @@ from .odes import (
     integrate,
     make_system,
 )
-from .predict import Prediction, iterate_batch, predict, step_batch
+from .predict import Prediction, iterate_batch, predict
 
 __version__ = "0.1.0"
 
@@ -130,7 +130,6 @@ __all__ = [
     "save_model",
     "save_trajectory_csv",
     "solve_min_frobenius",
-    "step_batch",
     "train",
     "write_json",
 ]

@@ -8,16 +8,15 @@ attractor (Euclidean distance) or within ``tol`` of a cycle's radius in
 its plane.  Cells whose trajectories blow up are labeled ``diverged``;
 cells that never settle within the horizon stay ``unresolved``.
 
-One capture walk labels single series, truth cells and operator cells,
-and one loop feeds it: sources yield blocks of samples for the cells
-still open until none is.  Each cell is treated independently:
-ground-truth cells are integrated in one batch in which every cell keeps
-its own adaptive steps, and operator cells are advanced by the
-state-major forecasting kernel of ``predict``; both are bitwise
+One capture walk labels single series, truth cells and operator cells.
+Two block sources feed it under one contract: ``odes._dormand_prince_blocks``
+(truth cells, each on its own adaptive steps) and ``predict._iterate``
+(operator cells, each seeded with its start point in every delay slot)
+yield the open cells' samples, start point first, as (cells, T,
+num_states) blocks, and after each block take the mask of cells still
+open, so a labeled cell stops being advanced.  Both are bitwise
 independent of the batch, so refining the grid never relabels a point
-that both grids share.  A cell leaves its batch once it has a label:
-the capture walk's mask of open cells goes back to the source, so the
-integrator and the forecasting kernel stop stepping settled cells.
+that both grids share.
 """
 
 from __future__ import annotations
@@ -166,18 +165,18 @@ def _capture_walk(block, attractors, tol, persistence, codes, runs):
     codes[settled] = np.where(winner < len(attractors), winner, _DIVERGED)[settled]
 
 
-def _classify(blocks, cells, attractors, tol, persistence):
-    """Label ``cells`` cells from a generator of sample blocks.
+def _classify(blocks, attractors, tol, persistence):
+    """Label every cell of a generator of sample blocks.
 
     The first block holds every cell, shape (cells, T, num_states).  After
     each block it sends the generator a mask of that block's cells
     that are still open, and the next block holds only those; it stops
     once no cell is open or the blocks run out.
     """
-    codes = np.full(cells, _OPEN)
-    runs = np.zeros((len(attractors), cells), dtype=np.int64)
-    rows = np.arange(cells)
     block = next(blocks)
+    rows = np.arange(len(block))
+    codes = np.full(len(block), _OPEN)
+    runs = np.zeros((len(attractors), len(block)), dtype=np.int64)
     while True:
         open_codes, open_runs = codes[rows], runs[:, rows]
         _capture_walk(block, attractors, tol, persistence, open_codes, open_runs)
@@ -208,7 +207,7 @@ def classify_series(
     _check_capture(tol, persistence)
     states = np.asarray(states, dtype=float)
     blocks = (block for block in [states[None]])  # a generator, so _classify can send
-    return _classify(blocks, 1, attractors, tol, persistence)[0]
+    return _classify(blocks, attractors, tol, persistence)[0]
 
 
 def ground_truth_grid(
@@ -248,7 +247,7 @@ def ground_truth_grid(
     blocks = _dormand_prince_blocks(
         system.rhs, points, (0.0, horizon), num_samples, settings, _BLOCK
     )
-    labels = _classify(blocks, len(points), system.attractors, tol, persistence)
+    labels = _classify(blocks, system.attractors, tol, persistence)
     return BasinGrid(
         x_range=x_range,
         y_range=y_range,
@@ -281,22 +280,10 @@ def _check_operator_scan(operator, system, steps, tol, persistence):
 
 
 def _operator_blocks(operator, points, steps, divergence_threshold):
-    """Yield the start points' seed rows and then the states the
-    forecasting kernel yields (NaN once diverged), ``_BLOCK`` samples at
-    a time, so no full history is kept.  ``_classify``'s mask of open
-    cells goes on to the kernel, which then steps only those."""
-    config = operator.config
-    seeds = np.repeat(points[:, None, :], config.delays, axis=1)
-    kernel = _iterate(
-        seeds, steps, monomial_basis(config), operator.matrix, divergence_threshold
-    )
-    chunk, keep = [points.T] * config.delays, None
-    for k in range(steps):
-        chunk.append(kernel.send(keep))
-        keep = None
-        if len(chunk) >= _BLOCK or k == steps - 1:
-            keep = yield np.stack(chunk, axis=2).transpose(1, 2, 0)
-            chunk = []
+    """Kernel blocks from each start point repeated into every delay slot."""
+    seeds = np.repeat(points[:, None, :], operator.config.delays, axis=1)
+    basis = monomial_basis(operator.config)
+    return _iterate(seeds, steps, basis, operator.matrix, divergence_threshold, _BLOCK)
 
 
 def operator_grid(
@@ -322,7 +309,7 @@ def operator_grid(
     x_range, y_range = _check_window(window, resolution)
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
     blocks = _operator_blocks(operator, points, steps, divergence_threshold)
-    labels = _classify(blocks, len(points), system.attractors, tol, persistence)
+    labels = _classify(blocks, system.attractors, tol, persistence)
     return BasinGrid(
         x_range=x_range,
         y_range=y_range,
@@ -358,7 +345,7 @@ def label_operator_cell(
             f"point has {point.shape[1]} entries, system has {system.num_states}"
         )
     blocks = _operator_blocks(operator, point, steps, divergence_threshold)
-    return _classify(blocks, 1, system.attractors, tol, persistence)[0]
+    return _classify(blocks, system.attractors, tol, persistence)[0]
 
 
 def grid_agreement(truth: BasinGrid, predicted: BasinGrid) -> GridAgreement:

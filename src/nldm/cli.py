@@ -22,12 +22,11 @@ from .config import (
     BasinSpec,
     ConfigError,
     ExperimentConfig,
-    _dt_differs,
     config_from_dict,
     config_to_dict,
     derived_seed,
 )
-from .core import FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError
+from .core import FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError, _dt_differs
 from .identify import train as fit_operator
 from .io import (
     load_model,

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .core import _dt_differs
 from .odes import IntegratorSettings, make_system
 
 __all__ = [
@@ -184,11 +185,6 @@ def _parse_integrator(raw) -> IntegratorSettings:
         if not 0 < value < np.inf:
             raise ConfigError(f"integrator.{key} must be positive and finite, got {value}")
     return IntegratorSettings(**tols)
-
-
-def _dt_differs(dt: float, reference: float) -> bool:
-    """Whether two sampling intervals differ beyond round-off."""
-    return abs(dt - reference) > 1e-12 * max(abs(reference), 1.0)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

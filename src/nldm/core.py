@@ -134,6 +134,11 @@ class Trajectory:
         return self.t0 + self.dt * np.arange(self.num_samples)
 
 
+def _dt_differs(dt: float, reference: float) -> bool:
+    """Whether two sampling intervals differ beyond round-off."""
+    return abs(dt - reference) > 1e-12 * max(abs(reference), 1.0)
+
+
 def feature_dim(num_states: int, delays: int, degree: int) -> int:
     """Number of monomial features of total degree 1..degree in
     ``delays * num_states`` variables (the constant term is excluded).

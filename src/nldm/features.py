@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionError, FeatureConfig, Trajectory, feature_dim
+from .core import DimensionError, FeatureConfig, Trajectory, _dt_differs, feature_dim
 
 __all__ = [
     "MonomialBasis",
@@ -234,7 +234,7 @@ def build_snapshot_pair(trajectories, config: FeatureConfig) -> SnapshotPair:
                 f"trajectory {q} has {trajectory.num_states} states, "
                 f"expected {first.num_states}"
             )
-        if abs(trajectory.dt - first.dt) > 1e-12 * max(abs(first.dt), 1.0):
+        if _dt_differs(trajectory.dt, first.dt):
             raise DimensionError(
                 f"trajectory {q} has dt={trajectory.dt}, expected {first.dt}"
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, Trajectory, UndefinedScoreError
+from .core import DimensionError, Trajectory, UndefinedScoreError, _dt_differs
 
 __all__ = ["SkillScore", "rrmse"]
 
@@ -49,7 +49,7 @@ def rrmse(predicted: Trajectory, reference: Trajectory, skip: int) -> SkillScore
             f"state mismatch: predicted {predicted.num_states}, "
             f"reference {reference.num_states}"
         )
-    if abs(predicted.dt - reference.dt) > 1e-12 * max(abs(reference.dt), 1.0):
+    if _dt_differs(predicted.dt, reference.dt):
         raise DimensionError(
             f"dt mismatch: predicted {predicted.dt}, reference {reference.dt}"
         )

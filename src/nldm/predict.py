@@ -2,19 +2,17 @@
 
 Starting from ``delays`` seed states, each step lifts the most recent
 window and applies the operator matrix to produce the next state.
-``_iterate`` is the one loop that steps an operator: forecasts, training
-re-prediction and operator basin grids all consume it.  It holds its
-arrays state-major, one column per row being forecast: the last
-``delays`` states sit in a ring buffer of shape (delays * num_states,
-rows) whose oldest slot each step overwrites, so windows are never
-shifted, and the lift and the sum work on whole rows of columns.  The
-update is summed feature by feature in a fixed order from +0.0 with
-elementwise operations only, so a state predicted for one start point is
-bitwise identical whether that point is advanced alone or inside a batch
-of any size.  A caller may send the kernel a mask of the rows to keep;
-the basin scanner sends it the cells still open, so settled cells leave
-the kernel.  Once a produced state exceeds the divergence threshold in
-max-norm (or is non-finite), the rest of the trajectory is NaN.
+``_iterate`` is the one loop that steps an operator, for forecasts,
+training re-prediction and operator basin grids.  It is a block source
+like ``odes._dormand_prince_blocks``: it yields each row's seeds and then
+its forecast as (rows, T, num_states) blocks, and after each block takes
+a mask of the rows to step further.  It holds its arrays state-major,
+one column per row, with the last ``delays`` states in a ring buffer,
+and sums the update feature by feature in a fixed order from +0.0 with
+elementwise operations only, so a row's samples are bitwise identical
+alone or in a batch of any size, in blocks of any length.  Once a
+produced state exceeds the divergence threshold in max-norm (or is
+non-finite), the rest of the trajectory is NaN.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 from .core import DimensionError, LearnedOperator, Trajectory
 from .features import MonomialBasis, monomial_basis
 
-__all__ = ["Prediction", "predict", "step_batch", "iterate_batch"]
+__all__ = ["Prediction", "predict", "iterate_batch"]
 
 DIVERGENCE_THRESHOLD = 1e6
 
@@ -43,58 +41,38 @@ class Prediction:
     steps_requested: int
 
 
-def _step(stacked: np.ndarray, basis: MonomialBasis, weights: np.ndarray) -> np.ndarray:
-    """Next state for each column of ``stacked``, the delayed vectors
-    state-major, shape (stacked_dim, n); ``weights`` is the operator
-    matrix transposed to shape (num_features, num_states, 1).  Returns
-    shape (num_states, n)."""
-    terms = weights * basis._evaluate_rows(stacked)[:, None, :]
-    nxt = np.zeros(terms.shape[1:])
-    for term in terms:  # feature order from +0.0, never a pairwise sum
-        nxt += term
-    return nxt
-
-
-def step_batch(
-    windows: np.ndarray, basis: MonomialBasis, matrix: np.ndarray
-) -> np.ndarray:
-    """Advance each window of recent states by one sample.
-
-    ``windows`` has shape (n, delays, num_states) with the newest state
-    last along axis 1.  The forecasting kernel takes the same step.
-    """
-    n, delays, num_states = windows.shape
-    stacked = windows.transpose(1, 2, 0)[::-1].reshape(delays * num_states, n)
-    return _step(stacked, basis, matrix.T[:, :, None]).T
-
-
-def _iterate(seeds, steps, basis, matrix, divergence_threshold):
-    """Yield the next state of every kept row, shape (num_states, rows),
-    ``steps`` times; rows past ``divergence_threshold`` come out NaN.
-
-    The generator accepts a boolean mask over the rows it last yielded
-    by ``send``, and steps only the rows the mask keeps from then on.
-    """
-    seeds = np.asarray(seeds, dtype=float)
+def _iterate(seeds, steps, basis, matrix, divergence_threshold, block):
+    """Yield each kept row's seeds and then ``steps`` forecast states,
+    ``block`` samples at a time; a boolean mask sent after a block keeps
+    the rows of that block to step further."""
     n, delays, num_states = seeds.shape
-    # Ring of the last ``delays`` states: before step k, lag i (0 is the
-    # newest) is slot (i - k) mod delays, rows slot*S..slot*S+S-1; the
-    # step overwrites the oldest slot.  ``lags[k % delays]`` gathers the
-    # slots in lag order.
+    # Ring of the last ``delays`` states, shape (delays * S, rows): sample
+    # t lives in slot delays - 1 - t % delays, so step t overwrites the
+    # oldest sample, and before it lag i (0 is the newest) is slot
+    # (i - t) mod delays; ``lags[t % delays]`` gathers them in lag order.
     ring = np.array(seeds.transpose(1, 2, 0)[::-1].reshape(delays * num_states, n))
     slots = (np.arange(delays) - np.arange(delays)[:, None]) % delays
     lags = (slots[:, :, None] * num_states + np.arange(num_states)).reshape(delays, -1)
     weights = np.ascontiguousarray(matrix.T)[:, :, None]
-    for k in range(steps):
-        phase = k % delays
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = _step(ring[lags[phase]], basis, weights)
-            # A NaN maximum compares False, so non-finite rows are bad too.
-            bad = ~(np.abs(nxt).max(axis=0) <= divergence_threshold)
-        nxt[:, bad] = np.nan
-        oldest = (delays - 1 - phase) * num_states
-        ring[oldest:oldest + num_states] = nxt
-        keep = yield nxt
+    total = delays + steps
+    for first in range(0, total, block):
+        stop = min(first + block, total)
+        # One state-major column per sample: a (rows, T, S) buffer fills slower.
+        out = np.empty((num_states, ring.shape[1], stop - first))
+        for t in range(first, stop):
+            slot = (delays - 1 - t % delays) * num_states
+            if t >= delays:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    terms = weights * basis._evaluate_rows(ring[lags[t % delays]])[:, None, :]
+                    nxt = np.zeros(terms.shape[1:])
+                    for term in terms:  # feature order from +0.0, never a pairwise sum
+                        nxt += term
+                    # A NaN maximum compares False, so non-finite rows are bad too.
+                    bad = ~(np.abs(nxt).max(axis=0) <= divergence_threshold)
+                nxt[:, bad] = np.nan
+                ring[slot:slot + num_states] = nxt
+            out[:, :, t - first] = ring[slot:slot + num_states]
+        keep = yield out.transpose(1, 2, 0)
         if keep is not None:
             ring = ring[:, keep]
 
@@ -112,7 +90,8 @@ def iterate_batch(
     ----------
     seeds : ndarray, shape (n, delays, num_states)
     steps : int
-        Number of states to append per start point.
+        Number of states to append per start point; ``steps=1`` takes
+        one step from each window.
 
     Returns
     -------
@@ -121,14 +100,24 @@ def iterate_batch(
         Index of the first NaN sample per start point, -1 if none.
     """
     seeds = np.asarray(seeds, dtype=float)
-    n, delays, num_states = seeds.shape
-    states = np.empty((n, delays + steps, num_states))
-    states[:, :delays] = seeds
-    diverged_at = np.full(n, -1, dtype=np.int64)
-    kernel = _iterate(seeds, steps, basis, matrix, divergence_threshold)
-    for t, nxt in enumerate(kernel, start=delays):
-        states[:, t] = nxt.T
-        diverged_at[np.isnan(nxt[0]) & (diverged_at < 0)] = t
+    matrix = np.asarray(matrix, dtype=float)
+    if seeds.ndim != 3 or seeds.shape[1] * seeds.shape[2] != basis.num_vars:
+        raise DimensionError(
+            f"seeds must have shape (n, delays, num_states) with delays * "
+            f"num_states = {basis.num_vars}, got {seeds.shape}"
+        )
+    if matrix.shape != (seeds.shape[2], basis.num_monomials):
+        raise DimensionError(
+            f"matrix must have shape ({seeds.shape[2]}, {basis.num_monomials}), "
+            f"got {matrix.shape}"
+        )
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    length = seeds.shape[1] + steps
+    blocks = _iterate(seeds, steps, basis, matrix, divergence_threshold, length)
+    states = np.ascontiguousarray(next(blocks))
+    nan = np.isnan(states).any(axis=2)
+    diverged_at = np.where(nan.any(axis=1), nan.argmax(axis=1), -1)
     return states, diverged_at
 
 

@@ -1,7 +1,5 @@
 """Basin grids: per-cell classification, agreement scoring, batch invariance."""
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +16,7 @@ from nldm.basin import (
     operator_grid,
 )
 from nldm.core import DimensionError, FeatureConfig, LearnedOperator
-from nldm.features import monomial_basis
+from nldm.features import MonomialBasis, monomial_basis
 from nldm.identify import train
 from nldm.odes import (
     SYSTEM_IDS,
@@ -311,7 +309,7 @@ def test_blockwise_capture_walk_matches_the_loop_reference(case):
             keep = yield history[rows, lo:hi]
             rows = rows[keep]
 
-    labels = basin._classify(blocks(), len(cells), attractors, 0.05, persistence)
+    labels = basin._classify(blocks(), attractors, 0.05, persistence)
     assert list(labels) == expected
 
 
@@ -397,17 +395,16 @@ def test_operator_grid_labels_match_classify_series_on_full_histories(monkeypatc
         assert classify_series(row, system.attractors, 0.05) == label
 
     # A lone cell stops stepping within one block of the sample at which
-    # its capture completes, with the same label.  ``nldm.predict`` is the
-    # function; the module comes from importlib.
-    kernel = importlib.import_module("nldm.predict")
+    # its capture completes, with the same label.  The kernel lifts once
+    # per step.
     taken = []
-    one_step = kernel._step
+    lift = MonomialBasis._evaluate_rows
 
-    def counting_step(*args):
+    def counting_lift(self, points):
         taken.append(1)
-        return one_step(*args)
+        return lift(self, points)
 
-    monkeypatch.setattr(kernel, "_step", counting_step)
+    monkeypatch.setattr(MonomialBasis, "_evaluate_rows", counting_lift)
     cell = np.flatnonzero(grid.labels.ravel() == "left_sink")[0]
     assert label_operator_cell(operator, system, points[cell], steps=steps) == "left_sink"
     row = states[cell]

@@ -14,7 +14,7 @@ from nldm import (
     predict,
 )
 from nldm.features import MonomialBasis
-from nldm.predict import DIVERGENCE_THRESHOLD, _iterate, iterate_batch, step_batch
+from nldm.predict import DIVERGENCE_THRESHOLD, _iterate, iterate_batch
 
 
 def scalar_operator(value, delays=1, degree=1, dt=0.1):
@@ -94,7 +94,7 @@ def test_step_batch_matches_matrix_product():
     matrix = rng.normal(size=(2, config.num_features))
     basis = monomial_basis(config)
     windows = rng.normal(size=(5, 2, 2))
-    stepped = step_batch(windows, basis, matrix)
+    stepped = iterate_batch(windows, 1, basis, matrix)[0][:, -1]
     for i, window in enumerate(windows):
         stacked = window[::-1].reshape(-1)
         np.testing.assert_allclose(
@@ -145,27 +145,60 @@ def test_one_state_model_is_batch_invariant_and_matches_the_loop_reference():
         assert states[i].tobytes() == alone[0].tobytes()
 
 
-@pytest.mark.parametrize("delays", [1, 2, 5])
-def test_kept_rows_match_an_unmasked_run_bitwise(delays):
-    # Masks arrive mid-run, after the ring has wrapped around, and at
-    # steps that start at different ring slots.
+def kernel_case(delays, rows=8, steps=40):
     rng = np.random.default_rng(8)
     config = FeatureConfig(2, delays, 2)
     basis = monomial_basis(config)
     matrix = 1.0 / config.num_features * rng.normal(size=(2, config.num_features))
-    seeds = rng.normal(size=(8, delays, 2))
-    full = np.stack(list(_iterate(seeds, 40, basis, matrix, DIVERGENCE_THRESHOLD)))
-    masks = {7: np.arange(8) % 2 == 0, 18: np.array([True, False, True, True])}
+    seeds = rng.normal(size=(rows, delays, 2))
+    return seeds, steps, basis, matrix
+
+
+@pytest.mark.parametrize("delays", [1, 2, 5])
+def test_kept_rows_match_an_unmasked_run_bitwise(delays):
+    # Masks arrive mid-run, after the ring has wrapped around, and before
+    # samples 14 and 21, which sit in different ring slots.
+    seeds, steps, basis, matrix = kernel_case(delays)
+    full = next(_iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, delays + steps))
+    masks = {7: np.arange(8) % 2 == 0, 14: np.array([True, False, True, True])}
     rows = np.arange(8)
-    kernel = _iterate(seeds, 40, basis, matrix, DIVERGENCE_THRESHOLD)
+    kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, 7)
     keep = None
-    for k in range(40):
-        nxt = kernel.send(keep)
-        assert nxt.tobytes() == np.ascontiguousarray(full[k][:, rows]).tobytes()
-        keep = masks.get(k)
+    for lo in range(0, delays + steps, 7):
+        block = kernel.send(keep)
+        assert block.tobytes() == full[rows, lo:lo + 7].tobytes()
+        keep = masks.get(lo)
         if keep is not None:
             rows = rows[keep]
     assert rows.tolist() == [0, 4, 6]
+
+
+@pytest.mark.parametrize("delays", [1, 2, 5])
+def test_blocks_of_any_size_match_the_loop_reference_bitwise(delays):
+    # Every third row crosses the divergence threshold; masks drop rows
+    # at the blocks that hold samples 6 and 20.
+    seeds, steps, basis, matrix = kernel_case(delays, rows=9, steps=45)
+    seeds[::3] *= 20.0
+    expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
+    length = delays + steps
+    for size in sorted({1, delays, 7, 32, length}):
+        kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, size)
+        rows, pieces, keep = np.arange(9), {row: [] for row in range(9)}, None
+        for lo in range(0, length, size):
+            block = kernel.send(keep)
+            assert block.shape == (len(rows), min(size, length - lo), 2)
+            for row, samples in zip(rows, block):
+                pieces[row].append(samples)
+            drops = [row for at, dropped in ((6, [0, 4]), (20, [1])) for row in dropped
+                     if lo <= at < lo + size]
+            keep = ~np.isin(rows, drops)
+            rows = rows[keep]
+        with pytest.raises(StopIteration):
+            kernel.send(keep)
+        for row, samples in pieces.items():
+            got = np.concatenate(samples)
+            assert got.tobytes() == expected[row, :len(got)].tobytes(), (size, row)
+        assert all(len(np.concatenate(pieces[row])) == length for row in rows)
 
 
 def test_all_zero_window_with_negative_coefficients_steps_to_positive_zero():
@@ -173,7 +206,7 @@ def test_all_zero_window_with_negative_coefficients_steps_to_positive_zero():
     config = FeatureConfig(2, 2, 2)
     basis = monomial_basis(config)
     matrix = -np.ones((2, config.num_features))
-    stepped = step_batch(np.zeros((3, 2, 2)), basis, matrix)
+    stepped = iterate_batch(np.zeros((3, 2, 2)), 1, basis, matrix)[0][:, -1]
     assert not np.signbit(stepped).any()
     expected, _ = oracles.loop_iterate(np.zeros((3, 2, 2)), 1, basis.exponents, matrix)
     assert stepped.tobytes() == expected[:, -1].tobytes()
@@ -238,6 +271,23 @@ def test_seed_validation():
         predict(operator, np.array([[np.nan], [1.0]]), steps=3)
     with pytest.raises(ValueError):
         predict(operator, np.array([[1.0], [2.0]]), steps=-1)
+
+
+def test_iterate_batch_rejects_seeds_matrices_and_steps_of_the_wrong_shape():
+    rng = np.random.default_rng(9)
+    basis = monomial_basis(FeatureConfig(2, 2, 2))
+    matrix = rng.normal(size=(2, basis.num_monomials))
+    iterate_batch(rng.normal(size=(1, 2, 2)), 4, basis, matrix)
+    with pytest.raises(DimensionError):  # three delays for a two-delay basis
+        iterate_batch(rng.normal(size=(1, 3, 2)), 4, basis, matrix)
+    with pytest.raises(DimensionError):  # one window, not a batch of them
+        iterate_batch(rng.normal(size=(2, 2)), 4, basis, matrix)
+    with pytest.raises(DimensionError):
+        iterate_batch(rng.normal(size=(1, 2, 2)), 4, basis, matrix[:, :-1])
+    with pytest.raises(DimensionError):
+        iterate_batch(rng.normal(size=(1, 2, 2)), 4, basis, matrix[:1])
+    with pytest.raises(ValueError):
+        iterate_batch(rng.normal(size=(1, 2, 2)), -1, basis, matrix)
 
 
 def test_zero_steps_requires_two_seed_rows():
