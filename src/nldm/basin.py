@@ -105,15 +105,28 @@ def _check_capture(tol, persistence):
         raise ValueError(f"persistence must be >= 1, got {persistence}")
 
 
-def _grid_points(x_range, y_range, resolution, num_states, fixed_coords):
-    """Full-dimension initial conditions for every cell, x-major."""
-    fixed = dict(fixed_coords or {})
+def _check_attractors(system):
+    if not system.attractors:
+        raise ValueError(f"system {system.ident!r} declares no attractors")
+
+
+def _free_axes(num_states, fixed):
+    """The two axes a grid spans once ``fixed`` (axis -> value) pins the rest."""
+    if any(not 0 <= axis < num_states for axis in fixed):
+        raise DimensionError(f"fixed axes must lie in 0..{num_states - 1}, got {sorted(fixed)}")
     free = [axis for axis in range(num_states) if axis not in fixed]
     if len(free) != 2:
         raise DimensionError(
             f"grid needs exactly 2 free axes, got {len(free)} "
             f"(num_states={num_states}, fixed={sorted(fixed)})"
         )
+    return free
+
+
+def _grid_points(x_range, y_range, resolution, num_states, fixed_coords):
+    """Full-dimension initial conditions for every cell, x-major."""
+    fixed = dict(fixed_coords or {})
+    free = _free_axes(num_states, fixed)
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     points = np.empty((resolution * resolution, num_states))
@@ -202,10 +215,27 @@ def classify_series(
     The winner is the attractor whose capture test first holds for
     ``persistence`` consecutive samples; earlier catalog position breaks
     ties.  A non-finite sample before any capture completes means
-    ``diverged``; otherwise ``unresolved``.
+    ``diverged``; otherwise ``unresolved``.  ``states`` is (samples,
+    num_states), with the attractors' state count.
     """
     _check_capture(tol, persistence)
     states = np.asarray(states, dtype=float)
+    if states.ndim != 2:
+        raise DimensionError(f"states must be (samples, num_states), got shape {states.shape}")
+    for attractor in attractors:
+        fits = True  # an unknown attractor type is named by _capture_mask
+        if isinstance(attractor, PointAttractor):
+            wanted = len(attractor.location)
+            fits = states.shape[1] == wanted
+        elif isinstance(attractor, CycleAttractor):
+            axes = attractor.axes + tuple(axis for axis, _ in attractor.plane)
+            wanted = f">= {max(axes) + 1}"
+            fits = 0 <= min(axes) and max(axes) < states.shape[1]
+        if not fits:
+            raise DimensionError(
+                f"states have shape {states.shape}, attractor {attractor.ident!r} "
+                f"expects (samples, {wanted})"
+            )
     blocks = (block for block in [states[None]])  # a generator, so _classify can send
     return _classify(blocks, attractors, tol, persistence)[0]
 
@@ -233,8 +263,7 @@ def ground_truth_grid(
     evaluate a (num_states, cells) array column by column, as every
     catalog right-hand side does.
     """
-    if not system.attractors:
-        raise ValueError(f"system {system.ident!r} declares no attractors")
+    _check_attractors(system)
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if num_samples < 2:
@@ -267,8 +296,7 @@ def ground_truth_grid(
 
 
 def _check_operator_scan(operator, system, steps, tol, persistence):
-    if not system.attractors:
-        raise ValueError(f"system {system.ident!r} declares no attractors")
+    _check_attractors(system)
     if operator.config.num_states != system.num_states:
         raise DimensionError(
             f"operator has {operator.config.num_states} states, system "

@@ -3,16 +3,19 @@
 A configuration names a catalog system, the training and test series to
 simulate from it, the model shape, and optionally a basin scan and the
 integrator tolerances for the series.  Parsing
-is strict: unknown or missing keys are reported by name, and every
-series must imply the same sampling interval.
+is strict: unknown or missing keys are reported by name, every value
+must have its field's JSON type, every series must imply the same
+sampling interval, and a basin section must describe a grid the basin
+module can scan.  ``config_to_dict`` writes every field back out.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .basin import _check_attractors, _free_axes
 from .core import _dt_differs
 from .odes import IntegratorSettings, make_system
 
@@ -94,43 +97,50 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _reject_unknown(mapping: dict, allowed, where: str):
+def _reject_unknown(mapping: dict, spec, where: str):
+    """``mapping`` must be a dict whose keys are fields of dataclass ``spec``."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(set(mapping) - {f.name for f in fields(spec)})
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
-def _number(kind, value, name: str):
-    """``kind(value)``, or a ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
+# The Python types a field of each kind accepts (a tuple spells a JSON list,
+# as in ``asdict`` output); a bool is none of them.
+_ACCEPTS = {int: (int,), float: (int, float), list: (list, tuple), dict: (dict,)}
+
+
+def _typed(kind, value, name: str):
+    """``kind(value)`` if ``value`` has the field's type, else a ConfigError
+    naming the field: an int field takes only integers, a float field
+    integers or reals, a list field a list and a dict field a mapping."""
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _vector(value, name: str) -> tuple[float, ...]:
-    return tuple(_number(float, v, name) for v in _number(list, value, name))
+    return tuple(_typed(float, v, name) for v in _typed(list, value, name))
 
 
 def _parse_noise(raw, where: str) -> NoiseSpec | None:
     if raw is None:
         return None
-    _reject_unknown(raw, ("sigma_pct", "seed"), where)
-    sigma_pct = _number(float, _require(raw, "sigma_pct", where), f"{where}.sigma_pct")
+    _reject_unknown(raw, NoiseSpec, where)
+    sigma_pct = _typed(float, _require(raw, "sigma_pct", where), f"{where}.sigma_pct")
     if sigma_pct < 0:
         raise ConfigError(f"sigma_pct must be >= 0 in {where}, got {sigma_pct}")
     seed = raw.get("seed")
     if seed is not None:
-        seed = _number(int, seed, f"{where}.seed")
+        seed = _typed(int, seed, f"{where}.seed")
         if seed < 0:
             raise ConfigError(f"seed must be >= 0 in {where}, got {seed}")
     return NoiseSpec(sigma_pct=sigma_pct, seed=seed)
 
 
 def _parse_series(raw, where: str) -> SeriesSpec:
-    _reject_unknown(raw, ("ic", "t_span", "num_samples", "noise"), where)
+    _reject_unknown(raw, SeriesSpec, where)
     ic = _vector(_require(raw, "ic", where), f"{where}.ic")
     if not ic or not all(np.isfinite(ic)):
         raise ConfigError(f"ic must be a non-empty finite vector in {where}")
@@ -139,48 +149,57 @@ def _parse_series(raw, where: str) -> SeriesSpec:
         raise ConfigError(f"t_span must be [start, end] in {where}")
     if not t_span[1] > t_span[0]:
         raise ConfigError(f"t_span must increase in {where}, got {t_span}")
-    num_samples = _number(int, _require(raw, "num_samples", where), f"{where}.num_samples")
+    num_samples = _typed(int, _require(raw, "num_samples", where), f"{where}.num_samples")
     if num_samples < 2:
         raise ConfigError(f"num_samples must be >= 2 in {where}, got {num_samples}")
     noise = _parse_noise(raw.get("noise"), f"{where}.noise")
     return SeriesSpec(ic=ic, t_span=t_span, num_samples=num_samples, noise=noise)
 
 
-def _parse_basin(raw, num_states: int) -> BasinSpec | None:
+def _parse_basin(raw, catalog) -> BasinSpec | None:
     if raw is None:
         return None
     where = "basin"
-    _reject_unknown(raw, ("window", "resolution", "steps", "tol", "fixed"), where)
-    window_raw = _number(list, _require(raw, "window", where), "basin.window")
+    _reject_unknown(raw, BasinSpec, where)
+    window_raw = _typed(list, _require(raw, "window", where), "basin.window")
     window = tuple(_vector(r, "basin.window") for r in window_raw)
     if len(window) != 2 or any(len(r) != 2 for r in window):
         raise ConfigError("basin.window must be [[x_lo, x_hi], [y_lo, y_hi]]")
     if not (window[0][1] > window[0][0] and window[1][1] > window[1][0]):
         raise ConfigError(f"basin.window must have positive extent, got {window}")
-    resolution = _number(int, _require(raw, "resolution", where), "basin.resolution")
+    resolution = _typed(int, _require(raw, "resolution", where), "basin.resolution")
     if resolution < 2:
         raise ConfigError(f"basin.resolution must be >= 2, got {resolution}")
-    steps = _number(int, raw.get("steps", 1000), "basin.steps")
+    steps = _typed(int, raw.get("steps", BasinSpec.steps), "basin.steps")
     if steps < 1:
         raise ConfigError(f"basin.steps must be >= 1, got {steps}")
-    tol = _number(float, raw.get("tol", 0.05), "basin.tol")
+    tol = _typed(float, raw.get("tol", BasinSpec.tol), "basin.tol")
     if not tol > 0:
         raise ConfigError(f"basin.tol must be positive, got {tol}")
     fixed_raw = raw.get("fixed", {})
     if not isinstance(fixed_raw, dict):
         raise ConfigError(f"basin.fixed must map axes to values, got {fixed_raw!r}")
-    fixed = tuple(sorted(
-        (_number(int, axis, "basin.fixed axis"), _number(float, value, "basin.fixed value"))
-        for axis, value in fixed_raw.items()
-    ))
-    if any(not 0 <= axis < num_states for axis, _ in fixed):
-        raise ConfigError(f"basin.fixed axes must lie in 0..{num_states - 1}, got {fixed}")
-    return BasinSpec(window=window, resolution=resolution, steps=steps, tol=tol, fixed=fixed)
+    fixed = {}
+    for key, value in fixed_raw.items():
+        try:
+            axis = int(key, 10)  # JSON keys are strings; only a string parses
+        except (TypeError, ValueError):
+            raise ConfigError(f"basin.fixed axis must be int, got {key!r}") from None
+        if axis in fixed:
+            raise ConfigError(f"basin.fixed names axis {axis} twice")
+        fixed[axis] = _typed(float, value, "basin.fixed value")
+    try:  # the basin module's own rules for a scan of this system
+        _check_attractors(catalog)
+        _free_axes(catalog.num_states, fixed)
+    except ValueError as exc:
+        raise ConfigError(f"basin: {exc}") from None
+    return BasinSpec(window=window, resolution=resolution, steps=steps, tol=tol,
+                     fixed=tuple(sorted(fixed.items())))
 
 
 def _parse_integrator(raw) -> IntegratorSettings:
-    _reject_unknown(raw, ("rel_tol", "abs_tol"), "integrator")
-    tols = {key: _number(float, value, f"integrator.{key}") for key, value in raw.items()}
+    _reject_unknown(raw, IntegratorSettings, "integrator")
+    tols = {key: _typed(float, value, f"integrator.{key}") for key, value in raw.items()}
     for key, value in tols.items():
         if not 0 < value < np.inf:
             raise ConfigError(f"integrator.{key} must be positive and finite, got {value}")
@@ -189,18 +208,13 @@ def _parse_integrator(raw) -> IntegratorSettings:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse and validate a configuration mapping (as loaded from JSON)."""
-    _reject_unknown(
-        raw,
-        ("system", "model", "train", "test", "basin", "output_dir", "global_seed",
-         "integrator"),
-        "config",
-    )
+    _reject_unknown(raw, ExperimentConfig, "config")
     system_raw = _require(raw, "system", "config")
-    _reject_unknown(system_raw, ("ident", "params"), "system")
-    params = _number(dict, system_raw.get("params", {}), "system.params")
+    _reject_unknown(system_raw, SystemSpec, "system")
+    params = _typed(dict, system_raw.get("params", {}), "system.params")
     system = SystemSpec(
         ident=str(_require(system_raw, "ident", "system")),
-        params={str(k): _number(float, v, f"system.params.{k}") for k, v in params.items()},
+        params={str(k): _typed(float, v, f"system.params.{k}") for k, v in params.items()},
     )
     try:
         catalog = make_system(system.ident, **system.params)
@@ -208,17 +222,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"system: {exc}") from exc
 
     model_raw = _require(raw, "model", "config")
-    _reject_unknown(model_raw, ("delays", "degree"), "model")
+    _reject_unknown(model_raw, ModelSpec, "model")
     model = ModelSpec(
-        delays=_number(int, _require(model_raw, "delays", "model"), "model.delays"),
-        degree=_number(int, _require(model_raw, "degree", "model"), "model.degree"),
+        delays=_typed(int, _require(model_raw, "delays", "model"), "model.delays"),
+        degree=_typed(int, _require(model_raw, "degree", "model"), "model.degree"),
     )
     if model.delays < 1:
         raise ConfigError(f"model.delays must be >= 1, got {model.delays}")
     if model.degree < 1:
         raise ConfigError(f"model.degree must be >= 1, got {model.degree}")
 
-    train_raw = _number(list, _require(raw, "train", "config"), "train")
+    train_raw = _typed(list, _require(raw, "train", "config"), "train")
     if not train_raw:
         raise ConfigError("train must list at least one series")
     train = tuple(
@@ -226,7 +240,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
     test = tuple(
         _parse_series(entry, f"test[{i}]")
-        for i, entry in enumerate(_number(list, raw.get("test") or [], "test"))
+        for i, entry in enumerate(_typed(list, raw.get("test") or [], "test"))
     )
 
     for role, entries in (("train", train), ("test", test)):
@@ -250,11 +264,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"implies dt={dt}, series 0 implies dt={dts[0]}"
             )
 
-    basin = _parse_basin(raw.get("basin"), catalog.num_states)
-    output_dir = raw.get("output_dir", "runs/experiment")
+    basin = _parse_basin(raw.get("basin"), catalog)
+    output_dir = raw.get("output_dir", ExperimentConfig.output_dir)
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
-    global_seed = _number(int, raw.get("global_seed", 0), "global_seed")
+    global_seed = _typed(int, raw.get("global_seed", ExperimentConfig.global_seed), "global_seed")
     if global_seed < 0:
         raise ConfigError(f"global_seed must be >= 0, got {global_seed}")
 
@@ -271,46 +285,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Inverse of ``config_from_dict`` (up to list/tuple spelling)."""
+    """Every field of ``config`` as JSON-ready values, the inverse of
+    ``config_from_dict`` (up to list/tuple spelling).  ``basin.fixed``
+    becomes an axis-to-value mapping and absent top-level sections are
+    left out; other absent values are written as ``None``."""
     raw = asdict(config)
-    raw["train"] = [_series_dict(entry) for entry in config.train]
-    raw["test"] = [_series_dict(entry) for entry in config.test]
-    if config.basin is None:
-        raw.pop("basin")
-    else:
-        raw["basin"] = {
-            "window": [list(config.basin.window[0]), list(config.basin.window[1])],
-            "resolution": config.basin.resolution,
-            "steps": config.basin.steps,
-            "tol": config.basin.tol,
-        }
-        if config.basin.fixed:
-            raw["basin"]["fixed"] = {str(axis): value for axis, value in config.basin.fixed}
-        else:
-            raw["basin"].pop("fixed", None)
-    raw["system"] = {"ident": config.system.ident, "params": dict(config.system.params)}
-    raw["model"] = {"delays": config.model.delays, "degree": config.model.degree}
-    if config.integrator is None:
-        raw.pop("integrator")
-    else:
-        raw["integrator"] = {
-            "rel_tol": config.integrator.rel_tol, "abs_tol": config.integrator.abs_tol
-        }
-    return raw
-
-
-def _series_dict(entry: SeriesSpec) -> dict:
-    out = {
-        "ic": list(entry.ic),
-        "t_span": list(entry.t_span),
-        "num_samples": entry.num_samples,
-    }
-    if entry.noise is not None:
-        noise = {"sigma_pct": entry.noise.sigma_pct}
-        if entry.noise.seed is not None:
-            noise["seed"] = entry.noise.seed
-        out["noise"] = noise
-    return out
+    if config.basin is not None:
+        raw["basin"]["fixed"] = {str(axis): value for axis, value in config.basin.fixed}
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 def derived_seed(global_seed: int, role: str, index: int) -> int:

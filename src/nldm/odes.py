@@ -4,8 +4,9 @@ The catalog covers the standard planar test problems (a damped linear
 oscillator, a damped cubic oscillator, a two-sink gradient-like flow, an
 asymmetric double well), a three-dimensional mean-field model with a
 limit cycle, a planar flow with two concentric limit cycles, and the
-Lorenz system.  Each system records its parameters and, where
-meaningful, descriptors of its attractors for basin classification.
+Lorenz system.  Each system is one row of ``_CATALOG``: its right-hand
+side, state count, default parameters, and its attractors (descriptors
+for basin classification) as a function of those parameters.
 
 One integrator serves every caller: an adaptive Dormand-Prince 5(4)
 pair, written out here with numpy only, that advances a batch of start
@@ -122,147 +123,60 @@ def _lorenz_rhs(t, state, sigma, rho, beta):
     return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
 
 
-def _build_lho(params):
-    return BenchmarkSystem(
-        ident="lho",
-        params=params,
-        num_states=2,
-        rhs=partial(_lho_rhs, delta=params["delta"]),
-        attractors=(PointAttractor("origin", (0.0, 0.0)),),
-    )
-
-
-def _build_dnls(params):
-    return BenchmarkSystem(
-        ident="dnls",
-        params=params,
-        num_states=2,
-        rhs=partial(_dnls_rhs, delta=params["delta"]),
-        attractors=(PointAttractor("origin", (0.0, 0.0)),),
-    )
-
-
-def _build_two_attractor(params):
-    return BenchmarkSystem(
-        ident="two_attractor",
-        params=params,
-        num_states=2,
-        rhs=_two_attractor_rhs,
-        attractors=(
-            PointAttractor("left_sink", (-1.0, 0.0)),
-            PointAttractor("right_sink", (1.0, 0.0)),
-        ),
-    )
-
-
-def _build_double_well(params):
-    lam = params["lam"]
+def _double_well_wells(params):
     # Stable wells sit at the outer roots of x**2 + lam*x - 1 = 0;
     # x = 0 is the unstable hilltop between them.
+    lam = params["lam"]
     root = math.sqrt(lam**2 + 4.0)
-    return BenchmarkSystem(
-        ident="double_well",
-        params=params,
-        num_states=2,
-        rhs=partial(_double_well_rhs, delta=params["delta"], lam=lam),
-        attractors=(
-            PointAttractor("left_well", ((-lam - root) / 2.0, 0.0)),
-            PointAttractor("right_well", ((-lam + root) / 2.0, 0.0)),
-        ),
+    return (
+        PointAttractor("left_well", ((-lam - root) / 2.0, 0.0)),
+        PointAttractor("right_well", ((-lam + root) / 2.0, 0.0)),
     )
 
 
-def _build_mfcd(params):
+def _mfcd_orbit(params):
+    # The stable cycle x**2 + y**2 = z = -mu/a exists while that height
+    # is positive.
     mu, a = params["mu"], params["a"]
-    attractors = ()
-    if a != 0 and -mu / a > 0:
-        height = -mu / a
-        attractors = (
-            CycleAttractor(
-                "orbit",
-                radius=math.sqrt(height),
-                axes=(0, 1),
-                plane=((2, height),),
-            ),
-        )
-    return BenchmarkSystem(
-        ident="mfcd",
-        params=params,
-        num_states=3,
-        rhs=partial(
-            _mfcd_rhs,
-            mu=mu,
-            omega=params["omega"],
-            lam=params["lam"],
-            a=a,
-        ),
-        attractors=attractors,
-    )
+    if not (a != 0 and -mu / a > 0):
+        return ()
+    height = -mu / a
+    return (CycleAttractor("orbit", radius=math.sqrt(height), axes=(0, 1), plane=((2, height),)),)
 
 
-def _build_dual_limit_cycle(params):
-    return BenchmarkSystem(
-        ident="dual_limit_cycle",
-        params=params,
-        num_states=2,
-        rhs=_dual_limit_cycle_rhs,
-        attractors=(
-            PointAttractor("origin", (0.0, 0.0)),
-            CycleAttractor("outer_cycle", radius=2.0),
-        ),
-    )
+_ORIGIN = PointAttractor("origin", (0.0, 0.0))
 
-
-def _build_lorenz(params):
-    return BenchmarkSystem(
-        ident="lorenz",
-        params=params,
-        num_states=3,
-        rhs=partial(
-            _lorenz_rhs,
-            sigma=params["sigma"],
-            rho=params["rho"],
-            beta=params["beta"],
-        ),
-        attractors=(),
-    )
-
-
-_DEFAULTS = {
-    "lho": {"delta": 1.0},
-    "dnls": {"delta": 1.0},
-    "two_attractor": {},
-    "double_well": {"delta": 0.5, "lam": 1.3},
-    "mfcd": {"mu": 0.1, "omega": 2.0, "lam": 6.0, "a": -0.1},
-    "dual_limit_cycle": {},
-    "lorenz": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
+# One row per system: right-hand side, state count, default parameters
+# (the right-hand side's keyword arguments), and its attractors as a
+# function of the parameters.
+_CATALOG = {
+    "lho": (_lho_rhs, 2, {"delta": 1.0}, lambda params: (_ORIGIN,)),
+    "dnls": (_dnls_rhs, 2, {"delta": 1.0}, lambda params: (_ORIGIN,)),
+    "two_attractor": (_two_attractor_rhs, 2, {}, lambda params: (
+        PointAttractor("left_sink", (-1.0, 0.0)), PointAttractor("right_sink", (1.0, 0.0)))),
+    "double_well": (_double_well_rhs, 2, {"delta": 0.5, "lam": 1.3}, _double_well_wells),
+    "mfcd": (_mfcd_rhs, 3, {"mu": 0.1, "omega": 2.0, "lam": 6.0, "a": -0.1}, _mfcd_orbit),
+    "dual_limit_cycle": (_dual_limit_cycle_rhs, 2, {}, lambda params: (
+        _ORIGIN, CycleAttractor("outer_cycle", radius=2.0))),
+    "lorenz": (_lorenz_rhs, 3, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
+               lambda params: ()),
 }
 
-_BUILDERS = {
-    "lho": _build_lho,
-    "dnls": _build_dnls,
-    "two_attractor": _build_two_attractor,
-    "double_well": _build_double_well,
-    "mfcd": _build_mfcd,
-    "dual_limit_cycle": _build_dual_limit_cycle,
-    "lorenz": _build_lorenz,
-}
-
-SYSTEM_IDS = tuple(sorted(_DEFAULTS))
+SYSTEM_IDS = tuple(sorted(_CATALOG))
 
 
 def make_system(ident: str, **overrides) -> BenchmarkSystem:
     """Instantiate a catalog system, optionally overriding parameters."""
-    if ident not in _DEFAULTS:
+    if ident not in _CATALOG:
         raise ValueError(f"unknown system {ident!r}; known: {', '.join(SYSTEM_IDS)}")
-    params = dict(_DEFAULTS[ident])
-    unknown = sorted(set(overrides) - set(params))
+    rhs, num_states, defaults, attractors = _CATALOG[ident]
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {', '.join(unknown)} for system {ident!r}"
         )
-    params.update({key: float(value) for key, value in overrides.items()})
-    return _BUILDERS[ident](params)
+    params = {**defaults, **{key: float(value) for key, value in overrides.items()}}
+    return BenchmarkSystem(ident, params, num_states, partial(rhs, **params), attractors(params))
 
 
 def integrate(

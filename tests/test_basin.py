@@ -239,6 +239,19 @@ def test_short_series_stays_unresolved():
     assert classify_series([[0.0, 0.0]] * 2, attractors, 0.05, persistence=10) == UNRESOLVED
 
 
+def test_classify_series_rejects_states_of_the_wrong_shape():
+    two_sinks = make_system("two_attractor").attractors
+    orbit = make_system("mfcd").attractors
+    for states, attractors, fragment in [
+        (np.zeros(5), two_sinks, r"\(samples, num_states\), got shape \(5,\)"),
+        (np.zeros((2, 5, 2)), two_sinks, r"got shape \(2, 5, 2\)"),
+        (np.zeros((5, 3)), two_sinks, r"'left_sink' expects \(samples, 2\)"),
+        (np.zeros((5, 2)), orbit, r"'orbit' expects \(samples, >= 3\)"),
+    ]:
+        with pytest.raises(DimensionError, match=fragment):
+            classify_series(states, attractors, 0.05)
+
+
 def test_cycle_capture_checks_radius_and_pinned_plane():
     orbit = CycleAttractor("orbit", radius=1.0, axes=(0, 1), plane=((2, 0.5),))
     angles = np.linspace(0.0, 2 * np.pi, 5)

@@ -302,12 +302,15 @@ def test_model_file_with_cut_header_exits_2(tmp_path, capsys):
         ("config", "integrator", {"rel_tol": None}),
         ("config", "integrator", {"abs_tol": 0.0}),
         ("config", "integrator", {"max_step": 0.1}),
+        ("model", "delays", float("inf")),  # written as JSON's Infinity
+        ("model", "delays", 2.7),
+        ("basin", "fixed", {"0": 1.0}),  # one free axis: once exit 3 after the truth grid
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, section, key, value):
     raw = base_config()
     entry = {"basin": raw["basin"], "train": raw["train"][0], "system": raw["system"],
-             "config": raw}[section]
+             "model": raw["model"], "config": raw}[section]
     entry[key] = value
     config_path = write_config(tmp_path, raw)
     assert main(["basin", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -52,6 +52,11 @@ def test_round_trip_is_identity():
     assert config_from_dict(config_to_dict(config)) == config
     assert config.integrator is None
     assert "integrator" not in config_to_dict(config)
+    # Every study config reads back through JSON, as the manifest does.
+    root = Path(__file__).resolve().parents[1]
+    for path in [None, *sorted((root / "configs").glob("*.json"))]:
+        config = config_from_dict(json.loads(path.read_text()) if path else base_raw())
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def test_round_trip_with_params_and_fixed_axes():
@@ -249,6 +254,25 @@ def test_value_checks(mutate, fragment):
         (lambda raw: raw.update(integrator={"rel_tol": None}), "integrator.rel_tol must be float"),
         (lambda raw: raw.update(integrator={"max_step": 0.1}), "'max_step' in integrator"),
         (lambda raw: raw.update(integrator=None), "integrator must be a mapping"),
+        # Integer fields take integers only; real fields no bools or strings;
+        # list and mapping fields no strings.
+        (lambda raw: raw["model"].update(delays=float("inf")), "model.delays must be int, got inf"),
+        (lambda raw: raw["model"].update(delays=2.7), "model.delays must be int, got 2.7"),
+        (lambda raw: raw["model"].update(degree=True), "model.degree must be int, got True"),
+        (lambda raw: raw["basin"].update(resolution="30"), "basin.resolution must be int, got '30'"),
+        (lambda raw: raw["basin"].update(steps=500.0), "basin.steps must be int, got 500.0"),
+        (lambda raw: raw["train"][0].update(num_samples=float("inf")),
+         "train[0].num_samples must be int, got inf"),
+        (lambda raw: raw["train"][0]["noise"].update(seed=10.0), "train[0].noise.seed must be int, got 10.0"),
+        (lambda raw: raw.update(global_seed=True), "global_seed must be int, got True"),
+        (lambda raw: raw["train"][0]["noise"].update(sigma_pct=True), "sigma_pct must be float, got True"),
+        (lambda raw: raw["basin"].update(tol="0.05"), "basin.tol must be float, got '0.05'"),
+        (lambda raw: raw.update(integrator={"rel_tol": "1e-9"}),
+         "integrator.rel_tol must be float, got '1e-9'"),
+        (lambda raw: raw["train"][0].update(ic="12"), "train[0].ic must be list, got '12'"),
+        (lambda raw: raw["basin"].update(window=["03", [0.0, 1.0]]), "basin.window must be list, got '03'"),
+        (lambda raw: raw["system"].update(params=[]), "system.params must be dict, got []"),
+        (lambda raw: raw.update(test="ab"), "test must be list, got 'ab'"),
     ],
 )
 def test_malformed_values_are_config_errors(mutate, fragment):
@@ -257,6 +281,38 @@ def test_malformed_values_are_config_errors(mutate, fragment):
     raw = base_raw()
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment.replace("[", r"\[")):
+        config_from_dict(raw)
+
+
+def mfcd_raw(**basin):
+    return {
+        "system": {"ident": "mfcd"},
+        "model": {"delays": 1, "degree": 2},
+        "train": [{"ic": [1.0, 0.0, 2.0], "t_span": [0.0, 5.0], "num_samples": 500}],
+        "basin": {"window": [[-2.0, 2.0], [-2.0, 2.0]], "resolution": 20, **basin},
+    }
+
+
+def lorenz_raw():
+    raw = mfcd_raw(fixed={"2": 25.0})
+    raw["system"] = {"ident": "lorenz"}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, fragment",
+    [
+        (lorenz_raw(), "basin: system 'lorenz' declares no attractors"),
+        (mfcd_raw(), "basin: grid needs exactly 2 free axes, got 3"),
+        (dict(base_raw(), basin=dict(base_raw()["basin"], fixed={"0": 1.0})),
+         "basin: grid needs exactly 2 free axes, got 1"),
+        (mfcd_raw(fixed={"2": 1.0, "02": 2.0}), "basin.fixed names axis 2 twice"),
+    ],
+)
+def test_basin_section_must_describe_a_scan_of_the_system(raw, fragment):
+    # Each of these once parsed, and the run failed (or silently kept the
+    # later value) only after simulating and training.
+    with pytest.raises(ConfigError, match=fragment):
         config_from_dict(raw)
 
 

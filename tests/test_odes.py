@@ -72,6 +72,27 @@ def test_default_parameters():
     }
 
 
+def test_every_default_parameter_reaches_the_right_hand_side():
+    for ident in SYSTEM_IDS:
+        system = make_system(ident)
+        state = np.linspace(0.3, 1.7, system.num_states) * [1, -1, 1][: system.num_states]
+        before = system.rhs(0.0, state)
+        for name, value in system.params.items():
+            changed = make_system(ident, **{name: 1.37 * value + 0.21})
+            assert not np.array_equal(changed.rhs(0.0, state), before), (ident, name)
+
+
+def test_attractors_follow_parameter_overrides():
+    lam = 0.4
+    wells = make_system("double_well", lam=lam).attractors
+    roots = np.sort(np.roots([1.0, lam, -1.0]))
+    np.testing.assert_allclose([w.location[0] for w in wells], roots)
+    assert [w.location[1] for w in wells] == [0.0, 0.0]
+    assert make_system("mfcd", a=0.0).attractors == ()
+    orbit, = make_system("mfcd", mu=0.5, a=-0.25).attractors
+    assert orbit.plane == ((2, 2.0),) and orbit.radius == math.sqrt(2.0)
+
+
 def test_point_attractors_are_equilibria():
     for ident in ALL_IDENTS:
         system = make_system(ident)
