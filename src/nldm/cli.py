@@ -57,21 +57,27 @@ class SeriesData:
         return self.noisy if self.noisy is not None else self.clean
 
 
-def _simulate_role(config: ExperimentConfig, role: str, global_seed: int):
+def _simulate(config: ExperimentConfig, global_seed: int):
+    """The train and test series, as two lists of SeriesData."""
     system = make_system(config.system.ident, **config.system.params)
-    entries = config.train if role == "train" else config.test
-    # Series that share a span and a length are integrated in one batch.
+    entries = [
+        (role, index, entry)
+        for role, specs in (("train", config.train), ("test", config.test))
+        for index, entry in enumerate(specs)
+    ]
+    # Series that share a span and a length are integrated in one batch,
+    # train and test alike.
     batches: dict[tuple, list[int]] = {}
-    for index, entry in enumerate(entries):
-        batches.setdefault((entry.t_span, entry.num_samples), []).append(index)
+    for key, (_, _, entry) in enumerate(entries):
+        batches.setdefault((entry.t_span, entry.num_samples), []).append(key)
     cleans = {}
-    for (t_span, num_samples), indices in batches.items():
-        ics = [entries[index].ic for index in indices]
+    for (t_span, num_samples), keys in batches.items():
+        ics = [entries[key][2].ic for key in keys]
         series = _integrate_series(system, ics, t_span, num_samples, config.integrator)
-        cleans.update(zip(indices, series))
-    out = []
-    for index, entry in enumerate(entries):
-        clean = cleans[index]
+        cleans.update(zip(keys, series))
+    out = {"train": [], "test": []}
+    for key, (role, index, entry) in enumerate(entries):
+        clean = cleans[key]
         noisy = None
         seed = None
         if entry.noise is not None:
@@ -81,8 +87,8 @@ def _simulate_role(config: ExperimentConfig, role: str, global_seed: int):
                 else derived_seed(global_seed, role, index)
             )
             noisy = add_noise(clean, entry.noise.sigma_pct, seed)
-        out.append(SeriesData(clean=clean, noisy=noisy, seed=seed))
-    return out
+        out[role].append(SeriesData(clean=clean, noisy=noisy, seed=seed))
+    return out["train"], out["test"]
 
 
 def _score_payload(prediction, reference, skip, label):
@@ -141,8 +147,7 @@ class _Pipeline:
             return
 
         def stage():
-            self.train_data = _simulate_role(self.config, "train", self.global_seed)
-            self.test_data = _simulate_role(self.config, "test", self.global_seed)
+            self.train_data, self.test_data = _simulate(self.config, self.global_seed)
 
         self._timed("simulate", stage)
 

@@ -11,6 +11,7 @@ module can scan.  ``config_to_dict`` writes every field back out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -114,10 +115,19 @@ _ACCEPTS = {int: (int,), float: (int, float), list: (list, tuple), dict: (dict,)
 def _typed(kind, value, name: str):
     """``kind(value)`` if ``value`` has the field's type, else a ConfigError
     naming the field: an int field takes only integers, a float field
-    integers or reals, a list field a list and a dict field a mapping."""
+    finite integers or reals (JSON's NaN and Infinity parse as floats), a
+    list field a list and a dict field a mapping."""
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    if kind is not float:
+        return kind(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _vector(value, name: str) -> tuple[float, ...]:
@@ -142,8 +152,8 @@ def _parse_noise(raw, where: str) -> NoiseSpec | None:
 def _parse_series(raw, where: str) -> SeriesSpec:
     _reject_unknown(raw, SeriesSpec, where)
     ic = _vector(_require(raw, "ic", where), f"{where}.ic")
-    if not ic or not all(np.isfinite(ic)):
-        raise ConfigError(f"ic must be a non-empty finite vector in {where}")
+    if not ic:
+        raise ConfigError(f"ic must be a non-empty vector in {where}")
     t_span = _vector(_require(raw, "t_span", where), f"{where}.t_span")
     if len(t_span) != 2:
         raise ConfigError(f"t_span must be [start, end] in {where}")
@@ -201,8 +211,8 @@ def _parse_integrator(raw) -> IntegratorSettings:
     _reject_unknown(raw, IntegratorSettings, "integrator")
     tols = {key: _typed(float, value, f"integrator.{key}") for key, value in raw.items()}
     for key, value in tols.items():
-        if not 0 < value < np.inf:
-            raise ConfigError(f"integrator.{key} must be positive and finite, got {value}")
+        if not value > 0:
+            raise ConfigError(f"integrator.{key} must be positive, got {value}")
     return IntegratorSettings(**tols)
 
 

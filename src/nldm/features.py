@@ -34,15 +34,20 @@ class MonomialBasis:
     """Ordered monomial basis over ``num_vars`` variables.
 
     ``exponents`` has one row per monomial.  Evaluation is incremental:
-    each monomial of degree g >= 2 is one variable times a monomial of
-    degree g - 1, and every monomial of one total degree is evaluated by
-    a single elementwise multiply over that degree block.  Each value is
-    therefore one multiply of the same two operands whether points are
-    evaluated one at a time or in a batch, and bitwise identical.
+    each monomial of degree g >= 2 is its first variable times a monomial
+    of degree g - 1 (its parent).  Consecutive monomials that share a
+    first variable and have consecutive, already evaluated parents form
+    a run, evaluated by one elementwise multiply of slices (in the graded
+    order, one run per first variable and degree), so a lift makes no
+    temporary arrays.  Each value is therefore one multiply of the same
+    two operands whether points are evaluated one at a time or in a
+    batch, and bitwise identical.
     """
 
     exponents: np.ndarray
-    _blocks: tuple  # (columns, first variables, parents or None) per degree
+    # (first column, end column, first variable, first parent or -1 for
+    # degree 1, whose variables are consecutive instead) per run
+    _runs: tuple
 
     @classmethod
     def from_exponents(cls, exponents: np.ndarray) -> "MonomialBasis":
@@ -78,12 +83,18 @@ class MonomialBasis:
                     raise ValueError(
                         f"monomial {key} appears before its divisor {tuple(reduced)}"
                     ) from None
-        degrees = exponents.sum(axis=1)
-        blocks = []
-        for degree in np.unique(degrees):
-            cols = np.flatnonzero(degrees == degree)
-            blocks.append((cols, first_var[cols], parent[cols] if degree > 1 else None))
-        return cls(exponents, tuple(blocks))
+        runs = []
+        for j, (var, par) in enumerate(zip(first_var.tolist(), parent.tolist())):
+            if runs:
+                lo, _, run_var, run_par = runs[-1]
+                length = j - lo
+                if (run_par < 0 and par < 0 and var == run_var + length) or (
+                    run_par >= 0 and var == run_var and par == run_par + length and par < lo
+                ):
+                    runs[-1] = (lo, j + 1, run_var, run_par)
+                    continue
+            runs.append((j, j + 1, var, par))
+        return cls(exponents, tuple(runs))
 
     @property
     def num_monomials(self) -> int:
@@ -93,15 +104,17 @@ class MonomialBasis:
     def num_vars(self) -> int:
         return self.exponents.shape[1]
 
-    def _evaluate_rows(self, points: np.ndarray) -> np.ndarray:
+    def _evaluate_rows(self, points: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         """Evaluate every monomial at each column of ``points``, shape
-        (num_vars, n); returns shape (num_monomials, n)."""
-        values = np.empty((self.num_monomials, points.shape[1]))
-        for cols, first_var, parent in self._blocks:
-            if parent is None:
-                values[cols] = points[first_var]
+        (num_vars, n), into ``values`` (a new array if None); returns
+        ``values``, shape (num_monomials, n)."""
+        if values is None:
+            values = np.empty((self.num_monomials, points.shape[1]))
+        for lo, hi, var, parent in self._runs:
+            if parent < 0:
+                values[lo:hi] = points[var:var + hi - lo]
             else:
-                values[cols] = points[first_var] * values[parent]
+                np.multiply(points[var], values[parent:parent + hi - lo], out=values[lo:hi])
         return values
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:

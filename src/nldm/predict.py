@@ -8,11 +8,18 @@ like ``odes._dormand_prince_blocks``: it yields each row's seeds and then
 its forecast as (rows, T, num_states) blocks, and after each block takes
 a mask of the rows to step further.  It holds its arrays state-major,
 one column per row, with the last ``delays`` states in a ring buffer,
-and sums the update feature by feature in a fixed order from +0.0 with
-elementwise operations only, so a row's samples are bitwise identical
-alone or in a batch of any size, in blocks of any length.  Once a
-produced state exceeds the divergence threshold in max-norm (or is
-non-finite), the rest of the trajectory is NaN.
+and works in buffers allocated once per run.  The lift takes one
+multiply per run of monomials (see ``MonomialBasis``); the update takes
+the same numpy calls whatever the feature count.  It is one
+``np.add.reduce`` over the outer (feature) axis of the (features,
+states, columns) products, starting from +0.0, and numpy adds such
+planes elementwise in feature order, as a loop of ``+=`` would.  The
+reduction is at least two columns wide (a single row is broadcast into
+both), since over one state and one column numpy would take a pairwise
+sum instead.  So a row's samples are bitwise identical alone or in a
+batch of any size, in blocks of any length.  Once a produced state
+exceeds the divergence threshold in max-norm (or is non-finite), the
+rest of the trajectory is NaN.
 """
 
 from __future__ import annotations
@@ -46,32 +53,51 @@ def _iterate(seeds, steps, basis, matrix, divergence_threshold, block):
     ``block`` samples at a time; a boolean mask sent after a block keeps
     the rows of that block to step further."""
     n, delays, num_states = seeds.shape
-    # Ring of the last ``delays`` states, shape (delays * S, rows): sample
-    # t lives in slot delays - 1 - t % delays, so step t overwrites the
-    # oldest sample, and before it lag i (0 is the newest) is slot
-    # (i - t) mod delays; ``lags[t % delays]`` gathers them in lag order.
-    ring = np.array(seeds.transpose(1, 2, 0)[::-1].reshape(delays * num_states, n))
-    slots = (np.arange(delays) - np.arange(delays)[:, None]) % delays
-    lags = (slots[:, :, None] * num_states + np.arange(num_states)).reshape(delays, -1)
+    span = delays * num_states
+    # Ring of the last ``delays`` states, written twice, shape (2 * delays
+    # * S, rows): sample t lives in slot delays - 1 - t % delays and in
+    # that slot plus delays, so the lags of a step, newest first, are the
+    # ``delays`` slots from the newest sample's on, one contiguous slice.
+    ring = np.tile(seeds.transpose(1, 2, 0)[::-1].reshape(span, n), (2, 1))
     weights = np.ascontiguousarray(matrix.T)[:, :, None]
+    num_features = weights.shape[0]
+    # Workspaces sized for the first block; later blocks, which hold
+    # fewer rows, take contiguous views of their leading entries.
+    lift_space = np.empty(num_features * n)
+    terms_space = np.empty(num_features * num_states * max(n, 2))
+    nxt_space = np.empty(num_states * max(n, 2))
     total = delays + steps
     for first in range(0, total, block):
         stop = min(first + block, total)
+        rows = ring.shape[1]
+        halves = ring.reshape(2, span, rows)
+        # The sum is at least two columns wide, which a single row's lift
+        # broadcasts into: with one state, a one-column reduction would
+        # take numpy's pairwise sum, not the feature order.
+        width = 2 if rows == 1 else rows
+        lift = lift_space[:num_features * rows].reshape(num_features, rows)
+        terms = terms_space[:num_features * num_states * width].reshape(
+            num_features, num_states, width
+        )
+        nxt = nxt_space[:num_states * width].reshape(num_states, width)
         # One state-major column per sample: a (rows, T, S) buffer fills slower.
-        out = np.empty((num_states, ring.shape[1], stop - first))
-        for t in range(first, stop):
-            slot = (delays - 1 - t % delays) * num_states
-            if t >= delays:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    terms = weights * basis._evaluate_rows(ring[lags[t % delays]])[:, None, :]
-                    nxt = np.zeros(terms.shape[1:])
-                    for term in terms:  # feature order from +0.0, never a pairwise sum
-                        nxt += term
-                    # A NaN maximum compares False, so non-finite rows are bad too.
-                    bad = ~(np.abs(nxt).max(axis=0) <= divergence_threshold)
-                nxt[:, bad] = np.nan
-                ring[slot:slot + num_states] = nxt
-            out[:, :, t - first] = ring[slot:slot + num_states]
+        out = np.empty((num_states, rows, stop - first))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(first, stop):
+                slot = (delays - 1 - t % delays) * num_states
+                if t >= delays:
+                    newest = (slot + num_states) % span
+                    basis._evaluate_rows(ring[newest:newest + span], lift)
+                    np.multiply(weights, lift[:, None, :], out=terms)
+                    # Adds the feature planes in order from +0.0.
+                    np.add.reduce(terms, axis=0, initial=0.0, out=nxt)
+                    # A NaN maximum compares False, so non-finite rows are
+                    # bad too; terms is free once summed.
+                    bad = ~(np.abs(nxt, out=terms[0]).max(axis=0) <= divergence_threshold)
+                    if bad.any():
+                        nxt[:, bad] = np.nan
+                    halves[:, slot:slot + num_states] = nxt[:, :rows]
+                out[:, :, t - first] = ring[slot:slot + num_states]
         keep = yield out.transpose(1, 2, 0)
         if keep is not None:
             ring = ring[:, keep]

@@ -8,7 +8,7 @@ import pytest
 from nldm import IntegratorSettings, classify_series, integrate, make_system
 from nldm.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from nldm.config import config_from_dict, derived_seed
-from nldm.io import load_model, load_trajectory_csv
+from nldm.io import load_model, load_trajectory_csv, save_trajectory_csv
 
 
 def base_config():
@@ -305,6 +305,9 @@ def test_model_file_with_cut_header_exits_2(tmp_path, capsys):
         ("model", "delays", float("inf")),  # written as JSON's Infinity
         ("model", "delays", 2.7),
         ("basin", "fixed", {"0": 1.0}),  # one free axis: once exit 3 after the truth grid
+        ("basin", "window", [[float("-inf"), 2.0], [-2.0, 2.0]]),  # once exit 0, axis not finite
+        ("train", "noise", {"sigma_pct": float("inf")}),  # once exit 3 after simulating
+        ("system", "params", {"delta": float("nan")}),  # written as JSON's NaN
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, section, key, value):
@@ -406,7 +409,8 @@ def test_saved_model_that_does_not_fit_the_config_exits_2(tmp_path, capsys, comm
 
 def test_series_of_several_spans_and_lengths_equal_single_integrations(tmp_path):
     # The CLI integrates the series that share a span and a length in one
-    # batch; each must be bitwise the series integrated alone.
+    # batch, train and test alike; each file must be byte for byte the
+    # series integrated alone.
     raw = base_config()
     raw["train"] = [
         {"ic": [2.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60},
@@ -414,12 +418,19 @@ def test_series_of_several_spans_and_lengths_equal_single_integrations(tmp_path)
         {"ic": [0.5, -1.5], "t_span": [0.0, 0.59], "num_samples": 60},
         {"ic": [1.5, 1.0], "t_span": [3.0, 3.59], "num_samples": 60},
     ]
+    raw["test"] = [
+        {"ic": [0.0, 2.0], "t_span": [0.0, 0.59], "num_samples": 60},
+        {"ic": [-0.5, 0.5], "t_span": [0.0, 0.99], "num_samples": 100},
+        {"ic": [1.0, -1.0], "t_span": [0.0, 1.19], "num_samples": 120},
+    ]
+    del raw["basin"]
     config_path = write_config(tmp_path, raw)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
     system = make_system("lho")
-    for index, entry in enumerate(raw["train"]):
-        alone = integrate(system, entry["ic"], entry["t_span"], entry["num_samples"])
-        written = load_trajectory_csv(out / f"train_{index:02d}_clean.csv")
-        assert written.states.tobytes() == alone.states.tobytes(), index
-        assert written.t0 == alone.t0
+    for role in ("train", "test"):
+        for index, entry in enumerate(raw[role]):
+            alone = integrate(system, entry["ic"], entry["t_span"], entry["num_samples"])
+            save_trajectory_csv(tmp_path / "alone.csv", alone)
+            written = (out / f"{role}_{index:02d}_clean.csv").read_bytes()
+            assert written == (tmp_path / "alone.csv").read_bytes(), (role, index)

@@ -209,8 +209,8 @@ def test_system_errors_are_wrapped():
         (lambda raw: raw.update(global_seed=-3), "global_seed"),
         (lambda raw: raw.update(integrator={"rel_tol": 0.0}), "integrator.rel_tol must be positive"),
         (lambda raw: raw.update(integrator={"abs_tol": -1e-9}), "integrator.abs_tol must be positive"),
-        (lambda raw: raw.update(integrator={"rel_tol": float("nan")}), "integrator.rel_tol must be positive"),
-        (lambda raw: raw.update(integrator={"abs_tol": float("inf")}), "integrator.abs_tol must be positive"),
+        (lambda raw: raw.update(integrator={"rel_tol": -1.0}), "integrator.rel_tol must be positive"),
+        (lambda raw: raw.update(integrator={"abs_tol": 0.0}), "integrator.abs_tol must be positive"),
     ],
 )
 def test_value_checks(mutate, fragment):
@@ -266,6 +266,19 @@ def test_value_checks(mutate, fragment):
         (lambda raw: raw["train"][0]["noise"].update(seed=10.0), "train[0].noise.seed must be int, got 10.0"),
         (lambda raw: raw.update(global_seed=True), "global_seed must be int, got True"),
         (lambda raw: raw["train"][0]["noise"].update(sigma_pct=True), "sigma_pct must be float, got True"),
+        # Real fields take finite numbers only; JSON's NaN and Infinity parse
+        # as floats, and an integer past the float range overflows.
+        (lambda raw: raw["basin"].update(window=[[-np.inf, 2.0], [-2.0, 2.0]]),
+         "basin.window must be finite, got -inf"),
+        (lambda raw: raw["train"][0]["noise"].update(sigma_pct=np.inf),
+         "train[0].noise.sigma_pct must be finite, got inf"),
+        (lambda raw: raw["system"].update(params={"delta": np.nan}),
+         "system.params.delta must be finite, got nan"),
+        (lambda raw: raw["basin"].update(tol=10**400), "basin.tol must be finite, got inf"),
+        (lambda raw: raw.update(integrator={"rel_tol": float("nan")}),
+         "integrator.rel_tol must be finite, got nan"),
+        (lambda raw: raw.update(integrator={"abs_tol": float("inf")}),
+         "integrator.abs_tol must be finite, got inf"),
         (lambda raw: raw["basin"].update(tol="0.05"), "basin.tol must be float, got '0.05'"),
         (lambda raw: raw.update(integrator={"rel_tol": "1e-9"}),
          "integrator.rel_tol must be float, got '1e-9'"),

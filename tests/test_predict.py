@@ -145,6 +145,27 @@ def test_one_state_model_is_batch_invariant_and_matches_the_loop_reference():
         assert states[i].tobytes() == alone[0].tobytes()
 
 
+def test_one_state_rows_masked_down_to_one_match_the_loop_reference():
+    # Once a mask leaves a single row, the feature sum must not turn into
+    # a pairwise sum over a one-state column.
+    rng = np.random.default_rng(10)
+    config = FeatureConfig(1, 3, 3)
+    basis = monomial_basis(config)
+    assert basis.num_monomials >= 8
+    matrix = 1.5 / config.num_features * rng.normal(size=(1, config.num_features))
+    seeds = rng.normal(size=(6, 3, 1))
+    steps = 60
+    expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
+    kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, 8)
+    rows, keep = np.arange(6), None
+    for lo in range(0, 3 + steps, 8):
+        block = kernel.send(keep)
+        assert block.tobytes() == expected[rows, lo:lo + 8].tobytes(), lo
+        keep = rows == 4 if lo == 16 else None
+        rows = rows if keep is None else rows[keep]
+    assert rows.tolist() == [4]
+
+
 def kernel_case(delays, rows=8, steps=40):
     rng = np.random.default_rng(8)
     config = FeatureConfig(2, delays, 2)
