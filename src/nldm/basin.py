@@ -32,6 +32,7 @@ from .odes import (
     CycleAttractor,
     IntegratorSettings,
     PointAttractor,
+    _check_span,
     _dormand_prince_blocks,
 )
 from .predict import DIVERGENCE_THRESHOLD, _iterate
@@ -51,8 +52,8 @@ __all__ = [
 UNRESOLVED = "unresolved"
 DIVERGED = "diverged"
 
-# Default tolerances for per-cell classification integrations: far looser
-# than trajectory generation, since the capture tolerance dominates.
+# Tolerances of the truth grid's integrations: far looser than trajectory
+# generation, since the capture tolerance dominates.
 GRID_SETTINGS = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9)
 
 _OPEN, _DIVERGED = -1, -2  # capture-walk codes of cells without a label
@@ -98,7 +99,10 @@ def _check_window(window, resolution):
     return (float(x_lo), float(x_hi)), (float(y_lo), float(y_hi))
 
 
-def _check_capture(tol, persistence):
+def _check_capture(tol, persistence=1, steps=1):
+    """The capture rule's parameters, and a scan's step count."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if persistence < 1:
@@ -248,15 +252,14 @@ def ground_truth_grid(
     tol: float = 0.05,
     persistence: int = 10,
     num_samples: int = 401,
-    settings: IntegratorSettings | None = None,
     fixed_coords=None,
 ) -> BasinGrid:
     """Label every cell by integrating its initial condition.
 
     All cells are integrated in one batch over ``(0, horizon)`` by the
-    integrator behind ``integrate``, each on its own adaptive
-    Dormand-Prince steps, and sampled at ``num_samples`` uniform points,
-    so labels never depend on neighboring cells.  The capture walk reads
+    integrator behind ``integrate`` at ``GRID_SETTINGS``, each on its own
+    adaptive Dormand-Prince steps, and sampled at ``num_samples`` uniform
+    points, so labels never depend on neighboring cells.  The capture walk reads
     the samples in blocks, and a cell stops being integrated once it has
     a label.  A cell whose integration fails turns non-finite and is
     ``diverged`` unless a capture completed before.  ``system.rhs`` must
@@ -266,15 +269,13 @@ def ground_truth_grid(
     _check_attractors(system)
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if num_samples < 2:
-        raise ValueError(f"num_samples must be >= 2, got {num_samples}")
+    _check_span((0.0, horizon), num_samples)
     x_range, y_range = _check_window(window, resolution)
     _check_capture(tol, persistence)
-    settings = settings or GRID_SETTINGS
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
 
     blocks = _dormand_prince_blocks(
-        system.rhs, points, (0.0, horizon), num_samples, settings, _BLOCK
+        system.rhs, points, (0.0, horizon), num_samples, GRID_SETTINGS, _BLOCK
     )
     labels = _classify(blocks, system.attractors, tol, persistence)
     return BasinGrid(
@@ -288,8 +289,8 @@ def ground_truth_grid(
             "num_samples": int(num_samples),
             "tol": float(tol),
             "persistence": int(persistence),
-            "rel_tol": settings.rel_tol,
-            "abs_tol": settings.abs_tol,
+            "rel_tol": GRID_SETTINGS.rel_tol,
+            "abs_tol": GRID_SETTINGS.abs_tol,
             "fixed_coords": dict(fixed_coords or {}),
         },
     )
@@ -302,9 +303,7 @@ def _check_operator_scan(operator, system, steps, tol, persistence):
             f"operator has {operator.config.num_states} states, system "
             f"{system.ident!r} has {system.num_states}"
         )
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    _check_capture(tol, persistence)
+    _check_capture(tol, persistence, steps)
 
 
 def _operator_blocks(operator, points, steps, divergence_threshold):

@@ -11,7 +11,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -329,9 +329,9 @@ def main(argv=None) -> int:
     try:
         raw = json.loads(Path(args.config).read_text())
         config = config_from_dict(raw)
-        global_seed = config.global_seed if args.seed is None else args.seed
-        if global_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {global_seed}")
+        # An override obeys the config's own global_seed rule.
+        seeded = config if args.seed is None else replace(config, global_seed=args.seed)
+        global_seed = seeded.global_seed
         out_dir = Path(args.out if args.out else config.output_dir)
         if args.command in ("predict", "evaluate") and not config.test:
             raise ConfigError(f"{args.command} needs at least one test series")

@@ -1,24 +1,36 @@
-"""Experiment configuration: typed dataclasses plus strict JSON parsing.
+"""Experiment configuration: typed dataclasses read by one strict walk.
 
 A configuration names a catalog system, the training and test series to
 simulate from it, the model shape, and optionally a basin scan and the
-integrator tolerances for the series.  Parsing
-is strict: unknown or missing keys are reported by name, every value
-must have its field's JSON type, every series must imply the same
-sampling interval, and a basin section must describe a grid the basin
-module can scan.  ``config_to_dict`` writes every field back out.
+integrator tolerances for the series.  The dataclasses below are the
+schema: ``config_from_dict`` walks their fields and type hints, rejects
+unknown and missing keys, and checks every value's JSON type (an ``int``
+takes an integer, a ``float`` a finite number, a ``str`` a non-empty
+string, a tuple a list and a dataclass or dict an object), naming the
+field by its path, e.g. ``train[0].noise.seed``.  A nested optional field
+takes ``null``; a top-level section is either given or left out.  Each
+value rule lives on the type that owns it, in its ``__post_init__`` or in
+the library function it calls, and its ``ValueError`` comes back as a
+``ConfigError`` with the field's path.  ``config_from_dict`` itself checks
+only what spans sections: the system, each series against the system and
+the model, one shared sampling interval, the model's feature count, and
+the basin scan against its system.  ``config_to_dict`` writes every field
+back out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .basin import _check_attractors, _free_axes
-from .core import _dt_differs
-from .odes import IntegratorSettings, make_system
+from .basin import _check_attractors, _check_capture, _check_window, _free_axes
+from .core import FeatureConfig, _check_positive, _dt_differs
+from .odes import IntegratorSettings, _check_noise, _check_span, make_system
 
 __all__ = [
     "ConfigError",
@@ -43,6 +55,9 @@ class NoiseSpec:
     sigma_pct: float
     seed: int | None = None
 
+    def __post_init__(self):
+        _check_noise(self.sigma_pct, self.seed)
+
 
 @dataclass(frozen=True)
 class SeriesSpec:
@@ -50,6 +65,11 @@ class SeriesSpec:
     t_span: tuple[float, float]
     num_samples: int
     noise: NoiseSpec | None = None
+
+    def __post_init__(self):
+        if not self.ic:
+            raise ValueError("ic must be a non-empty vector")
+        _check_span(self.t_span, self.num_samples)
 
     @property
     def dt(self) -> float:
@@ -61,6 +81,26 @@ class ModelSpec:
     delays: int
     degree: int
 
+    def __post_init__(self):
+        _check_positive(delays=self.delays, degree=self.degree)
+
+
+def _fixed_from_json(raw, path: str) -> tuple[tuple[int, float], ...]:
+    """``basin.fixed`` maps axes to values in JSON; the spec holds the
+    sorted (axis, value) pairs."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must map axes to values, got {raw!r}")
+    fixed = {}
+    for key, value in raw.items():
+        try:
+            axis = int(key, 10)  # JSON keys are strings; only a string parses
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path} axis must be int, got {key!r}") from None
+        if axis in fixed:
+            raise ConfigError(f"{path} names axis {axis} twice")
+        fixed[axis] = _parse(float, value, f"{path} value")
+    return tuple(sorted(fixed.items()))
+
 
 @dataclass(frozen=True)
 class BasinSpec:
@@ -68,16 +108,17 @@ class BasinSpec:
     resolution: int
     steps: int = 1000
     tol: float = 0.05
-    fixed: tuple[tuple[int, float], ...] = ()
+    fixed: tuple[tuple[int, float], ...] = field(default=(), metadata={"parse": _fixed_from_json})
+
+    def __post_init__(self):
+        _check_window(self.window, self.resolution)
+        _check_capture(self.tol, steps=self.steps)
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     ident: str
-    params: dict = field(default_factory=dict)
-
-    def __hash__(self):
-        return hash((self.ident, tuple(sorted(self.params.items()))))
+    params: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -91,169 +132,111 @@ class ExperimentConfig:
     global_seed: int = 0
     integrator: IntegratorSettings | None = None
 
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return mapping[key]
-
-
-def _reject_unknown(mapping: dict, spec, where: str):
-    """``mapping`` must be a dict whose keys are fields of dataclass ``spec``."""
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
-    unknown = sorted(set(mapping) - {f.name for f in fields(spec)})
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    def __post_init__(self):
+        if not self.train:
+            raise ValueError("train must list at least one series")
+        if self.global_seed < 0:
+            raise ValueError(f"global_seed must be >= 0, got {self.global_seed}")
 
 
-# The Python types a field of each kind accepts (a tuple spells a JSON list,
-# as in ``asdict`` output); a bool is none of them.
-_ACCEPTS = {int: (int,), float: (int, float), list: (list, tuple), dict: (dict,)}
+@cache
+def _schema(cls) -> tuple:
+    """Each field of dataclass ``cls`` with its resolved type."""
+    hints = get_type_hints(cls)
+    return tuple((spec, hints[spec.name]) for spec in fields(cls))
 
 
-def _typed(kind, value, name: str):
-    """``kind(value)`` if ``value`` has the field's type, else a ConfigError
-    naming the field: an int field takes only integers, a float field
-    finite integers or reals (JSON's NaN and Infinity parse as floats), a
-    list field a list and a dict field a mapping."""
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kind]):
-        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
-    if kind is not float:
-        return kind(value)
+def _build(cls, raw, path: str):
+    """Dataclass ``cls`` from the mapping ``raw`` at ``path`` ("" for the
+    whole config)."""
+    where = path or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, got {raw!r}")
+    schema = _schema(cls)
+    names = {spec.name for spec, _ in schema}
+    for key in raw:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    prefix = f"{path}." if path else ""
+    values = {}
+    for spec, hint in schema:
+        if spec.name not in raw:
+            if spec.default is MISSING and spec.default_factory is MISSING:
+                raise ConfigError(f"missing required key {spec.name!r} in {where}")
+            continue
+        value = raw[spec.name]
+        if value is None and path and NoneType in get_args(hint):
+            values[spec.name] = None  # only nested optional fields take null
+        elif "parse" in spec.metadata:
+            values[spec.name] = spec.metadata["parse"](value, prefix + spec.name)
+        else:
+            values[spec.name] = _parse(hint, value, prefix + spec.name)
     try:
-        value = float(value)
+        return cls(**values)
+    except ValueError as exc:  # the type's own value rules
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _parse(hint, value, path: str):
+    """``value`` checked against type ``hint`` and converted to it."""
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None, where the caller let no null through
+        (inner,) = [arg for arg in args if arg is not NoneType]
+        return _parse(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path} must be list of {len(args)}, got {value!r}")
+        # Entries are named by their field; only dataclass entries are numbered.
+        return tuple(
+            _parse(arg, entry, f"{path}[{i}]" if is_dataclass(arg) else path)
+            for i, (arg, entry) in enumerate(zip(args, value))
+        )
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be dict, got {value!r}")
+        key_hint, value_hint = args
+        return {
+            _parse(key_hint, key, f"{path} key"): _parse(value_hint, entry, f"{path}.{key}")
+            for key, entry in value.items()
+        }
+    if hint is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path} must be a non-empty string, got {value!r}")
+        return value
+    # A number: an int takes only integers, a float integers or reals,
+    # neither a bool; both must lie in the float range and be finite
+    # (JSON's NaN and Infinity parse as floats).
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else int):
+        raise ConfigError(f"{path} must be {hint.__name__}, got {value!r}")
+    try:
+        number = float(value)
     except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _vector(value, name: str) -> tuple[float, ...]:
-    return tuple(_typed(float, v, name) for v in _typed(list, value, name))
-
-
-def _parse_noise(raw, where: str) -> NoiseSpec | None:
-    if raw is None:
-        return None
-    _reject_unknown(raw, NoiseSpec, where)
-    sigma_pct = _typed(float, _require(raw, "sigma_pct", where), f"{where}.sigma_pct")
-    if sigma_pct < 0:
-        raise ConfigError(f"sigma_pct must be >= 0 in {where}, got {sigma_pct}")
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = _typed(int, seed, f"{where}.seed")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0 in {where}, got {seed}")
-    return NoiseSpec(sigma_pct=sigma_pct, seed=seed)
-
-
-def _parse_series(raw, where: str) -> SeriesSpec:
-    _reject_unknown(raw, SeriesSpec, where)
-    ic = _vector(_require(raw, "ic", where), f"{where}.ic")
-    if not ic:
-        raise ConfigError(f"ic must be a non-empty vector in {where}")
-    t_span = _vector(_require(raw, "t_span", where), f"{where}.t_span")
-    if len(t_span) != 2:
-        raise ConfigError(f"t_span must be [start, end] in {where}")
-    if not t_span[1] > t_span[0]:
-        raise ConfigError(f"t_span must increase in {where}, got {t_span}")
-    num_samples = _typed(int, _require(raw, "num_samples", where), f"{where}.num_samples")
-    if num_samples < 2:
-        raise ConfigError(f"num_samples must be >= 2 in {where}, got {num_samples}")
-    noise = _parse_noise(raw.get("noise"), f"{where}.noise")
-    return SeriesSpec(ic=ic, t_span=t_span, num_samples=num_samples, noise=noise)
-
-
-def _parse_basin(raw, catalog) -> BasinSpec | None:
-    if raw is None:
-        return None
-    where = "basin"
-    _reject_unknown(raw, BasinSpec, where)
-    window_raw = _typed(list, _require(raw, "window", where), "basin.window")
-    window = tuple(_vector(r, "basin.window") for r in window_raw)
-    if len(window) != 2 or any(len(r) != 2 for r in window):
-        raise ConfigError("basin.window must be [[x_lo, x_hi], [y_lo, y_hi]]")
-    if not (window[0][1] > window[0][0] and window[1][1] > window[1][0]):
-        raise ConfigError(f"basin.window must have positive extent, got {window}")
-    resolution = _typed(int, _require(raw, "resolution", where), "basin.resolution")
-    if resolution < 2:
-        raise ConfigError(f"basin.resolution must be >= 2, got {resolution}")
-    steps = _typed(int, raw.get("steps", BasinSpec.steps), "basin.steps")
-    if steps < 1:
-        raise ConfigError(f"basin.steps must be >= 1, got {steps}")
-    tol = _typed(float, raw.get("tol", BasinSpec.tol), "basin.tol")
-    if not tol > 0:
-        raise ConfigError(f"basin.tol must be positive, got {tol}")
-    fixed_raw = raw.get("fixed", {})
-    if not isinstance(fixed_raw, dict):
-        raise ConfigError(f"basin.fixed must map axes to values, got {fixed_raw!r}")
-    fixed = {}
-    for key, value in fixed_raw.items():
-        try:
-            axis = int(key, 10)  # JSON keys are strings; only a string parses
-        except (TypeError, ValueError):
-            raise ConfigError(f"basin.fixed axis must be int, got {key!r}") from None
-        if axis in fixed:
-            raise ConfigError(f"basin.fixed names axis {axis} twice")
-        fixed[axis] = _typed(float, value, "basin.fixed value")
-    try:  # the basin module's own rules for a scan of this system
-        _check_attractors(catalog)
-        _free_axes(catalog.num_states, fixed)
-    except ValueError as exc:
-        raise ConfigError(f"basin: {exc}") from None
-    return BasinSpec(window=window, resolution=resolution, steps=steps, tol=tol,
-                     fixed=tuple(sorted(fixed.items())))
-
-
-def _parse_integrator(raw) -> IntegratorSettings:
-    _reject_unknown(raw, IntegratorSettings, "integrator")
-    tols = {key: _typed(float, value, f"integrator.{key}") for key, value in raw.items()}
-    for key, value in tols.items():
-        if not value > 0:
-            raise ConfigError(f"integrator.{key} must be positive, got {value}")
-    return IntegratorSettings(**tols)
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be finite, got {number!r}")
+    return number if hint is float else value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse and validate a configuration mapping (as loaded from JSON)."""
-    _reject_unknown(raw, ExperimentConfig, "config")
-    system_raw = _require(raw, "system", "config")
-    _reject_unknown(system_raw, SystemSpec, "system")
-    params = _typed(dict, system_raw.get("params", {}), "system.params")
-    system = SystemSpec(
-        ident=str(_require(system_raw, "ident", "system")),
-        params={str(k): _typed(float, v, f"system.params.{k}") for k, v in params.items()},
-    )
+    config = _build(ExperimentConfig, raw, "")
+    system, model = config.system, config.model
     try:
         catalog = make_system(system.ident, **system.params)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
+    try:
+        FeatureConfig(catalog.num_states, model.delays, model.degree)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from None
 
-    model_raw = _require(raw, "model", "config")
-    _reject_unknown(model_raw, ModelSpec, "model")
-    model = ModelSpec(
-        delays=_typed(int, _require(model_raw, "delays", "model"), "model.delays"),
-        degree=_typed(int, _require(model_raw, "degree", "model"), "model.degree"),
-    )
-    if model.delays < 1:
-        raise ConfigError(f"model.delays must be >= 1, got {model.delays}")
-    if model.degree < 1:
-        raise ConfigError(f"model.degree must be >= 1, got {model.degree}")
-
-    train_raw = _typed(list, _require(raw, "train", "config"), "train")
-    if not train_raw:
-        raise ConfigError("train must list at least one series")
-    train = tuple(
-        _parse_series(entry, f"train[{i}]") for i, entry in enumerate(train_raw)
-    )
-    test = tuple(
-        _parse_series(entry, f"test[{i}]")
-        for i, entry in enumerate(_typed(list, raw.get("test") or [], "test"))
-    )
-
-    for role, entries in (("train", train), ("test", test)):
+    for role, entries in (("train", config.train), ("test", config.test)):
         for i, entry in enumerate(entries):
             if len(entry.ic) != catalog.num_states:
                 raise ConfigError(
@@ -266,7 +249,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                     f"support {model.delays} delays"
                 )
 
-    dts = [entry.dt for entry in train + test]
+    dts = [entry.dt for entry in config.train + config.test]
     for i, dt in enumerate(dts[1:], start=1):
         if _dt_differs(dt, dts[0]):
             raise ConfigError(
@@ -274,24 +257,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"implies dt={dt}, series 0 implies dt={dts[0]}"
             )
 
-    basin = _parse_basin(raw.get("basin"), catalog)
-    output_dir = raw.get("output_dir", ExperimentConfig.output_dir)
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
-    global_seed = _typed(int, raw.get("global_seed", ExperimentConfig.global_seed), "global_seed")
-    if global_seed < 0:
-        raise ConfigError(f"global_seed must be >= 0, got {global_seed}")
-
-    return ExperimentConfig(
-        system=system,
-        model=model,
-        train=train,
-        test=test,
-        basin=basin,
-        output_dir=output_dir,
-        global_seed=global_seed,
-        integrator=_parse_integrator(raw["integrator"]) if "integrator" in raw else None,
-    )
+    if config.basin is not None:
+        try:  # the basin module's own rules for a scan of this system
+            _check_attractors(catalog)
+            _free_axes(catalog.num_states, dict(config.basin.fixed))
+        except ValueError as exc:
+            raise ConfigError(f"basin: {exc}") from None
+    return config
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -8,7 +8,6 @@ which total degree the stacked vector is lifted into monomial features.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +138,12 @@ def _dt_differs(dt: float, reference: float) -> bool:
     return abs(dt - reference) > 1e-12 * max(abs(reference), 1.0)
 
 
+def _check_positive(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def feature_dim(num_states: int, delays: int, degree: int) -> int:
     """Number of monomial features of total degree 1..degree in
     ``delays * num_states`` variables (the constant term is excluded).
@@ -148,19 +153,19 @@ def feature_dim(num_states: int, delays: int, degree: int) -> int:
     CapacityError
         If the count exceeds what could ever be materialized.
     """
-    for name, value in (
-        ("num_states", num_states),
-        ("delays", delays),
-        ("degree", degree),
-    ):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    count = math.comb(delays * num_states + degree, degree) - 1
-    if count > FEATURE_CAP:
-        raise CapacityError(
-            f"feature space of size {count} exceeds capacity {FEATURE_CAP}"
-        )
-    return count
+    _check_positive(num_states=num_states, delays=delays, degree=degree)
+    # C(n, degree) - 1, built as C(n, i) for i = 1..min(degree, n - degree),
+    # over which it grows, so a shape far past the cap stops after a few
+    # steps instead of computing a huge binomial.
+    n = int(delays) * int(num_states) + int(degree)
+    count = 1
+    for i in range(1, min(degree, n - degree) + 1):
+        count = count * (n - i + 1) // i
+        if count - 1 > FEATURE_CAP:
+            raise CapacityError(
+                f"feature space of size at least {count - 1} exceeds capacity {FEATURE_CAP}"
+            )
+    return count - 1
 
 
 @dataclass(frozen=True)

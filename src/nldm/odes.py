@@ -72,10 +72,16 @@ class BenchmarkSystem:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances for the adaptive integrator."""
+    """Tolerances for the adaptive integrator, each positive and finite."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
+
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 # Right-hand sides unpack the state row by row, so they also evaluate a
@@ -200,6 +206,17 @@ def integrate(
     return _integrate_series(system, [ic], t_span, num_samples, settings)[0]
 
 
+def _check_span(t_span, num_samples):
+    """A uniformly sampled span: it increases and has at least two
+    samples.  Returns its ends as floats."""
+    t_start, t_end = float(t_span[0]), float(t_span[1])
+    if not t_end > t_start:
+        raise ValueError(f"t_span must increase, got ({t_start}, {t_end})")
+    if num_samples < 2:
+        raise ValueError(f"num_samples must be >= 2, got {num_samples}")
+    return t_start, t_end
+
+
 def _integrate_series(system, ics, t_span, num_samples, settings):
     """``integrate`` for several initial conditions in one batch of
     ``_dormand_prince_blocks``; each series is bitwise the one it gives
@@ -215,12 +232,7 @@ def _integrate_series(system, ics, t_span, num_samples, settings):
             )
         if not np.all(np.isfinite(ic)):
             raise ValueError("initial condition contains non-finite entries")
-    t_start, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t_start:
-        raise ValueError(f"t_span must increase, got ({t_start}, {t_end})")
-    if num_samples < 2:
-        raise ValueError(f"num_samples must be >= 2, got {num_samples}")
-
+    t_start, t_end = _check_span(t_span, num_samples)
     blocks = _dormand_prince_blocks(
         system.rhs, ics, (t_start, t_end), num_samples, settings, num_samples
     )
@@ -392,6 +404,13 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
             )
 
 
+def _check_noise(sigma_pct, seed):
+    if not sigma_pct >= 0:
+        raise ValueError(f"sigma_pct must be >= 0, got {sigma_pct}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def add_noise(trajectory: Trajectory, sigma_pct: float, seed: int) -> Trajectory:
     """Add seeded Gaussian noise scaled per channel.
 
@@ -399,8 +418,7 @@ def add_noise(trajectory: Trajectory, sigma_pct: float, seed: int) -> Trajectory
     that channel's range in the clean data, so constant channels stay
     untouched and ``sigma_pct=0`` returns bit-identical values.
     """
-    if not sigma_pct >= 0:
-        raise ValueError(f"sigma_pct must be >= 0, got {sigma_pct}")
+    _check_noise(sigma_pct, seed)
     rng = np.random.default_rng(seed)
     states = trajectory.states
     scale = (sigma_pct / 100.0) * (states.max(axis=0) - states.min(axis=0))

@@ -1,6 +1,7 @@
 """End-to-end command pipeline: artifacts, exit codes, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +319,17 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, section, key, value):
     config_path = write_config(tmp_path, raw)
     assert main(["basin", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_model_beyond_feature_capacity_exits_2_before_simulating(tmp_path, capsys):
+    # Such a shape once simulated (exit 0), and training then exited 3.
+    root = Path(__file__).resolve().parents[1]
+    raw = json.loads((root / "configs" / "oscillator_noise.json").read_text())
+    raw["model"] = {"delays": 30, "degree": 30}
+    argv = ["simulate", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert "model: feature space of size" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scores_carry_capture_labels(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nldm import IntegratorSettings
 from nldm.config import (
@@ -211,6 +212,9 @@ def test_system_errors_are_wrapped():
         (lambda raw: raw.update(integrator={"abs_tol": -1e-9}), "integrator.abs_tol must be positive"),
         (lambda raw: raw.update(integrator={"rel_tol": -1.0}), "integrator.rel_tol must be positive"),
         (lambda raw: raw.update(integrator={"abs_tol": 0.0}), "integrator.abs_tol must be positive"),
+        # A shape past the feature capacity once failed only in training.
+        (lambda raw: raw.update(model={"delays": 30, "degree": 30}), "model: feature space of size"),
+        (lambda raw: raw.update(model={"delays": 10**9, "degree": 10**9}), "model: feature space of size"),
     ],
 )
 def test_value_checks(mutate, fragment):
@@ -275,6 +279,8 @@ def test_value_checks(mutate, fragment):
         (lambda raw: raw["system"].update(params={"delta": np.nan}),
          "system.params.delta must be finite, got nan"),
         (lambda raw: raw["basin"].update(tol=10**400), "basin.tol must be finite, got inf"),
+        (lambda raw: raw["train"][0].update(num_samples=10**400),
+         "train[0].num_samples must be finite, got inf"),  # once an OverflowError in dt
         (lambda raw: raw.update(integrator={"rel_tol": float("nan")}),
          "integrator.rel_tol must be finite, got nan"),
         (lambda raw: raw.update(integrator={"abs_tol": float("inf")}),
@@ -286,6 +292,9 @@ def test_value_checks(mutate, fragment):
         (lambda raw: raw["basin"].update(window=["03", [0.0, 1.0]]), "basin.window must be list, got '03'"),
         (lambda raw: raw["system"].update(params=[]), "system.params must be dict, got []"),
         (lambda raw: raw.update(test="ab"), "test must be list, got 'ab'"),
+        # A top-level section is given or left out, never null.
+        (lambda raw: raw.update(basin=None), "basin must be a mapping, got None"),
+        (lambda raw: raw.update(test=None), "test must be list, got None"),
     ],
 )
 def test_malformed_values_are_config_errors(mutate, fragment):
@@ -295,6 +304,47 @@ def test_malformed_values_are_config_errors(mutate, fragment):
     mutate(raw)
     with pytest.raises(ConfigError, match=fragment.replace("[", r"\[")):
         config_from_dict(raw)
+
+
+def _paths(node, path=()):
+    """Every path into a JSON-shaped value, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _replaced(raw, path, value):
+    if not path:
+        return value
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def _property_raw():
+    raw = base_raw()
+    raw["basin"]["fixed"] = {}
+    return raw
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(list(_paths(_property_raw()))), _JSON_VALUES)
+def test_any_json_value_anywhere_parses_or_is_a_config_error(path, value):
+    raw = _replaced(_property_raw(), path, value)
+    try:
+        config_from_dict(raw)
+    except ConfigError:
+        pass
 
 
 def mfcd_raw(**basin):

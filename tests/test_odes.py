@@ -173,6 +173,15 @@ def test_integration_validation():
         integrate(system, (1.0,), (0.0, 1.0), 10)
 
 
+@pytest.mark.parametrize(
+    "rel_tol, abs_tol", [(-1e-6, -1e-9), (0.0, 1e-9), (1e-6, 0.0), (np.nan, 1e-9), (1e-6, np.inf)]
+)
+def test_integrator_settings_reject_non_positive_or_non_finite_tolerances(rel_tol, abs_tol):
+    # Negative tolerances once integrated, and a zero one warned and then failed.
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        IntegratorSettings(rel_tol, abs_tol)
+
+
 def test_integration_error_on_blowup():
     # Inverting the two-attractor flow makes |x| explode in finite time.
     system = make_system("two_attractor")

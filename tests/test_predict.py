@@ -1,5 +1,7 @@
 """Iterative prediction under a learned operator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from nldm import (
     DimensionError,
     FeatureConfig,
     LearnedOperator,
+    make_system,
     monomial_basis,
+    operator_grid,
     predict,
 )
 from nldm.features import MonomialBasis
@@ -280,6 +284,22 @@ def test_custom_divergence_threshold():
     )
     assert diverged[0] == 4  # 16 > 8 first appears at sample index 4
     assert np.isnan(states[0, 4:]).all()
+
+
+def test_overflowing_operator_diverges_without_a_warning():
+    # Products of 1e300 and cubes of 1e9 overflow to +-inf and their sums
+    # to NaN; the kernel silences both and cuts the rows to NaN.
+    config = FeatureConfig(2, 1, 3)
+    operator = LearnedOperator(np.full((2, config.num_features), 1e300), config, dt=0.1)
+    seeds = np.array([[[1e9, 1e9]], [[1e9, -1e9]], [[-1e9, 1e9]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, diverged = iterate_batch(seeds, 3, monomial_basis(config), operator.matrix)
+        window = ((1e9, 2e9), (-2e9, -1e9))
+        grid = operator_grid(operator, make_system("two_attractor"), window, 2, steps=3)
+    assert diverged.tolist() == [1, 1, 1]
+    assert np.isnan(states[:, 1:]).all()
+    assert (grid.labels == "diverged").all()
 
 
 # --- validation ------------------------------------------------------------
