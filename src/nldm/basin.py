@@ -21,6 +21,7 @@ that both grids share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,26 +157,35 @@ def _capture_mask(states: np.ndarray, attractor, tol: float) -> np.ndarray:
     raise TypeError(f"unknown attractor type {type(attractor).__name__}")
 
 
-def _capture_walk(block, attractors, tol, persistence, codes, runs):
+def _capture_walk(block, attractors, tol, persistence, codes, runs, work):
     """Walk every cell through one block of samples, shape (cells, T,
     num_states), updating ``codes`` (attractor index, ``_OPEN`` or
     ``_DIVERGED`` per cell) and ``runs`` (capture run per attractor and
-    cell, carried from block to block) in place."""
+    cell, carried from block to block) in place.  ``work`` is a pair of
+    int64 and bool workspaces of at least attractors * cells * T
+    entries, which hold the (attractors, cells, T) arrays."""
     cells, length = block.shape[:2]
     if length == 0:
         return
+    shape = (len(attractors), cells, length)
+    run = work[0][:math.prod(shape)].reshape(shape)
+    hit = work[1][:math.prod(shape)].reshape(shape)
     finite = np.isfinite(block).all(axis=2)
-    hit = np.array([_capture_mask(block, a, tol) for a in attractors], dtype=bool)
-    hit = hit.reshape(len(attractors), cells, length) & finite
+    for attractor, captured in zip(attractors, hit):
+        np.logical_and(_capture_mask(block, attractor, tol), finite, out=captured)
     # A run counts back to the last miss; a carried run of r samples acts
     # as a miss at sample -1 - r.
     t = np.arange(length)
-    run = t - np.maximum.accumulate(np.where(hit, -1 - runs[..., None], t), axis=2)
+    run[...] = t
+    np.copyto(run, -1 - runs[..., None], where=hit)
+    np.maximum.accumulate(run, axis=2, out=run)
+    np.subtract(t, run, out=run)
     runs[:] = run[..., -1]
     # First completed run per attractor, then the first non-finite sample
     # (``length`` if none); the earliest wins, ties in catalog order.
-    first = np.where(run >= persistence, t, length).min(axis=2)
-    bad = np.where(finite, length, t).min(axis=1)
+    done = np.greater_equal(run, persistence, out=hit)
+    first = np.where(done.any(axis=2), done.argmax(axis=2), length)
+    bad = np.where(finite.all(axis=1), length, (~finite).argmax(axis=1))
     first = np.vstack([first, bad])
     winner = first.argmin(axis=0)
     settled = (codes == _OPEN) & (first.min(axis=0) < length)
@@ -188,15 +198,21 @@ def _classify(blocks, attractors, tol, persistence):
     The first block holds every cell, shape (cells, T, num_states).  After
     each block it sends the generator a mask of that block's cells
     that are still open, and the next block holds only those; it stops
-    once no cell is open or the blocks run out.
+    once no cell is open or the blocks run out.  The capture walk's
+    workspaces are sized for the first block and grow only for a larger
+    one.
     """
     block = next(blocks)
     rows = np.arange(len(block))
     codes = np.full(len(block), _OPEN)
     runs = np.zeros((len(attractors), len(block)), dtype=np.int64)
+    work = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
     while True:
+        size = len(attractors) * block.shape[0] * block.shape[1]
+        if size > work[0].size:
+            work = (np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
         open_codes, open_runs = codes[rows], runs[:, rows]
-        _capture_walk(block, attractors, tol, persistence, open_codes, open_runs)
+        _capture_walk(block, attractors, tol, persistence, open_codes, open_runs, work)
         codes[rows], runs[:, rows] = open_codes, open_runs
         still_open = open_codes == _OPEN
         rows = rows[still_open]

@@ -49,10 +49,10 @@ def save_trajectory_csv(path, trajectory: Trajectory) -> None:
         f"# dt={_fmt(trajectory.dt)} t0={_fmt(trajectory.t0)} {prov_text}",
         "t," + ",".join(f"x{n + 1}" for n in range(trajectory.num_states)),
     ]
-    # One %-format per row writes what _fmt writes for every value.
-    row_format = ",".join(["%.17g"] * (trajectory.num_states + 1))
-    rows = np.column_stack([trajectory.times, trajectory.states]).tolist()
-    lines.extend(row_format % tuple(row) for row in rows)
+    # One %-format for every row writes what _fmt writes for each value.
+    values = np.column_stack([trajectory.times, trajectory.states])
+    row_format = ",".join(["%.17g"] * values.shape[1])
+    lines.append("\n".join([row_format] * len(values)) % tuple(values.ravel().tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 

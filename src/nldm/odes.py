@@ -11,9 +11,13 @@ for basin classification) as a function of those parameters.
 One integrator serves every caller: an adaptive Dormand-Prince 5(4)
 pair, written out here with numpy only, that advances a batch of start
 points at once, keeps every one on its own steps, and samples each from
-its dense output on a uniform time grid.  Training and test series, a
-config's series of one span and length, and whole basin grids each run
-as one batch; a series comes out bitwise the same alone or batched.
+its dense output on a uniform time grid.  A step keeps its seven stage
+derivatives in one (stages, num_states, cells) workspace allocated once
+per run, and forms each stage, the update, the error estimate and the
+dense-output coefficients as one product of tableau weights and stages
+summed over the stage axis, in stage order.  Training and test series,
+a config's series of one span and length, and whole basin grids each
+run as one batch; a series comes out bitwise the same alone or batched.
 """
 
 from __future__ import annotations
@@ -275,18 +279,22 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
-def _weighted_sum(weights, terms):
-    """``sum_j weights[j] * terms[j]`` added in index order, elementwise:
-    a BLAS reduction could make a cell's result depend on its batch."""
-    total = weights[0] * terms[0]
-    for weight, term in zip(weights[1:], terms[1:]):
-        total = total + weight * term
-    return total
+def _sum_planes(terms):
+    """``terms[0] + terms[1] + ...`` elementwise, added in index order.
+
+    numpy reduces a leading axis plane by plane, as that loop would, once
+    a plane holds two or more elements; a one-element plane is summed two
+    wide, since over a single element numpy may take a pairwise sum.  A
+    BLAS reduction could make a cell's result depend on its batch.
+    """
+    if terms[0].size == 1:
+        return np.add.reduce(np.repeat(terms, 2, axis=-1), axis=0)[..., :1]
+    return np.add.reduce(terms, axis=0)
 
 
 def _rms(rows):
     """RMS over the state rows of a (num_states, cells) array."""
-    return np.sqrt(_weighted_sum(rows, rows)) / len(rows) ** 0.5
+    return np.sqrt(_sum_planes(rows * rows)) / len(rows) ** 0.5
 
 
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
@@ -318,15 +326,18 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     After each block the caller may send a boolean mask over its cells;
     only the cells kept are integrated further.  A cell whose step size
     falls below ten times the spacing of floats at its time fails, and
-    its remaining samples are NaN.  Every stage, error and dense-output
-    combination is an elementwise sum in a fixed order, so a cell's
-    samples are bitwise the same alone or in any batch.
+    its remaining samples are NaN.  Each stage, the update, the error
+    estimate and the dense-output coefficients are one product of
+    weights and stage derivatives summed over the stage axis in stage
+    order, and the stages of a single cell are broadcast into two
+    columns (see ``_sum_planes``), so a cell's samples are bitwise the
+    same alone or in any batch.
     """
     rtol, atol = settings.rel_tol, settings.abs_tol
     t_start, t_end = t_span
     times = np.linspace(t_start, t_end, num_samples)
     y = np.array(starts, dtype=float).T
-    cells = y.shape[1]
+    num_states, cells = y.shape
     t = np.full(cells, t_start)
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_end - t_start, rtol, atol)
@@ -337,6 +348,21 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     # one it evaluates to the start point at the start time.
     t_old, h, y_old = t.copy(), np.ones(cells), y.copy()
     q = np.zeros((_P.shape[1],) + y.shape)
+    # The stage derivatives, (stages, num_states, width), and their
+    # weighted terms live in workspaces sized for the first step; later
+    # steps, with fewer cells, take views of their leading entries.
+    plane = num_states * max(cells, 2)
+    stage_space = np.empty(len(_E) * plane)
+    terms_space = np.empty(_P.size * plane)
+
+    def combine(weights, stages):
+        """Sum ``weights[i] * stages[i]`` over the leading (stage) axis,
+        stage by stage in order; each weight scales a (num_states, width)
+        plane."""
+        terms = terms_space[:weights.size * stages[0].size].reshape(
+            weights.shape + stages.shape[-2:]
+        )
+        return np.add.reduce(np.multiply(weights[..., None, None], stages, out=terms), axis=0)
 
     def emit(rows):
         """Write the block's samples that the rows' last steps cover."""
@@ -346,19 +372,22 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
         offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         sample = np.repeat(emitted[rows], counts) + offset
         x = (times[sample] - t_old[cell]) / h[cell]
-        powers = [x]
-        for _ in range(1, len(q)):
-            powers.append(powers[-1] * x)
-        values = h[cell] * _weighted_sum(powers, q[:, :, cell]) + y_old[:, cell]
+        # Powers x, x**2, ... of the dense output, each the last times x.
+        terms = q.take(cell, axis=2)
+        power = x
+        for coefficient in terms:
+            coefficient *= power
+            power = power * x
+        values = h[cell] * _sum_planes(terms) + y_old.take(cell, axis=1)
         out[cell, sample - first] = values.T
         emitted[rows] = upto
 
     for first in range(0, num_samples, block):
         stop = min(first + block, num_samples)
-        out = np.full((len(t), stop - first, y.shape[0]), np.nan)
+        out = np.full((len(t), stop - first, num_states), np.nan)
         emit(np.arange(len(t)))
         while True:
-            rows = np.flatnonzero(~failed & (emitted < stop))
+            rows = (~failed & (emitted < stop)).nonzero()[0]
             if not rows.size:
                 break
             t0, y0, f0 = t[rows], y[:, rows], f[:, rows]
@@ -371,17 +400,24 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
 
             t1 = np.minimum(t0 + size, t_end)
             step = t1 - t0
-            k = [f0]
+            # A single cell fills both columns, and sums keep its first.
+            n = rows.size
+            width = 2 if n == 1 else n
+            k = stage_space[:len(_E) * num_states * width].reshape(len(_E), num_states, width)
+            k[0] = f0
             for stage in range(1, len(_C)):
-                dy = _weighted_sum(_A[stage, :stage], k) * step
-                k.append(rhs(t0 + _C[stage] * step, y0 + dy))
-            y1 = y0 + step * _weighted_sum(_B, k)
-            k.append(rhs(t1, y1))
+                dy = combine(_A[stage, :stage], k[:stage])[:, :n] * step
+                k[stage] = rhs(t0 + _C[stage] * step, y0 + dy)
+            y1 = y0 + step * combine(_B, k[:-1])[:, :n]
+            k[-1] = rhs(t1, y1)
             scale = atol + np.maximum(np.abs(y0), np.abs(y1)) * rtol
-            error = _rms(_weighted_sum(_E, k) * step / scale)
+            error = _rms(combine(_E, k) * step / scale)[:n]
 
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 factor = _SAFETY * error**_ERROR_EXPONENT
+                # Every cell's coefficients; a rejected step's stages may
+                # be non-finite, and only accepted steps keep theirs.
+                coefficients = combine(_P, k[:, None])[..., :n]
             accept = error < 1
             grow = np.where(error == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
             grow = np.where(rejected[rows], np.minimum(1.0, grow), grow)
@@ -391,9 +427,8 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
 
             done = rows[accept]
             t_old[done], h[done], y_old[:, done] = t0[accept], step[accept], y0[:, accept]
-            k = [stage[:, accept] for stage in k]
-            q[:, :, done] = [_weighted_sum(_P[:, j], k) for j in range(len(q))]
-            t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1]
+            q[:, :, done] = coefficients[..., accept]
+            t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1, :, :n][:, accept]
             emit(done)
 
         keep = yield out

@@ -5,21 +5,25 @@ window and applies the operator matrix to produce the next state.
 ``_iterate`` is the one loop that steps an operator, for forecasts,
 training re-prediction and operator basin grids.  It is a block source
 like ``odes._dormand_prince_blocks``: it yields each row's seeds and then
-its forecast as (rows, T, num_states) blocks, and after each block takes
-a mask of the rows to step further.  It holds its arrays state-major,
-one column per row, with the last ``delays`` states in a ring buffer,
-and works in buffers allocated once per run.  The lift takes one
-multiply per run of monomials (see ``MonomialBasis``); the update takes
-the same numpy calls whatever the feature count.  It is one
-``np.add.reduce`` over the outer (feature) axis of the (features,
+its forecast as fresh (rows, T, num_states) blocks, and after each block
+takes a mask of the rows to step further.  It holds its arrays
+state-major, one column per row, and works in buffers allocated once per
+run.  A block's samples live in one history buffer, newest first, with
+the previous ``delays`` samples carried in behind them, so a step's
+window is one contiguous slice and the step writes its state in place.
+The lift takes one multiply per run of monomials (see ``MonomialBasis``);
+the update takes the same numpy calls whatever the feature count.  It is
+one ``np.add.reduce`` over the outer (feature) axis of the (features,
 states, columns) products, starting from +0.0, and numpy adds such
 planes elementwise in feature order, as a loop of ``+=`` would.  The
-reduction is at least two columns wide (a single row is broadcast into
-both), since over one state and one column numpy would take a pairwise
-sum instead.  So a row's samples are bitwise identical alone or in a
-batch of any size, in blocks of any length.  Once a produced state
-exceeds the divergence threshold in max-norm (or is non-finite), the
-rest of the trajectory is NaN.
+reduction is at least two columns wide (a single row fills both), since
+over one state and one column numpy would take a pairwise sum instead.
+So a row's samples are bitwise identical alone or in a batch of any
+size, in blocks of any length.  Once a produced state exceeds the
+divergence threshold in max-norm (or is non-finite), the rest of the
+trajectory is NaN; the test runs once per block, which gives the same
+samples as a test after every step, since a row's later samples depend
+only on its earlier ones.
 """
 
 from __future__ import annotations
@@ -54,53 +58,78 @@ def _iterate(seeds, steps, basis, matrix, divergence_threshold, block):
     the rows of that block to step further."""
     n, delays, num_states = seeds.shape
     span = delays * num_states
-    # Ring of the last ``delays`` states, written twice, shape (2 * delays
-    # * S, rows): sample t lives in slot delays - 1 - t % delays and in
-    # that slot plus delays, so the lags of a step, newest first, are the
-    # ``delays`` slots from the newest sample's on, one contiguous slice.
-    ring = np.tile(seeds.transpose(1, 2, 0)[::-1].reshape(span, n), (2, 1))
+    seed_columns = seeds.transpose(1, 2, 0)  # (delays, S, rows)
     weights = np.ascontiguousarray(matrix.T)[:, :, None]
     num_features = weights.shape[0]
-    # Workspaces sized for the first block; later blocks, which hold
-    # fewer rows, take contiguous views of their leading entries.
-    lift_space = np.empty(num_features * n)
-    terms_space = np.empty(num_features * num_states * max(n, 2))
-    nxt_space = np.empty(num_states * max(n, 2))
     total = delays + steps
+    # An infinite threshold still cuts non-finite states.
+    bound = min(divergence_threshold, np.finfo(float).max)
+    # Workspaces sized for the first block; later blocks, which hold
+    # fewer rows or samples, take contiguous views of their leading
+    # entries.  The history holds a block's samples newest first and the
+    # ``delays`` samples before them behind, shape (length + delays, S,
+    # width), so the lags of a step, newest first, are one contiguous
+    # slice.  It is at least two columns wide, a single row filling both:
+    # with one state, a one-column sum would take numpy's pairwise sum,
+    # not the feature order.
+    wide = 2 if n == 1 else n
+    lift_space = np.empty(num_features * wide)
+    terms_space = np.empty(num_features * num_states * wide)
+    history_space = np.empty((min(block, total) + delays) * num_states * wide)
+    rows, carried = n, None
     for first in range(0, total, block):
-        stop = min(first + block, total)
-        rows = ring.shape[1]
-        halves = ring.reshape(2, span, rows)
-        # The sum is at least two columns wide, which a single row's lift
-        # broadcasts into: with one state, a one-column reduction would
-        # take numpy's pairwise sum, not the feature order.
+        length = min(first + block, total) - first
         width = 2 if rows == 1 else rows
-        lift = lift_space[:num_features * rows].reshape(num_features, rows)
+        history = history_space[:(length + delays) * num_states * width].reshape(
+            length + delays, num_states, width
+        )
+        lift = lift_space[:num_features * width].reshape(num_features, width)
         terms = terms_space[:num_features * num_states * width].reshape(
             num_features, num_states, width
         )
-        nxt = nxt_space[:num_states * width].reshape(num_states, width)
-        # One state-major column per sample: a (rows, T, S) buffer fills slower.
-        out = np.empty((num_states, rows, stop - first))
+        if carried is not None:
+            history[length:] = carried
+        # Sample first + j sits at position length - 1 - j.
+        seeded = max(min(first + length, delays) - first, 0)
+        history[length - seeded:length] = seed_columns[first:first + seeded][::-1]
+        stepped = length - seeded  # produced samples, at positions 0 .. stepped - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(first, stop):
-                slot = (delays - 1 - t % delays) * num_states
-                if t >= delays:
-                    newest = (slot + num_states) % span
-                    basis._evaluate_rows(ring[newest:newest + span], lift)
-                    np.multiply(weights, lift[:, None, :], out=terms)
-                    # Adds the feature planes in order from +0.0.
-                    np.add.reduce(terms, axis=0, initial=0.0, out=nxt)
-                    # A NaN maximum compares False, so non-finite rows are
-                    # bad too; terms is free once summed.
-                    bad = ~(np.abs(nxt, out=terms[0]).max(axis=0) <= divergence_threshold)
-                    if bad.any():
-                        nxt[:, bad] = np.nan
-                    halves[:, slot:slot + num_states] = nxt[:, :rows]
-                out[:, :, t - first] = ring[slot:slot + num_states]
-        keep = yield out.transpose(1, 2, 0)
+            for i in range(stepped - 1, -1, -1):
+                basis._evaluate_rows(history[i + 1:i + 1 + delays].reshape(span, width), lift)
+                np.multiply(weights, lift[:, None, :], out=terms)
+                # Adds the feature planes in order from +0.0.
+                np.add.reduce(terms, axis=0, initial=0.0, out=history[i])
+        if stepped:
+            _cut_divergent(history[:stepped], bound)
+        # A fresh block, state-major in memory like the kernel's arrays.
+        samples = history[length - 1::-1, :, :rows].transpose(1, 2, 0)
+        keep = yield samples.copy().transpose(1, 2, 0)
+        carried = history[:delays]
         if keep is not None:
-            ring = ring[:, keep]
+            carried = carried[:, :, :rows][:, :, keep]
+            seed_columns = seed_columns[:, :, keep]
+            rows = carried.shape[2]
+
+
+def _cut_divergent(produced, divergence_threshold):
+    """NaN every produced sample, shape (samples, S, columns) newest
+    first, from each column's first one on whose max-norm is not within
+    the threshold (a NaN bound compares False, so non-finite ones too).
+    A row's later samples depend only on its earlier ones, so this is
+    the rule applied step by step."""
+
+    def within(samples, axis):
+        return ((samples.max(axis=axis) <= divergence_threshold)
+                & (samples.min(axis=axis) >= -divergence_threshold))
+
+    bad = (~within(produced, (0, 1))).nonzero()[0]
+    if bad.size:
+        samples = produced[:, :, bad]
+        # The first bad sample in time is the last one in the history.
+        sample_bad = ~within(samples, 1)
+        last = len(produced) - 1 - sample_bad[::-1].argmax(axis=0)
+        cut = np.arange(len(produced))[:, None] <= last
+        produced[:, :, bad] = np.where(cut[:, None], np.nan, samples)
 
 
 def iterate_batch(

@@ -14,7 +14,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 
 def enumerate_monomial_exponents(num_vars: int, degree: int) -> set[tuple[int, ...]]:
@@ -220,3 +220,110 @@ def per_cell_truth_labels(system, points, horizon, num_samples, tol, persistence
         )
         for point in points
     ]
+
+
+def _loop_weighted_sum(weights, terms):
+    """``sum_j weights[j] * terms[j]``, added term by term in index order."""
+    total = weights[0] * terms[0]
+    for weight, term in zip(weights[1:], terms[1:]):
+        total = total + weight * term
+    return total
+
+
+def _loop_rms(rows):
+    return np.sqrt(_loop_weighted_sum(rows, rows)) / len(rows) ** 0.5
+
+
+def loop_dormand_prince(rhs, starts, t_span, num_samples, rel_tol, abs_tol):
+    """Batched Dormand-Prince 5(4) samples, shape (cells, num_samples,
+    num_states), with every stage, error and dense-output sum formed one
+    weighted term at a time.
+
+    The same steps, step-size control, initial step and quartic dense
+    output as ``odes._dormand_prince_blocks``, whose samples it pins
+    bitwise: scipy's RK45 tableau, per-cell step sizes, failure below ten
+    float spacings of the time (the rest of the cell is NaN), one block.
+    """
+    c, a, b, e, p = RK45.C, RK45.A, RK45.B, RK45.E, RK45.P
+    safety, min_factor, max_factor, exponent = 0.9, 0.2, 10.0, -1 / 5
+    t_start, t_end = t_span
+    times = np.linspace(t_start, t_end, num_samples)
+    y = np.array(starts, dtype=float).T
+    cells = y.shape[1]
+    t = np.full(cells, t_start)
+    f = rhs(t, y)
+
+    # Initial step of Solving ODEs I, II.4.
+    scale = abs_tol + np.abs(y) * rel_tol
+    d0, d1 = _loop_rms(y / scale), _loop_rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_end - t_start)
+        d2 = _loop_rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** -exponent,
+        )
+    h_abs = np.minimum(np.minimum(100 * h0, h1), t_end - t_start)
+
+    rejected = np.zeros(cells, dtype=bool)
+    failed = np.zeros(cells, dtype=bool)
+    emitted = np.zeros(cells, dtype=np.int64)
+    t_old, h, y_old = t.copy(), np.ones(cells), y.copy()
+    q = np.zeros((p.shape[1],) + y.shape)
+    out = np.full((cells, num_samples, y.shape[0]), np.nan)
+
+    def emit(rows):
+        upto = np.searchsorted(times, t[rows], side="right")
+        counts = upto - emitted[rows]
+        cell = np.repeat(rows, counts)
+        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        sample = np.repeat(emitted[rows], counts) + offset
+        x = (times[sample] - t_old[cell]) / h[cell]
+        powers = [x]
+        for _ in range(1, len(q)):
+            powers.append(powers[-1] * x)
+        values = h[cell] * _loop_weighted_sum(powers, q[:, :, cell]) + y_old[:, cell]
+        out[cell, sample] = values.T
+        emitted[rows] = upto
+
+    emit(np.arange(cells))
+    while True:
+        rows = np.flatnonzero(~failed & (emitted < num_samples))
+        if not rows.size:
+            return out
+        t0, y0, f0 = t[rows], y[:, rows], f[:, rows]
+        min_step = 10 * np.abs(np.nextafter(t0, np.inf) - t0)
+        size = np.where(rejected[rows], h_abs[rows], np.maximum(h_abs[rows], min_step))
+        too_small = ~(size >= min_step)
+        failed[rows[too_small]] = True
+        live = ~too_small
+        rows, t0, y0, f0, size = rows[live], t0[live], y0[:, live], f0[:, live], size[live]
+
+        t1 = np.minimum(t0 + size, t_end)
+        step = t1 - t0
+        k = [f0]
+        for stage in range(1, len(c)):
+            dy = _loop_weighted_sum(a[stage, :stage], k) * step
+            k.append(rhs(t0 + c[stage] * step, y0 + dy))
+        y1 = y0 + step * _loop_weighted_sum(b, k)
+        k.append(rhs(t1, y1))
+        scale = abs_tol + np.maximum(np.abs(y0), np.abs(y1)) * rel_tol
+        error = _loop_rms(_loop_weighted_sum(e, k) * step / scale)
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            factor = safety * error**exponent
+        accept = error < 1
+        grow = np.where(error == 0, max_factor, np.minimum(max_factor, factor))
+        grow = np.where(rejected[rows], np.minimum(1.0, grow), grow)
+        shrink = np.fmax(min_factor, factor)
+        h_abs[rows] = step * np.where(accept, grow, shrink)
+        rejected[rows] = ~accept
+
+        done = rows[accept]
+        t_old[done], h[done], y_old[:, done] = t0[accept], step[accept], y0[:, accept]
+        k = [stage[:, accept] for stage in k]
+        q[:, :, done] = [_loop_weighted_sum(p[:, j], k) for j in range(len(q))]
+        t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1]
+        emit(done)

@@ -76,6 +76,27 @@ def test_trajectory_rows_are_written_as_fmt_writes_each_value(tmp_path):
     assert rows[2].split(",")[1:] == ["inf", "4.9406564584124654e-324"]
 
 
+def test_trajectory_file_bytes_are_fmt_of_each_value(tmp_path):
+    # The whole file, header to last newline, for three states whose
+    # columns mix ordinary values with every special a float can hold.
+    rng = np.random.default_rng(12)
+    states = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+    specials = [-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, np.finfo(float).max]
+    states[rng.integers(0, 40, 24), rng.integers(0, 3, 24)] = np.resize(specials, 24)
+    trajectory = Trajectory(states, dt=0.05, t0=-1.25, provenance=Provenance.noisy(0.5, 3))
+    path = tmp_path / "series.csv"
+    save_trajectory_csv(path, trajectory)
+    lines = [
+        f"# dt={_fmt(0.05)} t0={_fmt(-1.25)} provenance=noisy sigma_pct={_fmt(0.5)} seed=3",
+        "t,x1,x2,x3",
+        *(",".join(_fmt(v) for v in [t, *row]) for t, row in zip(trajectory.times, states)),
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert {"-0", "0", "4.9406564584124654e-324", "inf", "-inf", "nan"} <= set(
+        path.read_text().replace("\n", ",").split(",")
+    )
+
+
 def test_trajectory_loader_names_file_and_line(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text(

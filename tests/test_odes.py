@@ -255,6 +255,30 @@ def test_batched_grid_integrator_matches_solve_ivp(ident):
         np.testing.assert_allclose(got, reference, rtol=0, atol=1e-9)
 
 
+ONE_STATE = BenchmarkSystem(
+    ident="one_state", params={}, num_states=1, attractors=(),
+    rhs=lambda t, state: np.array([np.cos(t) - state[0] ** 3]),
+)
+
+
+@pytest.mark.parametrize("ident", ALL_IDENTS + ["one_state"])
+def test_integrator_samples_match_the_term_by_term_stepper_bitwise(ident):
+    # Each start point alone and the five in one batch, in blocks of one
+    # sample, of the capture walk's 32 and of the whole span.  With one
+    # state and one cell, every stage sum reduces a single column.
+    system = ONE_STATE if ident == "one_state" else make_system(ident)
+    points = np.random.default_rng(9).uniform(-2.0, 2.0, (5, system.num_states))
+    span, num_samples, tols = (0.5, 3.0), 120, (1e-8, 1e-11)
+    settings = IntegratorSettings(*tols)
+    batches = [points[i:i + 1] for i in range(5)] + [points]
+    for starts in batches:
+        expected = oracles.loop_dormand_prince(system.rhs, starts, span, num_samples, *tols)
+        for block in (1, 32, num_samples):
+            blocks = _dormand_prince_blocks(system.rhs, starts, span, num_samples, settings, block)
+            got = np.concatenate(list(blocks), axis=1)
+            assert got.tobytes() == expected.tobytes(), (len(starts), block)
+
+
 def test_dnls_energy_never_increases():
     system = make_system("dnls")
     traj = integrate(system, (1.5, -0.5), (0.0, 12.0), 1200)

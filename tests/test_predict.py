@@ -268,6 +268,84 @@ def test_divergence_marks_first_bad_step():
     assert states.shape == (steps + 1, 1)
 
 
+def divergence_case(case):
+    """A delays-2 cubic model on two states and seed rows that leave the
+    divergence threshold in different ways."""
+    delays = 2
+    config = FeatureConfig(2, delays, 3)
+    basis = monomial_basis(config)
+    index = {tuple(row): j for j, row in enumerate(basis.exponents)}
+    matrix = np.zeros((2, config.num_features))
+    rng = np.random.default_rng(11)
+    if case == "crossing":
+        # x_t = 2 x_{t-1} and y_t = y_{t-1} / 2.  A newest x seed of
+        # +-1.5e6 / 2**i first leaves the threshold at sample delays - 1 + i,
+        # so every block size has rows that first go bad at the first (past
+        # the seeds), a middle and the last sample of a block.
+        matrix[0, index[1, 0, 0, 0]], matrix[1, index[0, 1, 0, 0]] = 2.0, 0.5
+        i = np.arange(1, 61)
+        seeds = np.zeros((len(i) + 4, delays, 2))
+        seeds[:len(i), -1, 0] = 1.5e6 / 2.0**i * rng.choice([-1.0, 1.0], len(i))
+        # Samples exactly at +-threshold are within it; the next are not.
+        seeds[len(i):len(i) + 2, -1, 0] = 1e6 / 2.0**7, -1e6 / 2.0**9
+        seeds[:, :, 1] = rng.uniform(-1.0, 1.0, (len(seeds), delays))
+        # Finite seeds above the threshold stay: an older x that no step
+        # reads, and a newest y that halves back within the threshold.
+        seeds[-2, 0, 0] = 5e6
+        seeds[-1, -1, 1] = -1.5e6
+    else:
+        # x_t = 1e300 x_{t-1}**3 + 1e305 x_{t-2} and y_t = 1e300 y_{t-1}**3:
+        # rows go from within the threshold straight to +-inf or, as
+        # inf - inf, to NaN, with no finite sample above it.
+        matrix[0, index[3, 0, 0, 0]], matrix[0, index[0, 0, 1, 0]] = 1e300, 1e305
+        matrix[1, index[0, 3, 0, 0]] = 1e300
+        seeds = np.array([
+            [[0.0, 0.0], [1e3, 0.0]],     # +inf at sample 2
+            [[0.0, 0.0], [-1e3, 0.0]],    # -inf at sample 2
+            [[-1e5, 0.0], [1e3, 0.0]],    # NaN at sample 2
+            [[1e-300, 0.0], [0.0, 0.0]],  # 1e5 at sample 2, inf at 3
+            [[0.0, 0.0], [0.0, 2e3]],     # y to inf at sample 2
+            [[0.0, 0.0], [0.0, 0.0]],     # stays at zero
+        ])
+    return seeds, 60, basis, matrix
+
+
+@pytest.mark.parametrize("case", ["crossing", "overflow"])
+def test_blockwise_divergence_cut_matches_the_loop_reference_bitwise(case):
+    seeds, steps, basis, matrix = divergence_case(case)
+    n, delays = seeds.shape[:2]
+    length = delays + steps
+    expected, expected_div = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
+    assert (expected_div >= 0).sum() == (n - 2 if case == "crossing" else n - 1)
+    above = (np.abs(seeds) > DIVERGENCE_THRESHOLD).sum()
+    assert np.isfinite(seeds).all() and above == (2 if case == "crossing" else 0)
+    diverged = np.flatnonzero(expected_div >= 0)
+    for size in sorted({1, delays, 7, 32, length}):
+        if case == "crossing":
+            offsets = set(expected_div[diverged] % size)
+            assert {size // 2, size - 1} | ({0} if size < length else set()) <= offsets
+        kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, size)
+        rows, pieces, keep = np.arange(n), {row: [] for row in range(n)}, None
+        for lo in range(0, length, size):
+            block = kernel.send(keep)
+            for row, samples in zip(rows, block):
+                pieces[row].append(samples)
+            # Every other row that went bad before sample 20 is dropped
+            # in the block that holds it.
+            drop = (lo <= 20 < lo + size) & (expected_div[rows] >= 0) & (
+                expected_div[rows] < 20) & (rows % 2 == 0)
+            keep = ~drop
+            rows = rows[keep]
+        assert len(rows) < n
+        for row, samples in pieces.items():
+            got = np.concatenate(samples)
+            assert got.tobytes() == expected[row, :len(got)].tobytes(), (size, row)
+        assert all(len(np.concatenate(pieces[row])) == length for row in rows)
+    states, diverged_at = iterate_batch(seeds, steps, basis, matrix)
+    assert states.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(diverged_at, expected_div)
+
+
 def test_contracting_map_never_diverges():
     operator = scalar_operator(0.99)
     prediction = predict(operator, np.array([[100.0]]), steps=200)
@@ -284,6 +362,20 @@ def test_custom_divergence_threshold():
     )
     assert diverged[0] == 4  # 16 > 8 first appears at sample index 4
     assert np.isnan(states[0, 4:]).all()
+
+
+def test_infinite_threshold_still_cuts_non_finite_states():
+    # Tenfold steps from 1e300 and 1.0 overflow to inf, which no
+    # threshold admits, at samples 9 and 309.
+    config = FeatureConfig(num_states=1, delays=1, degree=1)
+    basis = monomial_basis(config)
+    seeds, matrix = np.array([[[1e300]], [[1.0]]]), np.array([[10.0]])
+    states, diverged = iterate_batch(seeds, 320, basis, matrix, divergence_threshold=np.inf)
+    expected, expected_div = oracles.loop_iterate(
+        seeds, 320, basis.exponents, matrix, divergence_threshold=np.inf
+    )
+    assert states.tobytes() == expected.tobytes()
+    assert diverged.tolist() == expected_div.tolist() == [9, 309]
 
 
 def test_overflowing_operator_diverges_without_a_warning():
