@@ -16,7 +16,8 @@ yield the open cells' samples, start point first, as (cells, T,
 num_states) blocks, and after each block take the mask of cells still
 open, so a labeled cell stops being advanced.  Both are bitwise
 independent of the batch, so refining the grid never relabels a point
-that both grids share.
+that both grids share.  Both grids describe a scan as ``steps`` steps of
+``dt`` and label it through ``_scan``; only their block sources differ.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from .odes import (
     CycleAttractor,
     IntegratorSettings,
     PointAttractor,
-    _check_span,
     _dormand_prince_blocks,
 )
-from .predict import DIVERGENCE_THRESHOLD, _iterate
+from .predict import _iterate
 
 __all__ = [
     "UNRESOLVED",
     "DIVERGED",
+    "PERSISTENCE",
     "BasinGrid",
     "GridAgreement",
     "ground_truth_grid",
@@ -56,6 +57,14 @@ DIVERGED = "diverged"
 # Tolerances of the truth grid's integrations: far looser than trajectory
 # generation, since the capture tolerance dominates.
 GRID_SETTINGS = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9)
+
+PERSISTENCE = 10  # consecutive captured samples that complete a capture
+
+# Truth cells are sampled min(steps, _TRUTH_INTERVALS) + 1 times over
+# steps * dt.  Sampling every dt took 2-3x the truth-grid time (two_attractor,
+# 2000 steps, 2 cores: 0.46 -> 1.36 s at 100²), all in dense output and the
+# capture walk over 5x the samples; it waits for a cheaper per-sample source.
+_TRUTH_INTERVALS = 400
 
 _OPEN, _DIVERGED = -1, -2  # capture-walk codes of cells without a label
 _BLOCK = 32  # samples per capture-walk block
@@ -100,14 +109,12 @@ def _check_window(window, resolution):
     return (float(x_lo), float(x_hi)), (float(y_lo), float(y_hi))
 
 
-def _check_capture(tol, persistence=1, steps=1):
-    """The capture rule's parameters, and a scan's step count."""
+def _check_capture(tol, steps=1):
+    """The capture tolerance, and a scan's step count."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if persistence < 1:
-        raise ValueError(f"persistence must be >= 1, got {persistence}")
 
 
 def _check_attractors(system):
@@ -157,7 +164,7 @@ def _capture_mask(states: np.ndarray, attractor, tol: float) -> np.ndarray:
     raise TypeError(f"unknown attractor type {type(attractor).__name__}")
 
 
-def _capture_walk(block, attractors, tol, persistence, codes, runs, work):
+def _capture_walk(block, attractors, tol, codes, runs, work):
     """Walk every cell through one block of samples, shape (cells, T,
     num_states), updating ``codes`` (attractor index, ``_OPEN`` or
     ``_DIVERGED`` per cell) and ``runs`` (capture run per attractor and
@@ -183,7 +190,7 @@ def _capture_walk(block, attractors, tol, persistence, codes, runs, work):
     runs[:] = run[..., -1]
     # First completed run per attractor, then the first non-finite sample
     # (``length`` if none); the earliest wins, ties in catalog order.
-    done = np.greater_equal(run, persistence, out=hit)
+    done = np.greater_equal(run, PERSISTENCE, out=hit)
     first = np.where(done.any(axis=2), done.argmax(axis=2), length)
     bad = np.where(finite.all(axis=1), length, (~finite).argmax(axis=1))
     first = np.vstack([first, bad])
@@ -192,7 +199,7 @@ def _capture_walk(block, attractors, tol, persistence, codes, runs, work):
     codes[settled] = np.where(winner < len(attractors), winner, _DIVERGED)[settled]
 
 
-def _classify(blocks, attractors, tol, persistence):
+def _classify(blocks, attractors, tol):
     """Label every cell of a generator of sample blocks.
 
     The first block holds every cell, shape (cells, T, num_states).  After
@@ -212,7 +219,7 @@ def _classify(blocks, attractors, tol, persistence):
         if size > work[0].size:
             work = (np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
         open_codes, open_runs = codes[rows], runs[:, rows]
-        _capture_walk(block, attractors, tol, persistence, open_codes, open_runs, work)
+        _capture_walk(block, attractors, tol, open_codes, open_runs, work)
         codes[rows], runs[:, rows] = open_codes, open_runs
         still_open = open_codes == _OPEN
         rows = rows[still_open]
@@ -227,18 +234,16 @@ def _classify(blocks, attractors, tol, persistence):
     return np.array(names, dtype=object)[codes]
 
 
-def classify_series(
-    states: np.ndarray, attractors, tol: float, persistence: int = 10
-) -> str:
+def classify_series(states: np.ndarray, attractors, tol: float) -> str:
     """Label one sampled trajectory.
 
     The winner is the attractor whose capture test first holds for
-    ``persistence`` consecutive samples; earlier catalog position breaks
+    ``PERSISTENCE`` consecutive samples; earlier catalog position breaks
     ties.  A non-finite sample before any capture completes means
     ``diverged``; otherwise ``unresolved``.  ``states`` is (samples,
     num_states), with the attractors' state count.
     """
-    _check_capture(tol, persistence)
+    _check_capture(tol)
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise DimensionError(f"states must be (samples, num_states), got shape {states.shape}")
@@ -257,76 +262,83 @@ def classify_series(
                 f"expects (samples, {wanted})"
             )
     blocks = (block for block in [states[None]])  # a generator, so _classify can send
-    return _classify(blocks, attractors, tol, persistence)[0]
+    return _classify(blocks, attractors, tol)[0]
+
+
+def _scan(kind, system, window, resolution, steps, dt, tol, fixed_coords, blocks, **meta):
+    """Label every cell of a scan of ``steps`` steps of ``dt``; ``blocks``
+    maps the cells' start points, shape (cells, num_states), to a block
+    source of kind ``kind`` (see the module docstring)."""
+    _check_attractors(system)
+    _check_capture(tol, steps)
+    x_range, y_range = _check_window(window, resolution)
+    points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
+    labels = _classify(blocks(points), system.attractors, tol)
+    return BasinGrid(
+        x_range=x_range,
+        y_range=y_range,
+        resolution=resolution,
+        labels=labels.reshape(resolution, resolution),
+        source={"kind": kind, "system": system.ident, "params": dict(system.params)},
+        meta={
+            "steps": int(steps),
+            "dt": float(dt),
+            "tol": float(tol),
+            **meta,
+            "fixed_coords": dict(fixed_coords or {}),
+        },
+    )
 
 
 def ground_truth_grid(
     system: BenchmarkSystem,
     window,
     resolution: int,
-    horizon: float,
+    steps: int,
+    dt: float,
     tol: float = 0.05,
-    persistence: int = 10,
-    num_samples: int = 401,
     fixed_coords=None,
 ) -> BasinGrid:
     """Label every cell by integrating its initial condition.
 
-    All cells are integrated in one batch over ``(0, horizon)`` by the
+    All cells are integrated in one batch over ``(0, steps * dt)`` by the
     integrator behind ``integrate`` at ``GRID_SETTINGS``, each on its own
-    adaptive Dormand-Prince steps, and sampled at ``num_samples`` uniform
-    points, so labels never depend on neighboring cells.  The capture walk reads
-    the samples in blocks, and a cell stops being integrated once it has
-    a label.  A cell whose integration fails turns non-finite and is
-    ``diverged`` unless a capture completed before.  ``system.rhs`` must
-    evaluate a (num_states, cells) array column by column, as every
-    catalog right-hand side does.
+    adaptive Dormand-Prince steps, and sampled at ``min(steps, 400) + 1``
+    uniform points, so labels never depend on neighboring cells.  The
+    capture walk reads the samples in blocks, and a cell stops being
+    integrated once it has a label.  A cell whose integration fails turns
+    non-finite and is ``diverged`` unless a capture completed before.
+    ``system.rhs`` must evaluate a (num_states, cells) array column by
+    column, as every catalog right-hand side does.
     """
-    _check_attractors(system)
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    _check_span((0.0, horizon), num_samples)
-    x_range, y_range = _check_window(window, resolution)
-    _check_capture(tol, persistence)
-    points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    horizon = steps * dt
+    num_samples = min(steps, _TRUTH_INTERVALS) + 1
 
-    blocks = _dormand_prince_blocks(
-        system.rhs, points, (0.0, horizon), num_samples, GRID_SETTINGS, _BLOCK
-    )
-    labels = _classify(blocks, system.attractors, tol, persistence)
-    return BasinGrid(
-        x_range=x_range,
-        y_range=y_range,
-        resolution=resolution,
-        labels=labels.reshape(resolution, resolution),
-        source={"kind": "integrator", "system": system.ident, "params": dict(system.params)},
-        meta={
-            "horizon": float(horizon),
-            "num_samples": int(num_samples),
-            "tol": float(tol),
-            "persistence": int(persistence),
-            "rel_tol": GRID_SETTINGS.rel_tol,
-            "abs_tol": GRID_SETTINGS.abs_tol,
-            "fixed_coords": dict(fixed_coords or {}),
-        },
-    )
+    def blocks(points):
+        return _dormand_prince_blocks(
+            system.rhs, points, (0.0, horizon), num_samples, GRID_SETTINGS, _BLOCK
+        )
+
+    return _scan("integrator", system, window, resolution, steps, dt, tol, fixed_coords,
+                 blocks, horizon=float(horizon), num_samples=num_samples)
 
 
-def _check_operator_scan(operator, system, steps, tol, persistence):
+def _check_operator(operator, system):
     _check_attractors(system)
     if operator.config.num_states != system.num_states:
         raise DimensionError(
             f"operator has {operator.config.num_states} states, system "
             f"{system.ident!r} has {system.num_states}"
         )
-    _check_capture(tol, persistence, steps)
 
 
-def _operator_blocks(operator, points, steps, divergence_threshold):
+def _operator_blocks(operator, points, steps):
     """Kernel blocks from each start point repeated into every delay slot."""
     seeds = np.repeat(points[:, None, :], operator.config.delays, axis=1)
     basis = monomial_basis(operator.config)
-    return _iterate(seeds, steps, basis, operator.matrix, divergence_threshold, _BLOCK)
+    return _iterate(seeds, steps, basis, operator.matrix, _BLOCK)
 
 
 def operator_grid(
@@ -336,8 +348,6 @@ def operator_grid(
     resolution: int,
     steps: int = 1000,
     tol: float = 0.05,
-    persistence: int = 10,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
     fixed_coords=None,
 ) -> BasinGrid:
     """Label every cell by iterating the learned operator.
@@ -348,27 +358,13 @@ def operator_grid(
     label is identical whether it is advanced alone or with the whole
     grid.
     """
-    _check_operator_scan(operator, system, steps, tol, persistence)
-    x_range, y_range = _check_window(window, resolution)
-    points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
-    blocks = _operator_blocks(operator, points, steps, divergence_threshold)
-    labels = _classify(blocks, system.attractors, tol, persistence)
-    return BasinGrid(
-        x_range=x_range,
-        y_range=y_range,
-        resolution=resolution,
-        labels=labels.reshape(resolution, resolution),
-        source={"kind": "operator", "system": system.ident, "params": dict(system.params)},
-        meta={
-            "steps": int(steps),
-            "dt": operator.dt,
-            "tol": float(tol),
-            "persistence": int(persistence),
-            "divergence_threshold": float(divergence_threshold),
-            "seeding": "grid point repeated for every delay slot",
-            "fixed_coords": dict(fixed_coords or {}),
-        },
-    )
+    _check_operator(operator, system)
+
+    def blocks(points):
+        return _operator_blocks(operator, points, steps)
+
+    return _scan("operator", system, window, resolution, steps, operator.dt, tol,
+                 fixed_coords, blocks)
 
 
 def label_operator_cell(
@@ -377,18 +373,16 @@ def label_operator_cell(
     point,
     steps: int = 1000,
     tol: float = 0.05,
-    persistence: int = 10,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> str:
     """Label a single start point (same code path as ``operator_grid``)."""
-    _check_operator_scan(operator, system, steps, tol, persistence)
+    _check_operator(operator, system)
+    _check_capture(tol, steps)
     point = np.asarray(point, dtype=float).reshape(1, -1)
     if point.shape[1] != system.num_states:
         raise DimensionError(
             f"point has {point.shape[1]} entries, system has {system.num_states}"
         )
-    blocks = _operator_blocks(operator, point, steps, divergence_threshold)
-    return _classify(blocks, system.attractors, tol, persistence)[0]
+    return _classify(_operator_blocks(operator, point, steps), system.attractors, tol)[0]
 
 
 def grid_agreement(truth: BasinGrid, predicted: BasinGrid) -> GridAgreement:

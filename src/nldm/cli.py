@@ -218,37 +218,18 @@ class _Pipeline:
     def basin(self):
         spec = self.config.basin
         system = make_system(self.config.system.ident, **self.config.system.params)
+        # Both grids take the one scan; the truth grid steps the series' dt.
+        scan = dict(window=spec.window, resolution=spec.resolution, steps=spec.steps,
+                    tol=spec.tol, fixed_coords=dict(spec.fixed) or None)
         dt = self.config.train[0].dt
-        horizon = spec.steps * dt
-        fixed = dict(spec.fixed) or None
 
-        truth = self._timed(
-            "basin_truth",
-            lambda: ground_truth_grid(
-                system,
-                spec.window,
-                spec.resolution,
-                horizon=horizon,
-                tol=spec.tol,
-                num_samples=min(spec.steps, 400) + 1,
-                fixed_coords=fixed,
-            ),
-        )
+        truth = self._timed("basin_truth", lambda: ground_truth_grid(system, dt=dt, **scan))
         save_basin_csv(self.out / "basin_truth.csv", truth)
         self.artifacts.append("basin_truth.csv")
 
         if self.operator is not None:
             predicted = self._timed(
-                "basin_operator",
-                lambda: operator_grid(
-                    self.operator,
-                    system,
-                    spec.window,
-                    spec.resolution,
-                    steps=spec.steps,
-                    tol=spec.tol,
-                    fixed_coords=fixed,
-                ),
+                "basin_operator", lambda: operator_grid(self.operator, system, **scan)
             )
             save_basin_csv(self.out / "basin_operator.csv", predicted)
             self.artifacts.append("basin_operator.csv")
@@ -312,13 +293,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_model_fits(operator, config: ExperimentConfig, path) -> None:
-    """A saved model must have the config's state count and series dt."""
+    """A saved model must have the config's state count, model shape and
+    series dt."""
     num_states = make_system(config.system.ident, **config.system.params).num_states
     if operator.config.num_states != num_states:
         raise ConfigError(
             f"model {path} has {operator.config.num_states} states, system "
             f"{config.system.ident!r} has {num_states}"
         )
+    shape, model = operator.config, config.model
+    if (shape.delays, shape.degree) != (model.delays, model.degree):
+        raise ConfigError(f"model {path} has delays={shape.delays} degree={shape.degree}, the "
+                          f"config's model has delays={model.delays} degree={model.degree}")
     dt = config.train[0].dt
     if _dt_differs(operator.dt, dt):
         raise ConfigError(f"model {path} has dt={operator.dt}, the config's series have dt={dt}")
@@ -343,7 +329,7 @@ def main(argv=None) -> int:
         if args.command in ("predict", "evaluate") and operator is None:
             raise ConfigError(f"--model is required for {args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, ConfigError, ValueError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

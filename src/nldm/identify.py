@@ -24,6 +24,7 @@ from .core import (
     LearnedOperator,
     Trajectory,
     TrainingSummary,
+    UndefinedScoreError,
 )
 from .features import build_snapshot_pair, monomial_basis
 from .lstsq import solve_min_frobenius
@@ -73,8 +74,9 @@ def train(
     -------
     TrainingResult
         The operator carries a TrainingSummary; per-trajectory scores
-        are mean RRMSE across states, and ``mean_rrmse`` averages them
-        (NaN if any re-prediction diverged).
+        are mean RRMSE across states, NaN where the re-prediction
+        diverged or a reference state is constant (the score is
+        undefined), and ``mean_rrmse`` averages them (NaN if any is).
     """
     trajectories = list(trajectories)
     if references is not None:
@@ -110,7 +112,10 @@ def train(
     scores = []
     for row, trajectory, reference in zip(states, trajectories, references or trajectories):
         predicted = Trajectory(row[: trajectory.num_samples], operator.dt, trajectory.t0)
-        scores.append(rrmse(predicted, reference, config.delays).mean_rrmse)
+        try:
+            scores.append(rrmse(predicted, reference, config.delays).mean_rrmse)
+        except UndefinedScoreError:
+            scores.append(float("nan"))
 
     summary = TrainingSummary(
         num_trajectories=len(trajectories),

@@ -240,7 +240,8 @@ def _integrate_series(system, ics, t_span, num_samples, settings):
     blocks = _dormand_prince_blocks(
         system.rhs, ics, (t_start, t_end), num_samples, settings, num_samples
     )
-    samples = next(blocks)
+    # Blocks are state-major; a copy makes each series row-major.
+    samples = np.ascontiguousarray(next(blocks))
     finite = np.isfinite(samples).all(axis=(0, 2))
     if not finite.all():
         reached = np.linspace(t_start, t_end, num_samples)[finite.argmin()]
@@ -322,7 +323,9 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     as in Solving ODEs I, II.4, and is sampled from the pair's quartic
     dense output (II.6); ``rhs`` sees the true times.
     States are held as (num_states, cells), so ``rhs`` runs once per
-    stage for all cells.  Blocks have shape (cells, T, num_states).
+    stage for all cells.  Blocks have shape (cells, T, num_states) and
+    are state-major in memory, (num_states, cells, T), as the
+    forecasting kernel's are.
     After each block the caller may send a boolean mask over its cells;
     only the cells kept are integrated further.  A cell whose step size
     falls below ten times the spacing of floats at its time fails, and
@@ -379,12 +382,12 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
             coefficient *= power
             power = power * x
         values = h[cell] * _sum_planes(terms) + y_old.take(cell, axis=1)
-        out[cell, sample - first] = values.T
+        out[:, cell, sample - first] = values
         emitted[rows] = upto
 
     for first in range(0, num_samples, block):
         stop = min(first + block, num_samples)
-        out = np.full((len(t), stop - first, num_states), np.nan)
+        out = np.full((num_states, len(t), stop - first), np.nan)
         emit(np.arange(len(t)))
         while True:
             rows = (~failed & (emitted < stop)).nonzero()[0]
@@ -431,7 +434,7 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
             t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1, :, :n][:, accept]
             emit(done)
 
-        keep = yield out
+        keep = yield out.transpose(1, 2, 0)
         if keep is not None:
             t, h_abs, rejected, failed, emitted, t_old, h, y, f, y_old, q = (
                 v[..., keep]

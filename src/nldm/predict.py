@@ -19,8 +19,8 @@ planes elementwise in feature order, as a loop of ``+=`` would.  The
 reduction is at least two columns wide (a single row fills both), since
 over one state and one column numpy would take a pairwise sum instead.
 So a row's samples are bitwise identical alone or in a batch of any
-size, in blocks of any length.  Once a produced state exceeds the
-divergence threshold in max-norm (or is non-finite), the rest of the
+size, in blocks of any length.  Once a produced state exceeds
+``DIVERGENCE_THRESHOLD`` in max-norm (or is non-finite), the rest of the
 trajectory is NaN; the test runs once per block, which gives the same
 samples as a test after every step, since a row's later samples depend
 only on its earlier ones.
@@ -52,7 +52,7 @@ class Prediction:
     steps_requested: int
 
 
-def _iterate(seeds, steps, basis, matrix, divergence_threshold, block):
+def _iterate(seeds, steps, basis, matrix, block):
     """Yield each kept row's seeds and then ``steps`` forecast states,
     ``block`` samples at a time; a boolean mask sent after a block keeps
     the rows of that block to step further."""
@@ -62,8 +62,6 @@ def _iterate(seeds, steps, basis, matrix, divergence_threshold, block):
     weights = np.ascontiguousarray(matrix.T)[:, :, None]
     num_features = weights.shape[0]
     total = delays + steps
-    # An infinite threshold still cuts non-finite states.
-    bound = min(divergence_threshold, np.finfo(float).max)
     # Workspaces sized for the first block; later blocks, which hold
     # fewer rows or samples, take contiguous views of their leading
     # entries.  The history holds a block's samples newest first and the
@@ -100,7 +98,7 @@ def _iterate(seeds, steps, basis, matrix, divergence_threshold, block):
                 # Adds the feature planes in order from +0.0.
                 np.add.reduce(terms, axis=0, initial=0.0, out=history[i])
         if stepped:
-            _cut_divergent(history[:stepped], bound)
+            _cut_divergent(history[:stepped])
         # A fresh block, state-major in memory like the kernel's arrays.
         samples = history[length - 1::-1, :, :rows].transpose(1, 2, 0)
         keep = yield samples.copy().transpose(1, 2, 0)
@@ -111,16 +109,16 @@ def _iterate(seeds, steps, basis, matrix, divergence_threshold, block):
             rows = carried.shape[2]
 
 
-def _cut_divergent(produced, divergence_threshold):
+def _cut_divergent(produced):
     """NaN every produced sample, shape (samples, S, columns) newest
     first, from each column's first one on whose max-norm is not within
-    the threshold (a NaN bound compares False, so non-finite ones too).
+    ``DIVERGENCE_THRESHOLD`` (a NaN compares False, so non-finite ones too).
     A row's later samples depend only on its earlier ones, so this is
     the rule applied step by step."""
 
     def within(samples, axis):
-        return ((samples.max(axis=axis) <= divergence_threshold)
-                & (samples.min(axis=axis) >= -divergence_threshold))
+        return ((samples.max(axis=axis) <= DIVERGENCE_THRESHOLD)
+                & (samples.min(axis=axis) >= -DIVERGENCE_THRESHOLD))
 
     bad = (~within(produced, (0, 1))).nonzero()[0]
     if bad.size:
@@ -137,7 +135,6 @@ def iterate_batch(
     steps: int,
     basis: MonomialBasis,
     matrix: np.ndarray,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterate the operator from a batch of seed windows.
 
@@ -169,7 +166,7 @@ def iterate_batch(
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     length = seeds.shape[1] + steps
-    blocks = _iterate(seeds, steps, basis, matrix, divergence_threshold, length)
+    blocks = _iterate(seeds, steps, basis, matrix, length)
     states = np.ascontiguousarray(next(blocks))
     nan = np.isnan(states).any(axis=2)
     diverged_at = np.where(nan.any(axis=1), nan.argmax(axis=1), -1)
@@ -181,7 +178,6 @@ def predict(
     seeds: np.ndarray,
     steps: int,
     t0: float = 0.0,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> Prediction:
     """Forecast ``steps`` states from exactly ``delays`` seed states.
 
@@ -202,7 +198,7 @@ def predict(
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     states, diverged = iterate_batch(
-        seeds[None], steps, monomial_basis(config), operator.matrix, divergence_threshold
+        seeds[None], steps, monomial_basis(config), operator.matrix
     )
     trajectory = Trajectory(states[0], dt=operator.dt, t0=t0)
     return Prediction(

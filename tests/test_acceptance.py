@@ -271,7 +271,7 @@ def test_basin_grid_agreement():
     started = time.perf_counter()
     system = make_system("two_attractor")
     window = ((-3.0, 3.0), (-3.0, 3.0))
-    truth = ground_truth_grid(system, window, 100, horizon=10.0)
+    truth = ground_truth_grid(system, window, 100, steps=2000, dt=0.005)
 
     split_exact = True
     for i, x in enumerate(truth.xs):

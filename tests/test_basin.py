@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nldm import basin
 from nldm.basin import (
     DIVERGED,
+    PERSISTENCE,
     UNRESOLVED,
     BasinGrid,
     classify_series,
@@ -53,7 +54,7 @@ def scaling_operator(factor, num_states=2):
 @pytest.fixture(scope="module")
 def truth3():
     system = make_system("two_attractor")
-    return ground_truth_grid(system, WINDOW, 3, horizon=10.0)
+    return ground_truth_grid(system, WINDOW, 3, steps=2000, dt=0.005)
 
 
 # ---------------------------------------------------------------- truth grids
@@ -70,18 +71,24 @@ def test_truth_grid_splits_bistable_window_by_sign(truth3):
 def test_truth_grid_metadata(truth3):
     assert truth3.source["kind"] == "integrator"
     assert truth3.source["system"] == "two_attractor"
+    assert truth3.meta["steps"] == 2000
+    assert truth3.meta["dt"] == 0.005
     assert truth3.meta["horizon"] == 10.0
+    assert truth3.meta["num_samples"] == 401
     assert truth3.meta["tol"] == 0.05
-    assert truth3.meta["persistence"] == 10
+    assert PERSISTENCE == 10
     np.testing.assert_array_equal(truth3.xs, np.linspace(-3.0, 3.0, 3))
     np.testing.assert_array_equal(truth3.ys, np.linspace(-3.0, 3.0, 3))
+    # A scan of at most 400 steps is sampled at every step.
+    short = ground_truth_grid(make_system("two_attractor"), WINDOW, 2, steps=50, dt=0.2)
+    assert (short.meta["horizon"], short.meta["num_samples"]) == (10.0, 51)
 
 
 def test_refining_resolution_keeps_shared_cell_labels(truth3):
     # Cells are classified independently, so the 5-point axis (which
     # contains the 3-point axis as every other entry) must agree with the
     # coarse grid wherever coordinates coincide.
-    fine = ground_truth_grid(make_system("two_attractor"), WINDOW, 5, horizon=10.0)
+    fine = ground_truth_grid(make_system("two_attractor"), WINDOW, 5, steps=2000, dt=0.005)
     for ci, fi in enumerate((0, 2, 4)):
         assert fine.xs[fi] == truth3.xs[ci]
         for cj, fj in enumerate((0, 2, 4)):
@@ -138,11 +145,11 @@ def test_truth_grid_labels_match_per_cell_integration(ident):
     system = make_system(ident)
     assert system.attractors
     window, fixed = TRUTH_WINDOWS[ident]
-    grid = ground_truth_grid(system, window, 6, horizon=10.0, fixed_coords=fixed)
+    grid = ground_truth_grid(system, window, 6, steps=2000, dt=0.005, fixed_coords=fixed)
     points = basin._grid_points(grid.x_range, grid.y_range, 6, system.num_states, fixed)
     settings = basin.GRID_SETTINGS
     expected = per_cell_truth_labels(
-        system, points, 10.0, 401, 0.05, 10, settings.rel_tol, settings.abs_tol
+        system, points, 10.0, 401, 0.05, PERSISTENCE, settings.rel_tol, settings.abs_tol
     )
     assert list(grid.labels.ravel()) == expected
 
@@ -162,26 +169,30 @@ def test_truth_grid_labels_finite_time_blowup_as_diverged():
         rhs=lambda t, state: np.array([state[0] ** 2, -state[1]]),
         attractors=(PointAttractor("origin", (0.0, 0.0)),),
     )
-    grid = ground_truth_grid(blowup, ((-1.5, 1.5), (-1.0, 1.0)), 3, horizon=10.0)
+    grid = ground_truth_grid(blowup, ((-1.5, 1.5), (-1.0, 1.0)), 3, steps=2000, dt=0.005)
     assert list(grid.labels[0]) == [UNRESOLVED] * 3
     assert list(grid.labels[1]) == ["origin"] * 3
     assert list(grid.labels[2]) == [DIVERGED] * 3
     points = basin._grid_points(grid.x_range, grid.y_range, 3, 2, None)
     assert list(grid.labels.ravel()) == per_cell_truth_labels(
-        blowup, points, 10.0, 401, 0.05, 10, 1e-6, 1e-9
+        blowup, points, 10.0, 401, 0.05, PERSISTENCE, 1e-6, 1e-9
     )
 
 
 def test_truth_grid_validation():
     system = make_system("two_attractor")
     with pytest.raises(ValueError, match="resolution"):
-        ground_truth_grid(system, WINDOW, 1, horizon=5.0)
+        ground_truth_grid(system, WINDOW, 1, steps=500, dt=0.01)
     with pytest.raises(ValueError, match="extent"):
-        ground_truth_grid(system, ((1.0, 1.0), (-1.0, 1.0)), 3, horizon=5.0)
-    with pytest.raises(ValueError, match="horizon"):
-        ground_truth_grid(system, WINDOW, 3, horizon=0.0)
+        ground_truth_grid(system, ((1.0, 1.0), (-1.0, 1.0)), 3, steps=500, dt=0.01)
+    for dt in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            ground_truth_grid(system, WINDOW, 3, steps=500, dt=dt)
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match="steps"):
+            ground_truth_grid(system, WINDOW, 3, steps=steps, dt=0.01)
     with pytest.raises(ValueError, match="no attractors"):
-        ground_truth_grid(make_system("lorenz"), WINDOW, 3, horizon=5.0)
+        ground_truth_grid(make_system("lorenz"), WINDOW, 3, steps=500, dt=0.01)
 
 
 # ---------------------------------------------------------- series classifier
@@ -191,19 +202,16 @@ def test_capture_needs_full_persistence_run():
     attractors = (PointAttractor("home", (0.0, 0.0)),)
     near = [0.0, 0.0]
     far = [5.0, 5.0]
-    assert classify_series([far] + [near] * 4, attractors, 0.05, persistence=4) == "home"
-    assert (
-        classify_series([far] + [near] * 3, attractors, 0.05, persistence=4)
-        == UNRESOLVED
-    )
+    assert classify_series([far] + [near] * PERSISTENCE, attractors, 0.05) == "home"
+    assert classify_series([far] + [near] * (PERSISTENCE - 1), attractors, 0.05) == UNRESOLVED
 
 
 def test_interrupted_run_starts_over():
     attractors = (PointAttractor("home", (0.0, 0.0)),)
     near, far = [0.0, 0.0], [5.0, 5.0]
-    rows = [near] * 3 + [far] + [near] * 3
-    assert classify_series(rows, attractors, 0.05, persistence=4) == UNRESOLVED
-    assert classify_series(rows + [near], attractors, 0.05, persistence=4) == "home"
+    rows = [near] * (PERSISTENCE - 1) + [far] + [near] * (PERSISTENCE - 1)
+    assert classify_series(rows, attractors, 0.05) == UNRESOLVED
+    assert classify_series(rows + [near], attractors, 0.05) == "home"
 
 
 def test_earliest_completed_capture_wins():
@@ -213,30 +221,30 @@ def test_earliest_completed_capture_wins():
         PointAttractor("slow", (4.0, 0.0)),
         PointAttractor("fast", (0.0, 0.0)),
     )
-    rows = [[0.0, 0.0]] * 3 + [[4.0, 0.0]] * 3
-    assert classify_series(rows, attractors, 0.05, persistence=3) == "fast"
+    rows = [[0.0, 0.0]] * PERSISTENCE + [[4.0, 0.0]] * PERSISTENCE
+    assert classify_series(rows, attractors, 0.05) == "fast"
 
 
 def test_same_step_ties_go_to_earlier_catalog_entry():
     first = PointAttractor("first", (0.0, 0.0))
     second = PointAttractor("second", (0.02, 0.0))
-    rows = [[0.01, 0.0]] * 2
-    assert classify_series(rows, (first, second), 0.05, persistence=2) == "first"
-    assert classify_series(rows, (second, first), 0.05, persistence=2) == "second"
+    rows = [[0.01, 0.0]] * PERSISTENCE
+    assert classify_series(rows, (first, second), 0.05) == "first"
+    assert classify_series(rows, (second, first), 0.05) == "second"
 
 
 def test_nonfinite_sample_before_capture_means_diverged():
     attractors = (PointAttractor("home", (0.0, 0.0)),)
     near = [0.0, 0.0]
     blown = [np.nan, 0.0]
-    assert classify_series([near] * 3 + [blown], attractors, 0.05, 4) == DIVERGED
+    assert classify_series([near] * (PERSISTENCE - 1) + [blown], attractors, 0.05) == DIVERGED
     # A capture completed before the blowup still counts.
-    assert classify_series([near] * 4 + [blown], attractors, 0.05, 4) == "home"
+    assert classify_series([near] * PERSISTENCE + [blown], attractors, 0.05) == "home"
 
 
 def test_short_series_stays_unresolved():
     attractors = (PointAttractor("home", (0.0, 0.0)),)
-    assert classify_series([[0.0, 0.0]] * 2, attractors, 0.05, persistence=10) == UNRESOLVED
+    assert classify_series([[0.0, 0.0]] * (PERSISTENCE - 1), attractors, 0.05) == UNRESOLVED
 
 
 def test_classify_series_rejects_states_of_the_wrong_shape():
@@ -254,13 +262,13 @@ def test_classify_series_rejects_states_of_the_wrong_shape():
 
 def test_cycle_capture_checks_radius_and_pinned_plane():
     orbit = CycleAttractor("orbit", radius=1.0, axes=(0, 1), plane=((2, 0.5),))
-    angles = np.linspace(0.0, 2 * np.pi, 5)
+    angles = np.linspace(0.0, 2 * np.pi, PERSISTENCE)
     on_cycle = [[np.cos(a), np.sin(a), 0.5] for a in angles]
-    assert classify_series(on_cycle, (orbit,), 0.05, persistence=3) == "orbit"
+    assert classify_series(on_cycle, (orbit,), 0.05) == "orbit"
     wrong_height = [[np.cos(a), np.sin(a), 0.9] for a in angles]
-    assert classify_series(wrong_height, (orbit,), 0.05, persistence=3) == UNRESOLVED
+    assert classify_series(wrong_height, (orbit,), 0.05) == UNRESOLVED
     wrong_radius = [[1.2 * np.cos(a), 1.2 * np.sin(a), 0.5] for a in angles]
-    assert classify_series(wrong_radius, (orbit,), 0.05, persistence=3) == UNRESOLVED
+    assert classify_series(wrong_radius, (orbit,), 0.05) == UNRESOLVED
 
 
 # Attractors and sample rows kept clear of every capture boundary at tol
@@ -288,27 +296,28 @@ MISS = 5
 @st.composite
 def capture_cases(draw):
     attractors = draw(st.permutations(CATALOG))[: draw(st.integers(0, len(CATALOG)))]
-    persistence = draw(st.integers(1, 5))
-    stretch = st.tuples(st.integers(0, len(PALETTE) - 1), st.integers(1, 6))
+    # Stretches of up to twice the persistence, so runs complete, fall
+    # one short, and tie.
+    stretch = st.tuples(st.integers(0, len(PALETTE) - 1), st.integers(1, 2 * PERSISTENCE))
     cells = [
         [row for row, count in draw(st.lists(stretch, max_size=8)) for _ in range(count)]
         for _ in range(draw(st.integers(1, 4)))
     ]
     length = max(len(cell) for cell in cells)
     cuts = sorted(draw(st.lists(st.integers(0, length), max_size=6)))
-    return attractors, persistence, cells, cuts
+    return attractors, cells, cuts
 
 
 @settings(max_examples=300)
 @given(case=capture_cases())
 def test_blockwise_capture_walk_matches_the_loop_reference(case):
-    attractors, persistence, cells, cuts = case
+    attractors, cells, cuts = case
     expected = [
-        loop_classify_series(PALETTE[cell], attractors, 0.05, persistence)
+        loop_classify_series(PALETTE[cell], attractors, 0.05, PERSISTENCE)
         for cell in cells
     ]
     for cell, label in zip(cells, expected):
-        assert classify_series(PALETTE[cell], attractors, 0.05, persistence) == label
+        assert classify_series(PALETTE[cell], attractors, 0.05) == label
     # Padding with misses changes no label; the padded cells are walked
     # together, split into blocks at the drawn cut points (some empty),
     # each holding only the cells _classify kept open.
@@ -322,7 +331,7 @@ def test_blockwise_capture_walk_matches_the_loop_reference(case):
             keep = yield history[rows, lo:hi]
             rows = rows[keep]
 
-    labels = basin._classify(blocks(), attractors, 0.05, persistence)
+    labels = basin._classify(blocks(), attractors, 0.05)
     assert list(labels) == expected
 
 
@@ -360,15 +369,13 @@ def test_single_cell_labels_match_grid_cells():
             assert label_operator_cell(operator, system, (x, y), steps=30) == grid.labels[i, j]
 
 
-def test_divergence_threshold_is_adjustable():
+def test_operator_cell_diverges_once_it_leaves_the_threshold():
+    # Doubling from x = 1 reaches 2**19 < 1e6 < 2**20.
     operator = scaling_operator(2.0)
     system = make_system("lho")
     point = (1.0, 0.0)
-    assert label_operator_cell(operator, system, point, steps=3) == UNRESOLVED
-    assert (
-        label_operator_cell(operator, system, point, steps=3, divergence_threshold=1.5)
-        == DIVERGED
-    )
+    assert label_operator_cell(operator, system, point, steps=19) == UNRESOLVED
+    assert label_operator_cell(operator, system, point, steps=20) == DIVERGED
 
 
 def test_fixed_coordinates_slice_higher_dimensional_systems():
@@ -436,15 +443,13 @@ def test_capture_arguments_are_validated():
     calls = [
         lambda **kw: operator_grid(operator, system, WINDOW, 3, steps=5, **kw),
         lambda **kw: label_operator_cell(operator, system, (0.0, 0.0), steps=5, **kw),
-        lambda **kw: ground_truth_grid(system, WINDOW, 3, horizon=1.0, **kw),
+        lambda **kw: ground_truth_grid(system, WINDOW, 3, steps=100, dt=0.01, **kw),
         lambda **kw: classify_series([[0.0, 0.0]] * 3, system.attractors, **kw),
     ]
     for call in calls:
         for tol in (0.0, -0.1, np.nan):
             with pytest.raises(ValueError, match="tol"):
-                call(tol=tol, persistence=2)
-        with pytest.raises(ValueError, match="persistence"):
-            call(tol=0.05, persistence=0)
+                call(tol=tol)
 
 
 def test_operator_grid_validation():
@@ -516,6 +521,6 @@ def test_agreement_rejects_mismatched_grids(truth3):
     )
     with pytest.raises(DimensionError, match="window"):
         grid_agreement(truth3, shifted)
-    finer = ground_truth_grid(make_system("two_attractor"), WINDOW, 5, horizon=10.0)
+    finer = ground_truth_grid(make_system("two_attractor"), WINDOW, 5, steps=2000, dt=0.005)
     with pytest.raises(DimensionError, match="window"):
         grid_agreement(truth3, finer)

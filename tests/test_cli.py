@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nldm import IntegratorSettings, classify_series, integrate, make_system
+from nldm import IntegratorSettings, LearnedOperator, classify_series, integrate, make_system
 from nldm.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from nldm.config import config_from_dict, derived_seed
 from nldm.io import load_model, load_trajectory_csv, save_trajectory_csv
@@ -241,9 +242,11 @@ def test_unwritable_artifact_path_exits_2(tmp_path, capsys):
 
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{")
-    assert main(["train", "--config", str(path)]) == EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    # Truncated, and nested past the parser's recursion limit.
+    for text in ("{", "[" * 100_000):
+        path.write_text(text)
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -378,16 +381,25 @@ def test_commands_check_required_sections(tmp_path):
     assert main(["basin", "--config", str(config_path)]) == EXIT_CONFIG
 
 
-def test_degenerate_training_series_exits_3(tmp_path, capsys):
-    # A series pinned at the equilibrium has zero variance, so scoring the
-    # fit is undefined; that is a numerical failure, not a config one.
+def test_training_series_with_an_undefined_score_is_scored_null(tmp_path):
+    # two_attractor keeps x = 1 fixed, so the first series' x is constant
+    # and its re-prediction score is undefined; the fit is still saved.
     raw = base_config()
-    raw["train"] = [{"ic": [0.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60}]
+    raw["system"] = {"ident": "two_attractor"}
+    raw["model"] = {"delays": 2, "degree": 3}
+    raw["train"] = [
+        {"ic": [1.0, 1.0], "t_span": [0.0, 0.59], "num_samples": 60},
+        {"ic": [-0.5, 1.0], "t_span": [0.0, 0.59], "num_samples": 60},
+    ]
     del raw["test"], raw["basin"]
     config_path = write_config(tmp_path, raw)
     out = tmp_path / "out"
-    assert main(["train", "--config", str(config_path), "--out", str(out)]) == EXIT_PIPELINE
-    assert "pipeline error" in capsys.readouterr().err
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    metrics = json.loads((out / "train_metrics.json").read_text())
+    first, second = metrics["per_trajectory_rrmse"]
+    assert first is None and np.isfinite(second)
+    assert metrics["mean_rrmse"] is None
+    assert load_model(out / "model.txt").config.delays == 2
 
 
 def _double_dt(raw):
@@ -402,8 +414,14 @@ def _three_states(raw):
     raw["basin"]["fixed"] = {"2": 1.0}
 
 
+def _other_shape(raw):
+    raw["model"] = {"delays": 1, "degree": 2}
+
+
 @pytest.mark.parametrize("command", ["basin", "evaluate"])
-@pytest.mark.parametrize("change, message", [(_double_dt, "dt="), (_three_states, "2 states")])
+@pytest.mark.parametrize("change, message", [
+    (_double_dt, "dt="), (_three_states, "2 states"), (_other_shape, "delays=2 degree=1"),
+])
 def test_saved_model_that_does_not_fit_the_config_exits_2(tmp_path, capsys, command,
                                                           change, message):
     fit = tmp_path / "fit"
@@ -446,3 +464,44 @@ def test_series_of_several_spans_and_lengths_equal_single_integrations(tmp_path)
             save_trajectory_csv(tmp_path / "alone.csv", alone)
             written = (out / f"{role}_{index:02d}_clean.csv").read_bytes()
             assert written == (tmp_path / "alone.csv").read_bytes(), (role, index)
+
+
+@pytest.fixture(scope="module")
+def model_and_basin_config(tmp_path_factory):
+    """A saved model's bytes, and a config whose basin scan is tiny."""
+    work = tmp_path_factory.mktemp("fuzz")
+    raw = base_config()
+    assert main(["train", "--config", str(write_config(work, raw)), "--out", str(work)]) == EXIT_OK
+    raw["basin"].update(resolution=2, steps=20)
+    return (work / "model.txt").read_bytes(), write_config(work, raw, name="basin.json"), work
+
+
+# Bytes that keep a model file parseable more often than a random byte does.
+_MODEL_BYTES = st.sampled_from(list(b"0123456789.-+eE =\n")) | st.integers(0, 255)
+
+
+def _edited(original, edits):
+    data = bytearray(original)
+    for at, byte in edits:
+        data[at] = byte
+    return bytes(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_truncated_or_mutated_model_files_load_or_fail_by_name(model_and_basin_config, data):
+    original, config_path, work = model_and_basin_config
+    positions = st.integers(0, len(original) - 1)
+    truncated = positions.map(lambda n: original[:n])
+    mutated = st.lists(st.tuples(positions, _MODEL_BYTES), min_size=1, max_size=4).map(
+        lambda edits: _edited(original, edits)
+    )
+    path = work / "damaged.txt"
+    path.write_bytes(data.draw(truncated | mutated))
+    try:
+        assert isinstance(load_model(path), LearnedOperator)
+    except ValueError:
+        pass
+    argv = ["basin", "--config", str(config_path), "--out", str(work / "out"),
+            "--model", str(path)]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE)

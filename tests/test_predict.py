@@ -160,7 +160,7 @@ def test_one_state_rows_masked_down_to_one_match_the_loop_reference():
     seeds = rng.normal(size=(6, 3, 1))
     steps = 60
     expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
-    kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, 8)
+    kernel = _iterate(seeds, steps, basis, matrix, 8)
     rows, keep = np.arange(6), None
     for lo in range(0, 3 + steps, 8):
         block = kernel.send(keep)
@@ -184,10 +184,10 @@ def test_kept_rows_match_an_unmasked_run_bitwise(delays):
     # Masks arrive mid-run, after the ring has wrapped around, and before
     # samples 14 and 21, which sit in different ring slots.
     seeds, steps, basis, matrix = kernel_case(delays)
-    full = next(_iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, delays + steps))
+    full = next(_iterate(seeds, steps, basis, matrix, delays + steps))
     masks = {7: np.arange(8) % 2 == 0, 14: np.array([True, False, True, True])}
     rows = np.arange(8)
-    kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, 7)
+    kernel = _iterate(seeds, steps, basis, matrix, 7)
     keep = None
     for lo in range(0, delays + steps, 7):
         block = kernel.send(keep)
@@ -207,7 +207,7 @@ def test_blocks_of_any_size_match_the_loop_reference_bitwise(delays):
     expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
     length = delays + steps
     for size in sorted({1, delays, 7, 32, length}):
-        kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, size)
+        kernel = _iterate(seeds, steps, basis, matrix, size)
         rows, pieces, keep = np.arange(9), {row: [] for row in range(9)}, None
         for lo in range(0, length, size):
             block = kernel.send(keep)
@@ -324,7 +324,7 @@ def test_blockwise_divergence_cut_matches_the_loop_reference_bitwise(case):
         if case == "crossing":
             offsets = set(expected_div[diverged] % size)
             assert {size // 2, size - 1} | ({0} if size < length else set()) <= offsets
-        kernel = _iterate(seeds, steps, basis, matrix, DIVERGENCE_THRESHOLD, size)
+        kernel = _iterate(seeds, steps, basis, matrix, size)
         rows, pieces, keep = np.arange(n), {row: [] for row in range(n)}, None
         for lo in range(0, length, size):
             block = kernel.send(keep)
@@ -351,31 +351,6 @@ def test_contracting_map_never_diverges():
     prediction = predict(operator, np.array([[100.0]]), steps=200)
     assert prediction.diverged_at is None
     assert np.isfinite(prediction.trajectory.states).all()
-
-
-def test_custom_divergence_threshold():
-    config = FeatureConfig(num_states=1, delays=1, degree=1)
-    basis = monomial_basis(config)
-    matrix = np.array([[2.0]])
-    states, diverged = iterate_batch(
-        np.array([[[1.0]]]), 10, basis, matrix, divergence_threshold=8.0
-    )
-    assert diverged[0] == 4  # 16 > 8 first appears at sample index 4
-    assert np.isnan(states[0, 4:]).all()
-
-
-def test_infinite_threshold_still_cuts_non_finite_states():
-    # Tenfold steps from 1e300 and 1.0 overflow to inf, which no
-    # threshold admits, at samples 9 and 309.
-    config = FeatureConfig(num_states=1, delays=1, degree=1)
-    basis = monomial_basis(config)
-    seeds, matrix = np.array([[[1e300]], [[1.0]]]), np.array([[10.0]])
-    states, diverged = iterate_batch(seeds, 320, basis, matrix, divergence_threshold=np.inf)
-    expected, expected_div = oracles.loop_iterate(
-        seeds, 320, basis.exponents, matrix, divergence_threshold=np.inf
-    )
-    assert states.tobytes() == expected.tobytes()
-    assert diverged.tolist() == expected_div.tolist() == [9, 309]
 
 
 def test_overflowing_operator_diverges_without_a_warning():
