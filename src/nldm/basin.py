@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, LearnedOperator
+from .core import DimensionError, LearnedOperator, _leading
 from .features import monomial_basis
 from .odes import (
     BenchmarkSystem,
@@ -175,8 +175,7 @@ def _capture_walk(block, attractors, tol, codes, runs, work):
     if length == 0:
         return
     shape = (len(attractors), cells, length)
-    run = work[0][:math.prod(shape)].reshape(shape)
-    hit = work[1][:math.prod(shape)].reshape(shape)
+    run, hit = _leading(work[0], shape), _leading(work[1], shape)
     finite = np.isfinite(block).all(axis=2)
     for attractor, captured in zip(attractors, hit):
         np.logical_and(_capture_mask(block, attractor, tol), finite, out=captured)

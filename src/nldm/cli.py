@@ -1,7 +1,7 @@
 """Command-line pipeline: simulate, train, predict, evaluate, basin, run.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
-failures inside the pipeline.
+failures inside the pipeline and for arrays too large to allocate.
 """
 
 from __future__ import annotations
@@ -355,7 +355,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (IntegrationError, ValueError, RuntimeError, np.linalg.LinAlgError,
+            MemoryError) as exc:
         print(f"nldm: pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     return EXIT_OK

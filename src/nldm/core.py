@@ -8,6 +8,7 @@ which total degree the stacked vector is lifted into monomial features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +137,30 @@ class Trajectory:
 def _dt_differs(dt: float, reference: float) -> bool:
     """Whether two sampling intervals differ beyond round-off."""
     return abs(dt - reference) > 1e-12 * max(abs(reference), 1.0)
+
+
+def _ordered_sum(terms, out=None):
+    """``terms[0] + terms[1] + ...`` over the leading axis, added in index
+    order from +0.0 as a loop of ``+=`` would, into ``out`` if given.
+
+    numpy reduces a leading axis plane by plane, in order, except over a
+    one-element plane, where it may take a pairwise sum; such planes are
+    summed two wide.  Every sum of the forecasting kernel and the
+    integrator goes through here, so their rows are batch-invariant.
+    """
+    if out is None:
+        out = np.empty_like(terms[0])
+    if terms.size != len(terms):  # planes of two or more elements
+        return np.add.reduce(terms, axis=0, initial=0.0, out=out)
+    pair = np.repeat(terms.reshape(-1, 1), 2, axis=1)
+    out[...] = np.add.reduce(pair, axis=0, initial=0.0)[0]
+    return out
+
+
+def _leading(space, shape):
+    """View the leading entries of the flat workspace ``space`` as
+    ``shape``; workspaces are sized for the largest block of a run."""
+    return space[:math.prod(shape)].reshape(shape)
 
 
 def _check_positive(**values) -> None:

@@ -77,6 +77,12 @@ def train(
         are mean RRMSE across states, NaN where the re-prediction
         diverged or a reference state is constant (the score is
         undefined), and ``mean_rrmse`` averages them (NaN if any is).
+
+    Raises
+    ------
+    ValueError
+        If the features have effective rank 0 (every series sits at the
+        origin, say), since such a fit has seen no signal.
     """
     trajectories = list(trajectories)
     if references is not None:
@@ -99,6 +105,8 @@ def train(
             stacklevel=2,
         )
     report = solve_min_frobenius(pair.features, pair.targets)
+    if report.effective_rank == 0:
+        raise ValueError("the training features have effective rank 0: the series carry no signal")
     operator = LearnedOperator(
         matrix=report.solution,
         config=config,

@@ -35,6 +35,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _header_fields(text: str) -> dict[str, str]:
+    """The ``key=value`` words of header text; other words are skipped."""
+    return dict(part.split("=", 1) for part in text.split() if "=" in part)
+
+
 def save_trajectory_csv(path, trajectory: Trajectory) -> None:
     path = Path(path)
     prov = trajectory.provenance
@@ -67,9 +72,7 @@ def load_trajectory_csv(path) -> Trajectory:
         if not line:
             continue
         if line.startswith("#"):
-            fields = dict(
-                part.split("=", 1) for part in line[1:].split() if "=" in part
-            )
+            fields = _header_fields(line[1:])
             noisy = fields.get("provenance") == "noisy"
             if noisy and "sigma_pct" not in fields:
                 raise ValueError(f"{path}:{lineno}: noisy header has no sigma_pct= field")
@@ -128,9 +131,7 @@ def load_model(path) -> LearnedOperator:
     lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0].strip() != MODEL_MAGIC:
         raise ValueError(f"{path}: not a {MODEL_MAGIC!r} file")
-    header = dict(
-        part.split("=", 1) for line in lines[1:4] for part in line.split() if "=" in part
-    )
+    header = _header_fields(" ".join(lines[1:4]))
     for key in ("num_states", "delays", "degree", "num_features", "dt", "ordering"):
         if key not in header:
             raise ValueError(f"{path}: header has no {key}= field")
@@ -172,10 +173,10 @@ def save_basin_csv(path, grid: BasinGrid) -> None:
         ),
         "x,y,label",
     ]
-    xs, ys = grid.xs, grid.ys
-    for i in range(grid.resolution):
-        for j in range(grid.resolution):
-            lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{grid.labels[i, j]}")
+    # One %-format for every row, as for trajectories; cells go x-major.
+    xs, ys = (axis.ravel().tolist() for axis in np.meshgrid(grid.xs, grid.ys, indexing="ij"))
+    values = [v for cell in zip(xs, ys, grid.labels.ravel().tolist()) for v in cell]
+    lines.append("\n".join(["%.17g,%.17g,%s"] * grid.labels.size) % tuple(values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -188,7 +189,7 @@ def load_basin_csv(path) -> BasinGrid:
         if not line or line == "x,y,label":
             continue
         if line.startswith("#"):
-            meta = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
+            meta = _header_fields(line[1:])
             continue
         fields = line.split(",")
         if len(fields) != 3:

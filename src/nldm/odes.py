@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import DimensionError, IntegrationError, Provenance, Trajectory
+from .core import DimensionError, IntegrationError, Provenance, Trajectory, _leading, _ordered_sum
 
 __all__ = [
     "PointAttractor",
@@ -280,22 +280,9 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
-def _sum_planes(terms):
-    """``terms[0] + terms[1] + ...`` elementwise, added in index order.
-
-    numpy reduces a leading axis plane by plane, as that loop would, once
-    a plane holds two or more elements; a one-element plane is summed two
-    wide, since over a single element numpy may take a pairwise sum.  A
-    BLAS reduction could make a cell's result depend on its batch.
-    """
-    if terms[0].size == 1:
-        return np.add.reduce(np.repeat(terms, 2, axis=-1), axis=0)[..., :1]
-    return np.add.reduce(terms, axis=0)
-
-
 def _rms(rows):
     """RMS over the state rows of a (num_states, cells) array."""
-    return np.sqrt(_sum_planes(rows * rows)) / len(rows) ** 0.5
+    return np.sqrt(_ordered_sum(rows * rows)) / len(rows) ** 0.5
 
 
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
@@ -332,8 +319,7 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     its remaining samples are NaN.  Each stage, the update, the error
     estimate and the dense-output coefficients are one product of
     weights and stage derivatives summed over the stage axis in stage
-    order, and the stages of a single cell are broadcast into two
-    columns (see ``_sum_planes``), so a cell's samples are bitwise the
+    order (``core._ordered_sum``), so a cell's samples are bitwise the
     same alone or in any batch.
     """
     rtol, atol = settings.rel_tol, settings.abs_tol
@@ -351,21 +337,17 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     # one it evaluates to the start point at the start time.
     t_old, h, y_old = t.copy(), np.ones(cells), y.copy()
     q = np.zeros((_P.shape[1],) + y.shape)
-    # The stage derivatives, (stages, num_states, width), and their
-    # weighted terms live in workspaces sized for the first step; later
-    # steps, with fewer cells, take views of their leading entries.
-    plane = num_states * max(cells, 2)
-    stage_space = np.empty(len(_E) * plane)
-    terms_space = np.empty(_P.size * plane)
+    # The stage derivatives, (stages, num_states, cells), and their weighted
+    # terms live in workspaces sized for the first step (``core._leading``).
+    stage_space = np.empty(len(_E) * y.size)
+    terms_space = np.empty(_P.size * y.size)
 
     def combine(weights, stages):
         """Sum ``weights[i] * stages[i]`` over the leading (stage) axis,
-        stage by stage in order; each weight scales a (num_states, width)
+        stage by stage in order; each weight scales a (num_states, cells)
         plane."""
-        terms = terms_space[:weights.size * stages[0].size].reshape(
-            weights.shape + stages.shape[-2:]
-        )
-        return np.add.reduce(np.multiply(weights[..., None, None], stages, out=terms), axis=0)
+        terms = _leading(terms_space, weights.shape + stages.shape[-2:])
+        return _ordered_sum(np.multiply(weights[..., None, None], stages, out=terms))
 
     def emit(rows):
         """Write the block's samples that the rows' last steps cover."""
@@ -381,7 +363,7 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
         for coefficient in terms:
             coefficient *= power
             power = power * x
-        values = h[cell] * _sum_planes(terms) + y_old.take(cell, axis=1)
+        values = h[cell] * _ordered_sum(terms) + y_old.take(cell, axis=1)
         out[:, cell, sample - first] = values
         emitted[rows] = upto
 
@@ -403,24 +385,21 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
 
             t1 = np.minimum(t0 + size, t_end)
             step = t1 - t0
-            # A single cell fills both columns, and sums keep its first.
-            n = rows.size
-            width = 2 if n == 1 else n
-            k = stage_space[:len(_E) * num_states * width].reshape(len(_E), num_states, width)
+            k = _leading(stage_space, (len(_E), num_states, rows.size))
             k[0] = f0
             for stage in range(1, len(_C)):
-                dy = combine(_A[stage, :stage], k[:stage])[:, :n] * step
+                dy = combine(_A[stage, :stage], k[:stage]) * step
                 k[stage] = rhs(t0 + _C[stage] * step, y0 + dy)
-            y1 = y0 + step * combine(_B, k[:-1])[:, :n]
+            y1 = y0 + step * combine(_B, k[:-1])
             k[-1] = rhs(t1, y1)
             scale = atol + np.maximum(np.abs(y0), np.abs(y1)) * rtol
-            error = _rms(combine(_E, k) * step / scale)[:n]
+            error = _rms(combine(_E, k) * step / scale)
 
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 factor = _SAFETY * error**_ERROR_EXPONENT
                 # Every cell's coefficients; a rejected step's stages may
                 # be non-finite, and only accepted steps keep theirs.
-                coefficients = combine(_P, k[:, None])[..., :n]
+                coefficients = combine(_P, k[:, None])
             accept = error < 1
             grow = np.where(error == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
             grow = np.where(rejected[rows], np.minimum(1.0, grow), grow)
@@ -431,7 +410,7 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
             done = rows[accept]
             t_old[done], h[done], y_old[:, done] = t0[accept], step[accept], y0[:, accept]
             q[:, :, done] = coefficients[..., accept]
-            t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1, :, :n][:, accept]
+            t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1][:, accept]
             emit(done)
 
         keep = yield out.transpose(1, 2, 0)

@@ -12,18 +12,14 @@ run.  A block's samples live in one history buffer, newest first, with
 the previous ``delays`` samples carried in behind them, so a step's
 window is one contiguous slice and the step writes its state in place.
 The lift takes one multiply per run of monomials (see ``MonomialBasis``);
-the update takes the same numpy calls whatever the feature count.  It is
-one ``np.add.reduce`` over the outer (feature) axis of the (features,
-states, columns) products, starting from +0.0, and numpy adds such
-planes elementwise in feature order, as a loop of ``+=`` would.  The
-reduction is at least two columns wide (a single row fills both), since
-over one state and one column numpy would take a pairwise sum instead.
-So a row's samples are bitwise identical alone or in a batch of any
-size, in blocks of any length.  Once a produced state exceeds
-``DIVERGENCE_THRESHOLD`` in max-norm (or is non-finite), the rest of the
-trajectory is NaN; the test runs once per block, which gives the same
-samples as a test after every step, since a row's later samples depend
-only on its earlier ones.
+the update takes the same numpy calls whatever the feature count: one
+sum of the (features, states, rows) products over the feature axis, in
+feature order (``core._ordered_sum``).  So a row's samples are bitwise
+identical alone or in a batch of any size, in blocks of any length.
+Once a produced state exceeds ``DIVERGENCE_THRESHOLD`` in max-norm (or
+is non-finite), the rest of the trajectory is NaN; the test runs once
+per block, which gives the same samples as a test after every step,
+since a row's later samples depend only on its earlier ones.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, LearnedOperator, Trajectory
+from .core import DimensionError, LearnedOperator, Trajectory, _leading, _ordered_sum
 from .features import MonomialBasis, monomial_basis
 
 __all__ = ["Prediction", "predict", "iterate_batch"]
@@ -55,36 +51,27 @@ class Prediction:
 def _iterate(seeds, steps, basis, matrix, block):
     """Yield each kept row's seeds and then ``steps`` forecast states,
     ``block`` samples at a time; a boolean mask sent after a block keeps
-    the rows of that block to step further."""
+    the rows of that block to step further.  Each state is one
+    ``core._ordered_sum`` of its feature terms."""
     n, delays, num_states = seeds.shape
     span = delays * num_states
     seed_columns = seeds.transpose(1, 2, 0)  # (delays, S, rows)
     weights = np.ascontiguousarray(matrix.T)[:, :, None]
     num_features = weights.shape[0]
     total = delays + steps
-    # Workspaces sized for the first block; later blocks, which hold
-    # fewer rows or samples, take contiguous views of their leading
-    # entries.  The history holds a block's samples newest first and the
-    # ``delays`` samples before them behind, shape (length + delays, S,
-    # width), so the lags of a step, newest first, are one contiguous
-    # slice.  It is at least two columns wide, a single row filling both:
-    # with one state, a one-column sum would take numpy's pairwise sum,
-    # not the feature order.
-    wide = 2 if n == 1 else n
-    lift_space = np.empty(num_features * wide)
-    terms_space = np.empty(num_features * num_states * wide)
-    history_space = np.empty((min(block, total) + delays) * num_states * wide)
+    # Workspaces sized for the first block (see ``core._leading``).  The
+    # history holds a block's samples newest first and the ``delays``
+    # samples before them behind, shape (length + delays, S, rows), so
+    # the lags of a step, newest first, are one contiguous slice.
+    lift_space = np.empty(num_features * n)
+    terms_space = np.empty(num_features * num_states * n)
+    history_space = np.empty((min(block, total) + delays) * num_states * n)
     rows, carried = n, None
     for first in range(0, total, block):
         length = min(first + block, total) - first
-        width = 2 if rows == 1 else rows
-        history = history_space[:(length + delays) * num_states * width].reshape(
-            length + delays, num_states, width
-        )
-        lift = lift_space[:num_features * width].reshape(num_features, width)
-        terms = terms_space[:num_features * num_states * width].reshape(
-            num_features, num_states, width
-        )
+        history = _leading(history_space, (length + delays, num_states, rows))
+        lift = _leading(lift_space, (num_features, rows))
+        terms = _leading(terms_space, (num_features, num_states, rows))
         if carried is not None:
             history[length:] = carried
         # Sample first + j sits at position length - 1 - j.
@@ -93,18 +80,17 @@ def _iterate(seeds, steps, basis, matrix, block):
         stepped = length - seeded  # produced samples, at positions 0 .. stepped - 1
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(stepped - 1, -1, -1):
-                basis._evaluate_rows(history[i + 1:i + 1 + delays].reshape(span, width), lift)
+                basis._evaluate_rows(history[i + 1:i + 1 + delays].reshape(span, rows), lift)
                 np.multiply(weights, lift[:, None, :], out=terms)
-                # Adds the feature planes in order from +0.0.
-                np.add.reduce(terms, axis=0, initial=0.0, out=history[i])
+                _ordered_sum(terms, out=history[i])
         if stepped:
             _cut_divergent(history[:stepped])
         # A fresh block, state-major in memory like the kernel's arrays.
-        samples = history[length - 1::-1, :, :rows].transpose(1, 2, 0)
+        samples = history[length - 1::-1].transpose(1, 2, 0)
         keep = yield samples.copy().transpose(1, 2, 0)
         carried = history[:delays]
         if keep is not None:
-            carried = carried[:, :, :rows][:, :, keep]
+            carried = carried[:, :, keep]
             seed_columns = seed_columns[:, :, keep]
             rows = carried.shape[2]
 
@@ -184,7 +170,8 @@ def predict(
     ``seeds`` must have shape (delays, num_states) and be finite, and
     seeds plus steps must make at least two samples; the returned
     trajectory has the seeds as its first rows and inherits the
-    operator's sampling interval.
+    operator's sampling interval.  It is bitwise the forecast of these
+    seeds in any batch (see ``core._ordered_sum``).
     """
     config = operator.config
     seeds = np.asarray(seeds, dtype=float)

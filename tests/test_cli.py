@@ -402,6 +402,38 @@ def test_training_series_with_an_undefined_score_is_scored_null(tmp_path):
     assert load_model(out / "model.txt").config.delays == 2
 
 
+def test_training_series_without_signal_exit_3(tmp_path, capsys):
+    raw = base_config()
+    raw["model"] = {"delays": 1, "degree": 1}
+    raw["train"] = [{"ic": [0.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60}]
+    del raw["test"], raw["basin"]
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path, raw)),
+                 "--out", str(out)]) == EXIT_PIPELINE
+    assert "effective rank 0" in capsys.readouterr().err
+    assert not (out / "model.txt").exists()
+
+
+def _overcommit_mode():
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip()
+    except OSError:
+        return None
+
+
+# Linux refuses the scan's 14.6 TiB request at once under its heuristic (0)
+# and strict (2) overcommit modes; mode 1 would grant it and page it in.
+@pytest.mark.skipif(_overcommit_mode() not in ("0", "2"),
+                    reason="needs an allocator that refuses oversized requests")
+def test_scan_too_large_to_allocate_exits_3(tmp_path, capsys):
+    raw = base_config()
+    raw["basin"]["resolution"] = 10**6
+    out = tmp_path / "out"
+    assert main(["basin", "--config", str(write_config(tmp_path, raw)),
+                 "--out", str(out)]) == EXIT_PIPELINE
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
 def _double_dt(raw):
     for entry in raw["train"] + raw["test"]:
         entry["t_span"] = [0.0, 1.18]

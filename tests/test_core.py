@@ -23,6 +23,7 @@ from nldm import (
     TrainingSummary,
     feature_dim,
 )
+from nldm.core import _ordered_sum
 
 
 # --- feature_dim -----------------------------------------------------------
@@ -186,3 +187,28 @@ def test_package_exports_are_exported_by_their_modules():
     }
     for name in set(nldm.__all__) - {"__version__"}:
         assert name in home[name].__all__, f"{home[name].__name__} does not export {name}"
+
+
+# --- ordered sums ----------------------------------------------------------
+
+def _loop_sum(terms):
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("plane", [(1,), (1, 1), (2, 1), (1, 2), (3, 5)])
+def test_ordered_sum_adds_in_index_order_from_positive_zero(plane):
+    # Magnitudes spread over 16 decades make every summation order round
+    # differently; all-(-0.0) terms sum to +0.0, as from a +0.0 start.
+    rng = np.random.default_rng(11)
+    for count in range(1, 131):
+        shape = (count,) + plane
+        drawn = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        for terms in (drawn, np.full(shape, -0.0)):
+            expected = _loop_sum(terms).tobytes()
+            assert _ordered_sum(terms).tobytes() == expected, shape
+            out = np.full(plane, np.nan)
+            assert _ordered_sum(terms, out=out) is out
+            assert out.tobytes() == expected, shape

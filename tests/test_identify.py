@@ -37,6 +37,13 @@ def test_linear_oscillator_recovers_matrix_exponential():
     assert abs(result.operator.training_summary.origin_multiplier - multiplier) < 1e-9
 
 
+def test_series_without_signal_are_refused(make_series):
+    # Every feature of a series resting at the origin is zero, so the
+    # solver's zero solution would be an operator fitted to nothing.
+    with pytest.raises(ValueError, match="effective rank 0"):
+        train([make_series([0.0, 0.0, 0.0, 0.0])], FeatureConfig(1, 1, 1))
+
+
 def test_training_summary_bookkeeping(make_series):
     config = FeatureConfig(1, 2, 2)
     result = train(
