@@ -12,7 +12,6 @@ from .basin import (
     classify_series,
     grid_agreement,
     ground_truth_grid,
-    label_operator_cell,
     operator_grid,
 )
 from .config import (
@@ -43,15 +42,11 @@ from .features import (
     MonomialBasis,
     SnapshotPair,
     build_snapshot_pair,
-    delayed_state,
-    lift,
     monomial_basis,
 )
 from .identify import TrainingResult, train
 from .io import (
-    load_basin_csv,
     load_model,
-    load_trajectory_csv,
     save_basin_csv,
     save_model,
     save_trajectory_csv,
@@ -109,18 +104,13 @@ __all__ = [
     "classify_series",
     "config_from_dict",
     "config_to_dict",
-    "delayed_state",
     "derived_seed",
     "feature_dim",
     "grid_agreement",
     "ground_truth_grid",
     "integrate",
     "iterate_batch",
-    "label_operator_cell",
-    "lift",
-    "load_basin_csv",
     "load_model",
-    "load_trajectory_csv",
     "make_system",
     "monomial_basis",
     "operator_grid",

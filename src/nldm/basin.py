@@ -48,7 +48,6 @@ __all__ = [
     "operator_grid",
     "grid_agreement",
     "classify_series",
-    "label_operator_cell",
 ]
 
 UNRESOLVED = "unresolved"
@@ -101,12 +100,12 @@ class GridAgreement:
 
 
 def _check_window(window, resolution):
-    (x_lo, x_hi), (y_lo, y_hi) = window
-    if not (x_hi > x_lo and y_hi > y_lo):
-        raise ValueError(f"window must have positive extent, got {window}")
+    (x_lo, x_hi), (y_lo, y_hi) = ((float(lo), float(hi)) for lo, hi in window)
+    if not (0 < x_hi - x_lo < math.inf and 0 < y_hi - y_lo < math.inf):
+        raise ValueError(f"window must have positive extent, finite as a float, got {window}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    return (float(x_lo), float(x_hi)), (float(y_lo), float(y_hi))
+    return (x_lo, x_hi), (y_lo, y_hi)
 
 
 def _check_capture(tol, steps=1):
@@ -324,15 +323,6 @@ def ground_truth_grid(
                  blocks, horizon=float(horizon), num_samples=num_samples)
 
 
-def _check_operator(operator, system):
-    _check_attractors(system)
-    if operator.config.num_states != system.num_states:
-        raise DimensionError(
-            f"operator has {operator.config.num_states} states, system "
-            f"{system.ident!r} has {system.num_states}"
-        )
-
-
 def _operator_blocks(operator, points, steps):
     """Kernel blocks from each start point repeated into every delay slot."""
     seeds = np.repeat(points[:, None, :], operator.config.delays, axis=1)
@@ -357,31 +347,18 @@ def operator_grid(
     label is identical whether it is advanced alone or with the whole
     grid.
     """
-    _check_operator(operator, system)
+    _check_attractors(system)
+    if operator.config.num_states != system.num_states:
+        raise DimensionError(
+            f"operator has {operator.config.num_states} states, system "
+            f"{system.ident!r} has {system.num_states}"
+        )
 
     def blocks(points):
         return _operator_blocks(operator, points, steps)
 
     return _scan("operator", system, window, resolution, steps, operator.dt, tol,
                  fixed_coords, blocks)
-
-
-def label_operator_cell(
-    operator: LearnedOperator,
-    system: BenchmarkSystem,
-    point,
-    steps: int = 1000,
-    tol: float = 0.05,
-) -> str:
-    """Label a single start point (same code path as ``operator_grid``)."""
-    _check_operator(operator, system)
-    _check_capture(tol, steps)
-    point = np.asarray(point, dtype=float).reshape(1, -1)
-    if point.shape[1] != system.num_states:
-        raise DimensionError(
-            f"point has {point.shape[1]} entries, system has {system.num_states}"
-        )
-    return _classify(_operator_blocks(operator, point, steps), system.attractors, tol)[0]
 
 
 def grid_agreement(truth: BasinGrid, predicted: BasinGrid) -> GridAgreement:

@@ -17,14 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionError, FeatureConfig, Trajectory, _dt_differs, feature_dim
+from .core import DimensionError, FeatureConfig, _dt_differs
 
 __all__ = [
     "MonomialBasis",
     "SnapshotPair",
     "monomial_basis",
-    "delayed_state",
-    "lift",
     "build_snapshot_pair",
 ]
 
@@ -136,9 +134,6 @@ class MonomialBasis:
             )
         return self._evaluate_rows(points.T).T
 
-    def evaluate(self, point: np.ndarray) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(point, dtype=float)[None, :])[0]
-
 
 def _graded_exponents(num_vars: int, degree: int) -> np.ndarray:
     rows = []
@@ -163,39 +158,6 @@ def monomial_basis(config: FeatureConfig) -> MonomialBasis:
     return basis
 
 
-def delayed_state(trajectory: Trajectory, k: int, delays: int) -> np.ndarray:
-    """Concatenate states k-1, k-2, ..., k-delays into one vector.
-
-    Raises
-    ------
-    IndexError
-        If fewer than ``delays`` states precede sample k, or k is out of
-        range.
-    """
-    if delays < 1:
-        raise ValueError(f"delays must be >= 1, got {delays}")
-    if k < delays:
-        raise IndexError(
-            f"sample {k} has only {k} predecessors, need {delays}"
-        )
-    if k > trajectory.num_samples - 1:
-        raise IndexError(
-            f"sample {k} out of range for {trajectory.num_samples} samples"
-        )
-    return trajectory.states[k - delays:k][::-1].reshape(-1)
-
-
-def lift(stacked: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Lift a stacked delayed vector into the monomial feature vector."""
-    stacked = np.asarray(stacked, dtype=float)
-    if stacked.shape != (config.stacked_dim,):
-        raise DimensionError(
-            f"expected stacked vector of length {config.stacked_dim}, "
-            f"got shape {stacked.shape}"
-        )
-    return monomial_basis(config).evaluate(stacked)
-
-
 def _delayed_block(states: np.ndarray, delays: int) -> np.ndarray:
     """Rows k = delays..K-1 of the delayed stack, one row per sample."""
     num_samples = states.shape[0]
@@ -214,7 +176,6 @@ class SnapshotPair:
 
     targets: np.ndarray
     features: np.ndarray
-    columns_per_trajectory: tuple[int, ...]
 
     @property
     def num_columns(self) -> int:
@@ -226,7 +187,8 @@ def build_snapshot_pair(trajectories, config: FeatureConfig) -> SnapshotPair:
 
     Trajectories contribute columns in the order given; each must share
     the state dimension and sampling interval and be long enough to
-    yield at least one column.
+    yield at least one column.  A monomial too large for a float is
+    inf, which ``solve_min_frobenius`` refuses.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -240,7 +202,6 @@ def build_snapshot_pair(trajectories, config: FeatureConfig) -> SnapshotPair:
     basis = monomial_basis(config)
     target_blocks = []
     feature_blocks = []
-    counts = []
     for q, trajectory in enumerate(trajectories):
         if trajectory.num_states != first.num_states:
             raise DimensionError(
@@ -257,10 +218,10 @@ def build_snapshot_pair(trajectories, config: FeatureConfig) -> SnapshotPair:
                 f"need at least {config.delays + 1} for {config.delays} delays"
             )
         target_blocks.append(trajectory.states[config.delays:])
-        feature_blocks.append(
-            basis.evaluate_batch(_delayed_block(trajectory.states, config.delays))
-        )
-        counts.append(trajectory.num_samples - config.delays)
+        with np.errstate(over="ignore"):  # an overflowed monomial is inf
+            feature_blocks.append(
+                basis.evaluate_batch(_delayed_block(trajectory.states, config.delays))
+            )
     targets = np.concatenate(target_blocks, axis=0).T
     features = np.concatenate(feature_blocks, axis=0).T
-    return SnapshotPair(targets, features, tuple(counts))
+    return SnapshotPair(targets, features)

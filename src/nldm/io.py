@@ -1,7 +1,7 @@
 """Plain-text artifacts: trajectory CSVs, operator files, basin rasters.
 
-All floats are written with 17 significant digits so a load after a save
-reproduces every value bit for bit.  Trajectory files carry their
+All floats are written with 17 significant digits, so the text reads
+back to every value bit for bit.  Trajectory files carry their
 sampling metadata in a leading comment; operator files start with a
 versioned header naming the dimensions and the monomial ordering.
 """
@@ -15,15 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .basin import BasinGrid
-from .core import FeatureConfig, LearnedOperator, Provenance, Trajectory
+from .core import FeatureConfig, LearnedOperator, Trajectory
 
 __all__ = [
     "save_trajectory_csv",
-    "load_trajectory_csv",
     "save_model",
     "load_model",
     "save_basin_csv",
-    "load_basin_csv",
     "write_json",
 ]
 
@@ -59,57 +57,6 @@ def save_trajectory_csv(path, trajectory: Trajectory) -> None:
     row_format = ",".join(["%.17g"] * values.shape[1])
     lines.append("\n".join([row_format] * len(values)) % tuple(values.ravel().tolist()))
     path.write_text("\n".join(lines) + "\n")
-
-
-def load_trajectory_csv(path) -> Trajectory:
-    path = Path(path)
-    dt = t0 = None
-    provenance = Provenance.clean()
-    rows = []
-    times = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = _header_fields(line[1:])
-            noisy = fields.get("provenance") == "noisy"
-            if noisy and "sigma_pct" not in fields:
-                raise ValueError(f"{path}:{lineno}: noisy header has no sigma_pct= field")
-            try:
-                if "dt" in fields:
-                    dt = float(fields["dt"])
-                if "t0" in fields:
-                    t0 = float(fields["t0"])
-                if noisy:
-                    seed_text = fields.get("seed", "none")
-                    provenance = Provenance.noisy(
-                        float(fields["sigma_pct"]),
-                        None if seed_text == "none" else int(seed_text),
-                    )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed header: {exc}") from exc
-            continue
-        if line.startswith("t,"):
-            continue
-        parts = line.split(",")
-        try:
-            values = [float(part) for part in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: unparseable row {line!r}") from exc
-        if rows and len(values) != len(rows[0]) + 1:
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(rows[0]) + 1} fields, got {len(values)}"
-            )
-        times.append(values[0])
-        rows.append(values[1:])
-    if len(rows) < 2:
-        raise ValueError(f"{path}: fewer than two samples")
-    if dt is None:
-        dt = times[1] - times[0]
-    if t0 is None:
-        t0 = times[0]
-    return Trajectory(np.array(rows), dt=dt, t0=t0, provenance=provenance)
 
 
 def save_model(path, operator: LearnedOperator) -> None:
@@ -173,51 +120,14 @@ def save_basin_csv(path, grid: BasinGrid) -> None:
         ),
         "x,y,label",
     ]
-    # One %-format for every row, as for trajectories; cells go x-major.
-    xs, ys = (axis.ravel().tolist() for axis in np.meshgrid(grid.xs, grid.ys, indexing="ij"))
-    values = [v for cell in zip(xs, ys, grid.labels.ravel().tolist()) for v in cell]
-    lines.append("\n".join(["%.17g,%.17g,%s"] * grid.labels.size) % tuple(values))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_basin_csv(path) -> BasinGrid:
-    path = Path(path)
-    meta = {}
-    labels = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line == "x,y,label":
-            continue
-        if line.startswith("#"):
-            meta = _header_fields(line[1:])
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected x,y,label, got {line!r}")
-        labels.append(fields[2])
-    for key in ("resolution", "x_range", "y_range"):
-        if key not in meta:
-            raise ValueError(f"{path}: header has no {key}= field")
-    try:
-        resolution = int(meta["resolution"])
-        x_lo, x_hi = (float(v) for v in meta["x_range"].split(":"))
-        y_lo, y_hi = (float(v) for v in meta["y_range"].split(":"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed header: {exc}") from exc
-    if resolution < 2:
-        raise ValueError(f"{path}: resolution must be >= 2, got {resolution}")
-    if len(labels) != resolution * resolution:
-        raise ValueError(
-            f"{path}: expected {resolution * resolution} cells, got {len(labels)}"
-        )
-    return BasinGrid(
-        x_range=(x_lo, x_hi),
-        y_range=(y_lo, y_hi),
-        resolution=resolution,
-        labels=np.array(labels, dtype=object).reshape(resolution, resolution),
-        source={"kind": meta.get("source", "unknown"), "system": meta.get("system", "unknown")},
-        meta={},
+    # Cells go x-major; each coordinate is formatted once, as _fmt writes it.
+    xs, ys = (["%.17g," % v for v in axis.tolist()] for axis in (grid.xs, grid.ys))
+    lines.extend(
+        x + y + str(label)
+        for x, row in zip(xs, grid.labels.tolist())
+        for y, label in zip(ys, row)
     )
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _json_safe(obj):

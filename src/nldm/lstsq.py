@@ -76,7 +76,8 @@ def solve_min_frobenius(features: np.ndarray, targets: np.ndarray) -> LstsqRepor
         features.T, targets.T, rcond=None
     )
     solution = solution_t.T
-    residual = float(np.linalg.norm(solution @ features - targets, "fro"))
+    with np.errstate(over="ignore"):  # inf once the squares of the residual overflow
+        residual = float(np.linalg.norm(solution @ features - targets, "fro"))
     return LstsqReport(
         solution=solution,
         residual_frobenius=residual,

@@ -288,8 +288,8 @@ def _rms(rows):
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):
     """The starting step size of Solving ODEs I, II.4, per cell."""
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # an overflow gives a NaN step, which fails
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, interval)
         d2 = _rms((rhs(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
@@ -328,7 +328,8 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     y = np.array(starts, dtype=float).T
     num_states, cells = y.shape
     t = np.full(cells, t_start)
-    f = rhs(t, y)
+    with np.errstate(all="ignore"):  # a start whose derivative overflows fails
+        f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_end - t_start, rtol, atol)
     rejected = np.zeros(cells, dtype=bool)
     failed = np.zeros(cells, dtype=bool)

@@ -45,7 +45,6 @@ class Prediction:
 
     trajectory: Trajectory
     diverged_at: int | None
-    steps_requested: int
 
 
 def _iterate(seeds, steps, basis, matrix, block):
@@ -191,5 +190,4 @@ def predict(
     return Prediction(
         trajectory=trajectory,
         diverged_at=None if diverged[0] < 0 else int(diverged[0]),
-        steps_requested=steps,
     )

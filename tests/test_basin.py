@@ -13,7 +13,6 @@ from nldm.basin import (
     classify_series,
     grid_agreement,
     ground_truth_grid,
-    label_operator_cell,
     operator_grid,
 )
 from nldm.core import DimensionError, FeatureConfig, LearnedOperator
@@ -29,7 +28,7 @@ from nldm.odes import (
     make_system,
 )
 from nldm.predict import iterate_batch
-from oracles import loop_classify_series, per_cell_truth_labels
+from oracles import loop_classify_series, loop_iterate, per_cell_truth_labels
 
 WINDOW = ((-3.0, 3.0), (-3.0, 3.0))
 
@@ -360,22 +359,41 @@ def test_doubling_operator_diverges_everywhere_but_the_origin_cell():
     assert (off_center == DIVERGED).all()
 
 
+def quadratic_delay_operator():
+    """A delay-2 quadratic map whose origin attracts the window's lower
+    rows and whose quadratic terms carry the upper rows away."""
+    config = FeatureConfig(2, 2, 2)
+    matrix = np.zeros((2, config.num_features))
+    matrix[0, [0, 2, 4]] = 0.5, 0.2, 0.3
+    matrix[1, [1, 3, 7]] = 0.5, -0.2, 0.25
+    return LearnedOperator(matrix, config, dt=0.1)
+
+
 def test_single_cell_labels_match_grid_cells():
-    operator = scaling_operator(2.0)
+    # Each cell alone through the loop oracles, which share no code with
+    # the grid: a forecast lifted one monomial and summed one term at a
+    # time, then a capture count one sample at a time.
     system = make_system("lho")
-    grid = operator_grid(operator, system, ((-2.0, 2.0), (-2.0, 2.0)), 3, steps=30)
-    for i, x in enumerate(grid.xs):
-        for j, y in enumerate(grid.ys):
-            assert label_operator_cell(operator, system, (x, y), steps=30) == grid.labels[i, j]
+    for operator, steps in ((scaling_operator(2.0), 30), (quadratic_delay_operator(), 12)):
+        grid = operator_grid(operator, system, ((-3.0, 3.0), (-3.0, 3.0)), 5, steps=steps)
+        assert len(set(grid.labels.ravel())) >= 2
+        exponents = monomial_basis(operator.config).exponents
+        for i, x in enumerate(grid.xs):
+            for j, y in enumerate(grid.ys):
+                seeds = np.full((1, operator.config.delays, 2), (x, y))
+                states, _ = loop_iterate(seeds, steps, exponents, operator.matrix)
+                label = loop_classify_series(states[0], system.attractors, 0.05, PERSISTENCE)
+                assert label == grid.labels[i, j], (x, y)
 
 
 def test_operator_cell_diverges_once_it_leaves_the_threshold():
-    # Doubling from x = 1 reaches 2**19 < 1e6 < 2**20.
+    # Doubling from x = 1 reaches 2**19 < 1e6 < 2**20; the window's other
+    # cells start farther out and diverge sooner.
     operator = scaling_operator(2.0)
     system = make_system("lho")
-    point = (1.0, 0.0)
-    assert label_operator_cell(operator, system, point, steps=19) == UNRESOLVED
-    assert label_operator_cell(operator, system, point, steps=20) == DIVERGED
+    window = ((1.0, 2.0), (0.0, 1.0))
+    assert operator_grid(operator, system, window, 2, steps=19).labels[0, 0] == UNRESOLVED
+    assert operator_grid(operator, system, window, 2, steps=20).labels[0, 0] == DIVERGED
 
 
 def test_fixed_coordinates_slice_higher_dimensional_systems():
@@ -426,7 +444,8 @@ def test_operator_grid_labels_match_classify_series_on_full_histories(monkeypatc
 
     monkeypatch.setattr(MonomialBasis, "_evaluate_rows", counting_lift)
     cell = np.flatnonzero(grid.labels.ravel() == "left_sink")[0]
-    assert label_operator_cell(operator, system, points[cell], steps=steps) == "left_sink"
+    blocks = basin._operator_blocks(operator, points[cell:cell + 1], steps)
+    assert basin._classify(blocks, system.attractors, 0.05)[0] == "left_sink"
     row = states[cell]
     captured_len = next(
         n for n in range(1, len(row) + 1)
@@ -442,7 +461,6 @@ def test_capture_arguments_are_validated():
     system = make_system("lho")
     calls = [
         lambda **kw: operator_grid(operator, system, WINDOW, 3, steps=5, **kw),
-        lambda **kw: label_operator_cell(operator, system, (0.0, 0.0), steps=5, **kw),
         lambda **kw: ground_truth_grid(system, WINDOW, 3, steps=100, dt=0.01, **kw),
         lambda **kw: classify_series([[0.0, 0.0]] * 3, system.attractors, **kw),
     ]
@@ -460,14 +478,8 @@ def test_operator_grid_validation():
         operator_grid(operator, make_system("mfcd"), WINDOW, 3)
     with pytest.raises(ValueError, match="steps"):
         operator_grid(operator, make_system("lho"), WINDOW, 3, steps=0)
-    # A single cell is checked by the same rules.
-    with pytest.raises(ValueError, match="no attractors"):
-        label_operator_cell(operator, make_system("lorenz"), (1.0, 0.0, 0.0))
-    with pytest.raises(DimensionError, match="states"):
-        label_operator_cell(operator, make_system("mfcd"), (1.0, 0.0, 0.0))
-    for steps in (0, -5):
-        with pytest.raises(ValueError, match="steps"):
-            label_operator_cell(operator, make_system("lho"), (1.0, 0.0), steps=steps)
+    with pytest.raises(ValueError, match="steps"):
+        operator_grid(operator, make_system("lho"), WINDOW, 3, steps=-5)
 
 
 # ------------------------------------------------------------------ agreement

@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nldm import IntegratorSettings, LearnedOperator, classify_series, integrate, make_system
+from nldm import (
+    SYSTEM_IDS,
+    IntegratorSettings,
+    LearnedOperator,
+    classify_series,
+    integrate,
+    make_system,
+)
 from nldm.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from nldm.config import config_from_dict, derived_seed
-from nldm.io import load_model, load_trajectory_csv, save_trajectory_csv
+from nldm.io import load_model, save_trajectory_csv
 
 
 def base_config():
@@ -43,6 +50,11 @@ def write_config(tmp_path, raw=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw if raw is not None else base_config()))
     return path
+
+
+def read_states(path):
+    """The state columns of a series CSV, bit for bit."""
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)[:, 1:]
 
 
 def test_run_produces_every_artifact(tmp_path):
@@ -97,13 +109,14 @@ def test_prediction_matches_test_series_shape(tmp_path):
     config_path = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
-    predicted = load_trajectory_csv(out / "predicted_test_00.csv")
-    reference = load_trajectory_csv(out / "test_00_clean.csv")
-    assert predicted.num_samples == reference.num_samples
-    assert predicted.dt == reference.dt
+    predicted = read_states(out / "predicted_test_00.csv")
+    reference = read_states(out / "test_00_clean.csv")
+    assert predicted.shape == reference.shape
+    header = (out / "predicted_test_00.csv").read_text().splitlines()[0]
+    assert header == "# dt=0.01 t0=0 provenance=clean"
     # Seed rows are carried over from the (noisy) test series verbatim.
-    noisy = load_trajectory_csv(out / "test_00_noisy.csv")
-    np.testing.assert_array_equal(predicted.states[:2], noisy.states[:2])
+    noisy = read_states(out / "test_00_noisy.csv")
+    np.testing.assert_array_equal(predicted[:2], noisy[:2])
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):
@@ -131,7 +144,7 @@ def test_integrator_section_sets_series_tolerances(tmp_path):
     config_path = write_config(tmp_path, raw)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
-    states = load_trajectory_csv(out / "train_01_clean.csv").states
+    states = read_states(out / "train_01_clean.csv")
     loose = IntegratorSettings(rel_tol=1e-3, abs_tol=1e-6)
     args = (make_system("lho"), (-1.0, 2.0), (0.0, 0.59), 60)
     np.testing.assert_array_equal(states, integrate(*args, loose).states)
@@ -348,7 +361,7 @@ def test_scores_carry_capture_labels(tmp_path):
     attractors = make_system("lho").attractors
     for field, name in (("reference_label", "test_00_clean.csv"),
                         ("forecast_label", "predicted_test_00.csv")):
-        states = load_trajectory_csv(out / name).states
+        states = read_states(out / name)
         assert entry[field] == classify_series(states, attractors, 0.1) == "origin"
 
 
@@ -537,3 +550,84 @@ def test_truncated_or_mutated_model_files_load_or_fail_by_name(model_and_basin_c
     argv = ["basin", "--config", str(config_path), "--out", str(work / "out"),
             "--model", str(path)]
     assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE)
+
+
+def tiny_config():
+    """A valid config small enough to run end to end in a few ms."""
+    return {
+        "system": {"ident": "lho"},
+        "model": {"delays": 2, "degree": 2},
+        "train": [
+            {"ic": [1.0, -0.5], "t_span": [0.0, 1.9], "num_samples": 20,
+             "noise": {"sigma_pct": 1.0, "seed": 4}},
+        ],
+        "test": [{"ic": [-0.5, 1.0], "t_span": [0.0, 1.9], "num_samples": 20}],
+        "basin": {"window": [[-1.0, 1.0], [-1.0, 1.0]], "resolution": 2, "steps": 10,
+                  "tol": 0.1, "fixed": {}},
+        "integrator": {"rel_tol": 1e-6, "abs_tol": 1e-9},
+        "global_seed": 2,
+    }
+
+
+def _leaf_paths(node, path=()):
+    """The path to every scalar or empty container in a JSON value."""
+    children = list(node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaf_paths(child, path + (key,))
+
+
+# Size fields stay small, so an example runs in milliseconds.
+_INT_CAPS = {"resolution": 4, "steps": 20, "num_samples": 50}
+
+
+def _values_by_type(cap):
+    """A strategy for JSON values of each type, integers in -2..cap."""
+    ints = st.integers(-2, cap)
+    return {
+        type(None): st.none(),
+        bool: st.booleans(),
+        int: ints,
+        float: st.floats(),
+        str: st.sampled_from(SYSTEM_IDS) | st.text(max_size=4),
+        list: st.lists(ints | st.floats(), max_size=3),
+        dict: st.dictionaries(st.sampled_from("012") | st.text(max_size=3), ints | st.floats(),
+                              max_size=2),
+    }
+
+
+@st.composite
+def mutated_configs(draw):
+    """``tiny_config`` with one leaf replaced by a value of its type,
+    deleted, or replaced by a value of another type."""
+    raw = tiny_config()
+    path = draw(st.sampled_from(list(_leaf_paths(raw))))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    leaf = parent[path[-1]]
+    name = next((key for key in reversed(path) if isinstance(key, str)), None)
+    values = _values_by_type(_INT_CAPS.get(name, 8))
+    how = draw(st.sampled_from(["replace", "delete", "retype"]))
+    if how == "delete":
+        del parent[path[-1]]
+    elif how == "replace":
+        parent[path[-1]] = draw(values[type(leaf)])
+    else:
+        parent[path[-1]] = draw(st.one_of(*(v for t, v in values.items() if t is not type(leaf))))
+    return raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=mutated_configs(),
+       command=st.sampled_from(["simulate", "train", "predict", "evaluate", "basin", "run"]))
+def test_main_on_a_mutated_config_exits_by_code(tmp_path_factory, raw, command):
+    # Any one-leaf edit of a valid config ends in a named exit code, never
+    # a traceback; pytest turns numpy's RuntimeWarnings into errors here.
+    work = tmp_path_factory.mktemp("mutated")
+    config_path = work / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(config_path), "--out", str(work / "out")]) in (
+        EXIT_OK, EXIT_CONFIG, EXIT_PIPELINE)

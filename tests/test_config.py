@@ -202,6 +202,7 @@ def test_system_errors_are_wrapped():
         (lambda raw: raw["train"][0]["noise"].update(sigma_pct=-0.1), "sigma_pct"),
         (lambda raw: raw["train"][0]["noise"].update(seed=-1), "seed must be >= 0"),
         (lambda raw: raw["basin"].update(window=[[1.0, -1.0], [0.0, 1.0]]), "positive extent"),
+        (lambda raw: raw["basin"].update(window=[[-1e308, 1e308], [0.0, 1.0]]), "finite as a float"),
         (lambda raw: raw["basin"].update(resolution=1), "basin.resolution"),
         (lambda raw: raw["basin"].update(steps=0), "basin.steps"),
         (lambda raw: raw["basin"].update(tol=0.0), "basin.tol"),

@@ -11,8 +11,6 @@ from nldm import (
     FeatureConfig,
     Trajectory,
     build_snapshot_pair,
-    delayed_state,
-    lift,
     monomial_basis,
 )
 from nldm.features import MonomialBasis, _graded_exponents
@@ -48,9 +46,14 @@ def test_linear_block_comes_first_in_variable_order():
 
 # --- lift ------------------------------------------------------------------
 
+def lift(stacked, config):
+    """The lift of one stacked vector, through the batch evaluator."""
+    return monomial_basis(config).evaluate_batch(np.asarray(stacked, dtype=float)[None])[0]
+
+
 def test_lift_worked_example():
     config = FeatureConfig(num_states=2, delays=2, degree=2)
-    fea = lift(np.array([1.0, 2.0, 3.0, 4.0]), config)
+    fea = lift([1.0, 2.0, 3.0, 4.0], config)
     expected = [1, 2, 3, 4, 1, 2, 3, 4, 4, 6, 8, 9, 12, 16]
     np.testing.assert_allclose(fea, expected)
 
@@ -96,7 +99,7 @@ def test_batch_evaluation_matches_single_points(points):
     block = np.asarray(points, dtype=float)
     batch = basis.evaluate_batch(block)
     for i, row in enumerate(block):
-        np.testing.assert_array_equal(batch[i], basis.evaluate(row))
+        np.testing.assert_array_equal(batch[i], lift(row, config))
 
 
 # --- MonomialBasis construction -------------------------------------------
@@ -107,9 +110,9 @@ def test_from_exponents_accepts_reordered_degree_blocks():
     reference = monomial_basis(FeatureConfig(2, 1, 3))
     perm = graded_permutation(reference.exponents, np.random.default_rng(0))
     shuffled = MonomialBasis.from_exponents(reference.exponents[perm])
-    point = np.array([1.5, -0.5])
+    point = np.array([[1.5, -0.5]])
     np.testing.assert_allclose(
-        shuffled.evaluate(point), reference.evaluate(point)[perm], rtol=1e-12
+        shuffled.evaluate_batch(point), reference.evaluate_batch(point)[:, perm], rtol=1e-12
     )
 
 
@@ -128,29 +131,38 @@ def test_from_exponents_rejects_duplicates_and_orphans():
 
 
 # --- delayed_state ---------------------------------------------------------
+# At degree 1 the features are the delayed stack itself: column k - delays
+# holds states k-1, ..., k-delays, newest first.
+
+def delayed_states(states, delays):
+    config = FeatureConfig(num_states=np.shape(states)[1], delays=delays, degree=1)
+    return build_snapshot_pair([Trajectory(np.asarray(states, dtype=float), dt=0.1)], config)
+
 
 def test_delayed_state_worked_examples():
-    traj = Trajectory(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), dt=0.1)
-    np.testing.assert_array_equal(delayed_state(traj, k=2, delays=2), [3, 4, 1, 2])
+    pair = delayed_states([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], delays=2)
+    np.testing.assert_array_equal(pair.features.T, [[3, 4, 1, 2]])
+    np.testing.assert_array_equal(pair.targets.T, [[5, 6]])
 
-    scalar = Trajectory(np.arange(5.0).reshape(-1, 1), dt=0.1)
-    np.testing.assert_array_equal(delayed_state(scalar, k=4, delays=3), [3, 2, 1])
+    scalar = delayed_states(np.arange(5.0).reshape(-1, 1), delays=3)
+    np.testing.assert_array_equal(scalar.features[:, -1], [3, 2, 1])
 
 
 def test_delayed_state_needs_enough_history():
-    traj = Trajectory(np.array([[7.0], [8.0]]), dt=0.1)
-    with pytest.raises(IndexError):
-        delayed_state(traj, k=0, delays=1)
-    with pytest.raises(IndexError):
-        delayed_state(traj, k=3, delays=1)
+    with pytest.raises(DimensionError, match="need at least 3"):
+        delayed_states([[7.0], [8.0]], delays=2)
+    with pytest.raises(DimensionError, match="need at least 4"):
+        delayed_states([[7.0], [8.0], [9.0]], delays=3)
     with pytest.raises(ValueError):
-        delayed_state(traj, k=1, delays=0)
+        delayed_states([[7.0], [8.0]], delays=0)
 
 
 def test_delayed_state_is_newest_first():
-    traj = Trajectory(np.arange(10.0).reshape(-1, 2), dt=0.1)
-    window = delayed_state(traj, k=4, delays=3)
-    np.testing.assert_array_equal(window, [6, 7, 4, 5, 2, 3])
+    states = np.arange(10.0).reshape(-1, 2)
+    pair = delayed_states(states, delays=3)
+    np.testing.assert_array_equal(pair.features[:, 1], [6, 7, 4, 5, 2, 3])
+    for column, k in enumerate(range(3, 5)):
+        np.testing.assert_array_equal(pair.features[:, column], states[k - 3:k][::-1].ravel())
 
 
 # --- build_snapshot_pair ---------------------------------------------------
@@ -162,7 +174,6 @@ def test_snapshot_pair_worked_example(make_series):
     )
     np.testing.assert_array_equal(pair.targets, [[2, 4, 3, 9]])
     np.testing.assert_array_equal(pair.features, [[1, 2, 1, 3]])
-    assert pair.columns_per_trajectory == (2, 2)
     assert pair.num_columns == 4
 
 
@@ -170,7 +181,7 @@ def test_snapshot_pair_column_count_per_trajectory(make_series):
     config = FeatureConfig(num_states=1, delays=2, degree=2)
     pair = build_snapshot_pair([make_series([1, 2, 3, 4, 5])], config)
     # K=5 samples with d=2 leave columns for k = 2, 3, 4.
-    assert pair.columns_per_trajectory == (3,)
+    assert pair.num_columns == 3
     assert pair.features.shape == (config.num_features, 3)
     assert pair.targets.shape == (1, 3)
 
@@ -180,7 +191,7 @@ def test_snapshot_pair_columns_match_lift(make_series):
     traj = make_series([1.0, 2.0, 3.0, 5.0])
     pair = build_snapshot_pair([traj], config)
     for offset, k in enumerate(range(2, 4)):
-        expected = lift(delayed_state(traj, k, 2), config)
+        expected = lift(traj.states[k - 2:k][::-1].ravel(), config)
         np.testing.assert_array_equal(pair.features[:, offset], expected)
         np.testing.assert_array_equal(pair.targets[:, offset], traj.states[k])
 
@@ -216,9 +227,10 @@ def test_snapshot_pair_stacks_trajectories_in_order(data):
         Trajectory(rng.normal(size=(n, 1)), dt=0.1) for n in lengths
     ]
     pair = build_snapshot_pair(trajs, config)
-    assert pair.columns_per_trajectory == tuple(n - 1 for n in lengths)
+    assert pair.num_columns == sum(n - 1 for n in lengths)
     start = 0
-    for traj, cols in zip(trajs, pair.columns_per_trajectory):
+    for traj in trajs:
+        cols = traj.num_samples - 1
         np.testing.assert_array_equal(
             pair.targets[:, start : start + cols], traj.states[1:].T
         )

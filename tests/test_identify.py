@@ -168,3 +168,11 @@ def test_batched_scores_equal_single_series_forecasts_bitwise(make_series, shape
         )
         alone = rrmse(prediction.trajectory, traj, skip=config.delays).mean_rrmse
         assert np.float64(alone).tobytes() == np.float64(reported).tobytes()
+
+
+def test_features_that_overflow_are_refused_by_name(make_series):
+    # 1e200 squared is past the largest float: the lift holds inf, and
+    # the fit names it instead of raising numpy's overflow warning.
+    series = make_series([1.0, 1e200, 2.0, 3.0])
+    with pytest.raises(ValueError, match="features contain non-finite entries"):
+        train([series], FeatureConfig(num_states=1, delays=1, degree=2))

@@ -1,4 +1,8 @@
-"""Artifact files: exact round trips and descriptive load failures."""
+"""Artifact files: exact round trips and descriptive load failures.
+
+The series and basin CSVs have no loader in the package: they read back
+with ``np.loadtxt(path, delimiter=",", skiprows=2)``, and their metadata
+is the ``#`` header line."""
 
 import json
 
@@ -10,9 +14,7 @@ from nldm.core import FeatureConfig, LearnedOperator, Provenance, Trajectory
 from nldm.io import (
     MODEL_MAGIC,
     _fmt,
-    load_basin_csv,
     load_model,
-    load_trajectory_csv,
     save_basin_csv,
     save_model,
     save_trajectory_csv,
@@ -31,22 +33,28 @@ def awkward_trajectory(provenance):
 # ------------------------------------------------------------ trajectory csv
 
 
+def read_csv(path, **kwargs):
+    """The header line and the rows of a series or basin CSV."""
+    header = path.read_text().splitlines()[0]
+    return header, np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2, **kwargs)
+
+
 def test_trajectory_round_trip_is_bit_exact(tmp_path):
     trajectory = awkward_trajectory(Provenance.noisy(0.1, seed=42))
     path = tmp_path / "series.csv"
     save_trajectory_csv(path, trajectory)
-    loaded = load_trajectory_csv(path)
-    np.testing.assert_array_equal(loaded.states, trajectory.states)
-    assert loaded.dt == trajectory.dt
-    assert loaded.t0 == trajectory.t0
-    assert loaded.provenance == trajectory.provenance
+    header, rows = read_csv(path)
+    np.testing.assert_array_equal(rows[:, 1:], trajectory.states)
+    np.testing.assert_array_equal(rows[:, 0], trajectory.times)
+    assert header == "# dt=0.01 t0=0.25 provenance=noisy sigma_pct=0.10000000000000001 seed=42"
 
 
 def test_trajectory_round_trip_preserves_provenance_variants(tmp_path):
-    for provenance in (Provenance.clean(), Provenance.noisy(0.5, seed=None)):
+    for provenance, text in ((Provenance.clean(), "provenance=clean"),
+                             (Provenance.noisy(0.5, seed=None), "provenance=noisy sigma_pct=0.5 seed=none")):
         path = tmp_path / "series.csv"
         save_trajectory_csv(path, awkward_trajectory(provenance))
-        assert load_trajectory_csv(path).provenance == provenance
+        assert read_csv(path)[0] == "# dt=0.01 t0=0.25 " + text
 
 
 def test_trajectory_round_trip_keeps_nan_rows(tmp_path):
@@ -55,9 +63,9 @@ def test_trajectory_round_trip_keeps_nan_rows(tmp_path):
     trajectory = Trajectory(states, dt=0.1, t0=0.0, provenance=Provenance.clean())
     path = tmp_path / "series.csv"
     save_trajectory_csv(path, trajectory)
-    loaded = load_trajectory_csv(path)
-    assert np.isnan(loaded.states[2]).all()
-    np.testing.assert_array_equal(loaded.states[[0, 1, 3]], states[[0, 1, 3]])
+    loaded = read_csv(path)[1][:, 1:]
+    assert np.isnan(loaded[2]).all()
+    np.testing.assert_array_equal(loaded[[0, 1, 3]], states[[0, 1, 3]])
 
 
 def test_trajectory_rows_are_written_as_fmt_writes_each_value(tmp_path):
@@ -95,57 +103,6 @@ def test_trajectory_file_bytes_are_fmt_of_each_value(tmp_path):
     assert {"-0", "0", "4.9406564584124654e-324", "inf", "-inf", "nan"} <= set(
         path.read_text().replace("\n", ",").split(",")
     )
-
-
-def test_trajectory_loader_names_file_and_line(tmp_path):
-    path = tmp_path / "broken.csv"
-    path.write_text(
-        "# dt=0.1 t0=0 provenance=clean\n"
-        "t,x1\n"
-        "0,1.0\n"
-        "0.1,oops\n"
-    )
-    with pytest.raises(ValueError, match=r"broken\.csv:4.*oops"):
-        load_trajectory_csv(path)
-
-
-@pytest.mark.parametrize(
-    "header, message",
-    [
-        ("# dt=abc t0=0 provenance=clean", r"bad\.csv:1: malformed header"),
-        ("# dt=0.1 t0=0 provenance=noisy seed=3", r"bad\.csv:1: noisy header has no sigma_pct="),
-        ("# dt=0.1 t0=0 provenance=noisy sigma_pct=1 seed=x", r"bad\.csv:1: malformed header"),
-    ],
-)
-def test_trajectory_loader_names_the_line_of_a_malformed_header(tmp_path, header, message):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"{header}\nt,x1\n0,1.0\n0.1,2.0\n")
-    with pytest.raises(ValueError, match=message):
-        load_trajectory_csv(path)
-
-
-@pytest.mark.parametrize("row", ["0.1,2.0", "0.1,2.0,3.0,4.0"])
-def test_trajectory_loader_names_the_line_of_a_row_of_the_wrong_width(tmp_path, row):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"t,x1,x2\n0,1.0,1.0\n{row}\n")
-    with pytest.raises(ValueError, match=r"bad\.csv:3: expected 3 fields"):
-        load_trajectory_csv(path)
-
-
-def test_trajectory_loader_requires_two_samples(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text("t,x1\n0,1.0\n")
-    with pytest.raises(ValueError, match="fewer than two samples"):
-        load_trajectory_csv(path)
-
-
-def test_trajectory_loader_infers_sampling_from_time_column(tmp_path):
-    path = tmp_path / "bare.csv"
-    path.write_text("t,x1\n2.0,1.0\n2.5,2.0\n3.0,4.0\n")
-    loaded = load_trajectory_csv(path)
-    assert loaded.dt == 0.5
-    assert loaded.t0 == 2.0
-    assert loaded.provenance == Provenance.clean()
 
 
 # ------------------------------------------------------------- operator files
@@ -226,78 +183,37 @@ def test_basin_round_trip(tmp_path):
     )
     path = tmp_path / "basin.csv"
     save_basin_csv(path, grid)
-    loaded = load_basin_csv(path)
-    np.testing.assert_array_equal(loaded.labels, grid.labels)
-    assert loaded.x_range == grid.x_range
-    assert loaded.y_range == grid.y_range
-    assert loaded.resolution == grid.resolution
-    assert loaded.source == {"kind": "operator", "system": "two_attractor"}
+    header, rows = read_csv(path, dtype=str)
+    assert header == "# source=operator system=two_attractor resolution=2 x_range=-3:3 y_range=-1:1"
+    np.testing.assert_array_equal(rows[:, 2].reshape(2, 2), grid.labels)
+    cells = np.stack(np.meshgrid(grid.xs, grid.ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    np.testing.assert_array_equal(rows[:, :2].astype(float), cells)
 
 
-def test_basin_loader_checks_cell_count(tmp_path):
+def test_basin_file_bytes_are_fmt_of_each_value(tmp_path):
+    # Window ends that are not short decimals, so every coordinate needs
+    # all 17 digits; cells go x-major.
+    labels = np.array(["left_sink", "right_sink", "unresolved", "diverged"], dtype=object)
     grid = BasinGrid(
-        x_range=(0.0, 1.0),
-        y_range=(0.0, 1.0),
-        resolution=2,
-        labels=np.array([["a", "b"], ["c", "d"]], dtype=object),
-        source={},
+        x_range=(-0.1, 0.2),
+        y_range=(1 / 3, 2.7),
+        resolution=7,
+        labels=np.resize(labels, (7, 7)),
+        source={"kind": "integrator", "system": "two_attractor"},
         meta={},
     )
     path = tmp_path / "basin.csv"
     save_basin_csv(path, grid)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError, match="expected 4 cells, got 3"):
-        load_basin_csv(path)
-
-
-def two_by_two_basin_lines(tmp_path):
-    grid = BasinGrid(
-        x_range=(0.0, 1.0),
-        y_range=(0.0, 1.0),
-        resolution=2,
-        labels=np.array([["a", "b"], ["c", "d"]], dtype=object),
-        source={},
-        meta={},
-    )
-    path = tmp_path / "basin.csv"
-    save_basin_csv(path, grid)
-    return path, path.read_text().splitlines()
-
-
-@pytest.mark.parametrize("field", ["resolution", "x_range", "y_range"])
-def test_basin_loader_names_missing_header_fields(tmp_path, field):
-    path, lines = two_by_two_basin_lines(tmp_path)
-    header = " ".join(part for part in lines[0].split() if not part.startswith(field + "="))
-    path.write_text("\n".join([header] + lines[1:]) + "\n")
-    with pytest.raises(ValueError, match=f"basin.csv: header has no {field}= field"):
-        load_basin_csv(path)
-
-
-@pytest.mark.parametrize(
-    "old, new",
-    [
-        ("resolution=2", "resolution=two"),
-        ("resolution=2", "resolution=-2"),
-        ("x_range=0:1", "x_range=0"),
-        ("y_range=0:1", "y_range=0:1:2"),
-    ],
-)
-def test_basin_loader_rejects_malformed_header_values(tmp_path, old, new):
-    path, lines = two_by_two_basin_lines(tmp_path)
-    assert old in lines[0]
-    path.write_text("\n".join([lines[0].replace(old, new)] + lines[1:]) + "\n")
-    with pytest.raises(ValueError, match="basin.csv: (malformed header|resolution)"):
-        load_basin_csv(path)
-
-
-@pytest.mark.parametrize("row", ["0,a", "0,0,a,b", "a"])
-def test_basin_loader_names_the_line_of_a_malformed_row(tmp_path, row):
-    path, lines = two_by_two_basin_lines(tmp_path)
-    lines[3] = row
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="basin.csv:4: expected x,y,label"):
-        load_basin_csv(path)
+    lines = [
+        f"# source=integrator system=two_attractor resolution=7 "
+        f"x_range={_fmt(-0.1)}:{_fmt(0.2)} y_range={_fmt(1 / 3)}:{_fmt(2.7)}",
+        "x,y,label",
+        *(f"{_fmt(x)},{_fmt(y)},{grid.labels[i, j]}"
+          for i, x in enumerate(grid.xs) for j, y in enumerate(grid.ys)),
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert "-0.10000000000000001" in lines[2] and len(lines) == 2 + 49
+    np.testing.assert_array_equal(read_csv(path, usecols=(0, 1))[1][::7, 0], grid.xs)
 
 
 # ---------------------------------------------------------------- json sidecar

@@ -145,3 +145,11 @@ def test_input_validation():
         solve_min_frobenius(np.array([[np.nan, 1.0]]), np.ones((1, 2)))
     with pytest.raises(ValueError):
         solve_min_frobenius(np.ones((1, 2)), np.array([[np.inf, 1.0]]))
+
+
+def test_residual_whose_squares_overflow_is_inf():
+    # One constant feature cannot fit +-1e160: the residual is the
+    # targets, whose squares overflow.
+    report = solve_min_frobenius(np.ones((1, 2)), np.array([[1e160, -1e160]]))
+    assert abs(report.solution[0, 0]) < 1e-10 * 1e160  # zero up to rounding
+    assert report.residual_frobenius == np.inf

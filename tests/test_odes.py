@@ -348,3 +348,12 @@ def test_nan_noise_level_is_rejected():
     clean = integrate(make_system("lho"), (2.0, 0.0), (0.0, 5.0), 50)
     with pytest.raises(ValueError, match="sigma_pct"):
         add_noise(clean, float("nan"), seed=1)
+
+
+@pytest.mark.parametrize("ic", [(6.7e147, -0.5), (1e308, 1e308)])
+def test_a_start_whose_step_control_overflows_fails_by_name(ic):
+    # |f| / tolerance overflows when squared in the initial step's norm,
+    # or f itself overflows: the step is NaN, so the series fails instead
+    # of raising numpy's overflow warning.
+    with pytest.raises(IntegrationError, match="non-finite samples"):
+        integrate(make_system("lho"), ic, (0.0, 1.9), 20)

@@ -35,7 +35,7 @@ def test_halving_example():
     prediction = predict(operator, np.array([[8.0]]), steps=3)
     np.testing.assert_allclose(prediction.trajectory.states, [[8], [4], [2], [1]])
     assert prediction.diverged_at is None
-    assert prediction.steps_requested == 3
+    assert prediction.trajectory.num_samples - operator.config.delays == 3
 
 
 def test_zero_operator_maps_everything_to_zero():
@@ -100,9 +100,9 @@ def test_step_batch_matches_matrix_product():
     windows = rng.normal(size=(5, 2, 2))
     stepped = iterate_batch(windows, 1, basis, matrix)[0][:, -1]
     for i, window in enumerate(windows):
-        stacked = window[::-1].reshape(-1)
+        stacked = window[::-1].reshape(1, -1)
         np.testing.assert_allclose(
-            stepped[i], matrix @ basis.evaluate(stacked), rtol=1e-12, atol=1e-12
+            stepped[i], matrix @ basis.evaluate_batch(stacked)[0], rtol=1e-12, atol=1e-12
         )
 
 
