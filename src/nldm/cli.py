@@ -7,7 +7,10 @@ failures inside the pipeline and for arrays too large to allocate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import pickle
 import platform
 import sys
 import time
@@ -112,11 +115,89 @@ def _score_payload(prediction, reference, skip, label):
     }
 
 
+def _pickled_error(exc: BaseException) -> bytes:
+    """``(False, exc)`` pickled; an exception that does not survive the
+    round trip is sent as a RuntimeError naming its type and message."""
+    try:
+        data = pickle.dumps((False, exc))
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _start_child(work):
+    """Run ``work()`` in a forked child while the caller goes on.
+
+    Returns ``join``, which waits for the child and returns ``work()``'s
+    result or raises its exception again, with the same type and message.
+    ``join`` reaps the child whatever the outcome; call it once.  A child
+    that ends without a result makes ``join`` raise a RuntimeError.
+    Where the system refuses the fork or has none, ``work`` runs here
+    before this returns.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except (OSError, AttributeError):  # refused, or a platform without fork
+        os.close(read_end)
+        os.close(write_end)
+        result = work()
+        return lambda: result
+    if pid == 0:
+        # The child never returns into the caller: whatever happens, it
+        # leaves through os._exit, which runs no exit handlers and
+        # flushes none of the parent's buffers.
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                data = pickle.dumps((True, work()))
+            except BaseException as exc:  # handed to the parent, which raises it
+                data = _pickled_error(exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+
+    def join():
+        # Read to the end before waiting: a result larger than the pipe's
+        # buffer holds the child until it is read.
+        with os.fdopen(read_end, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:  # the child exits 0 only once its result is written
+            raise RuntimeError(f"child process ended with exit code {code} and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    return join
+
+
 class _Pipeline:
+    """The stages of one command.  Each stage writes its artifacts into
+    ``out`` and records its wall time in ``timings``; the manifest lists
+    the artifacts in the order of a serial run.
+
+    ``run`` forks once, after training (``_start_child``): the child
+    writes the series files and scans and writes the truth grid, none of
+    which needs the operator, while this process forecasts the test
+    series and scans the operator grid.  Stage times then overlap, so
+    ``timings["total"]`` holds the pipeline's own wall time.
+    """
+
     def __init__(self, config, out_dir: Path, global_seed: int):
         self.config = config
         self.out = out_dir
         self.global_seed = global_seed
+        self.started = time.perf_counter()
         self.timings: dict[str, float] = {}
         self.artifacts: list[str] = []
         self.train_data = None
@@ -134,13 +215,20 @@ class _Pipeline:
         self.timings[stage] = time.perf_counter() - started
         return result
 
-    def simulate(self):
+    def _series_files(self):
+        """(file name, trajectory) for every simulated series."""
         self.ensure_simulated()
+        files = []
         for role, series in (("train", self.train_data), ("test", self.test_data)):
             for index, data in enumerate(series):
-                self._write_csv(f"{role}_{index:02d}_clean.csv", data.clean)
+                files.append((f"{role}_{index:02d}_clean.csv", data.clean))
                 if data.noisy is not None:
-                    self._write_csv(f"{role}_{index:02d}_noisy.csv", data.noisy)
+                    files.append((f"{role}_{index:02d}_noisy.csv", data.noisy))
+        return files
+
+    def simulate(self):
+        for name, trajectory in self._series_files():
+            self._write_csv(name, trajectory)
 
     def ensure_simulated(self):
         if self.train_data is not None:
@@ -215,34 +303,79 @@ class _Pipeline:
             write_json(self.out / "scores.json", {"test": scores})
             self.artifacts.append("scores.json")
 
-    def basin(self):
+    def _scan(self):
+        """The configured system and the one scan both grids take."""
         spec = self.config.basin
         system = make_system(self.config.system.ident, **self.config.system.params)
-        # Both grids take the one scan; the truth grid steps the series' dt.
-        scan = dict(window=spec.window, resolution=spec.resolution, steps=spec.steps,
-                    tol=spec.tol, fixed_coords=dict(spec.fixed) or None)
-        dt = self.config.train[0].dt
+        return system, dict(window=spec.window, resolution=spec.resolution, steps=spec.steps,
+                            tol=spec.tol, fixed_coords=dict(spec.fixed) or None)
 
+    def _truth_grid(self):
+        """Scan and write the truth grid, which steps the series' dt."""
+        system, scan = self._scan()
+        dt = self.config.train[0].dt
         truth = self._timed("basin_truth", lambda: ground_truth_grid(system, dt=dt, **scan))
         save_basin_csv(self.out / "basin_truth.csv", truth)
-        self.artifacts.append("basin_truth.csv")
+        return truth
 
-        if self.operator is not None:
-            predicted = self._timed(
-                "basin_operator", lambda: operator_grid(self.operator, system, **scan)
-            )
-            save_basin_csv(self.out / "basin_operator.csv", predicted)
-            self.artifacts.append("basin_operator.csv")
-            agreement = grid_agreement(truth, predicted)
-            write_json(
-                self.out / "agreement.json",
-                {
-                    "fraction_agree": agreement.fraction_agree,
-                    "compared_cells": agreement.compared_cells,
-                    "confusion": agreement.confusion,
-                },
-            )
-            self.artifacts.append("agreement.json")
+    def _operator_grid(self):
+        system, scan = self._scan()
+        predicted = self._timed(
+            "basin_operator", lambda: operator_grid(self.operator, system, **scan)
+        )
+        save_basin_csv(self.out / "basin_operator.csv", predicted)
+        return predicted
+
+    def _list_grids(self, truth, predicted):
+        """List the written grids and, given both, write their agreement."""
+        self.artifacts.append("basin_truth.csv")
+        if predicted is None:
+            return
+        self.artifacts.append("basin_operator.csv")
+        agreement = grid_agreement(truth, predicted)
+        write_json(
+            self.out / "agreement.json",
+            {
+                "fraction_agree": agreement.fraction_agree,
+                "compared_cells": agreement.compared_cells,
+                "confusion": agreement.confusion,
+            },
+        )
+        self.artifacts.append("agreement.json")
+
+    def basin(self):
+        truth = self._truth_grid()
+        predicted = self._operator_grid() if self.operator is not None else None
+        self._list_grids(truth, predicted)
+
+    def run(self):
+        series = self._series_files()
+        self.artifacts.extend(name for name, _ in series)
+        self.train()
+        grids = self.config.basin is not None
+
+        def operator_free():
+            for name, trajectory in series:
+                save_trajectory_csv(self.out / name, trajectory)
+            if grids:
+                return self._truth_grid(), self.timings["basin_truth"]
+            return None
+
+        join = _start_child(operator_free)
+        try:
+            if self.config.test:
+                self.predict(evaluate=True)
+            predicted = self._operator_grid() if grids else None
+        except BaseException:
+            # This process's error is the one reported; the child is
+            # still reaped before the command ends.
+            with contextlib.suppress(BaseException):
+                join()
+            raise
+        outcome = join()
+        if grids:
+            truth, self.timings["basin_truth"] = outcome
+            self._list_grids(truth, predicted)
 
     def manifest(self, command: str):
         payload = {
@@ -258,7 +391,7 @@ class _Pipeline:
                 "numpy": np.__version__,
                 "nldm": __version__,
             },
-            "timings_seconds": self.timings,
+            "timings_seconds": {**self.timings, "total": time.perf_counter() - self.started},
             "artifacts": self.artifacts,
         }
         write_json(self.out / "manifest.json", payload)
@@ -287,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="accepted and ignored: grid scans run in one process",
+            help="accepted and ignored; run overlaps its truth grid with the operator "
+            "work in a forked child, and other commands run in one process",
         )
     return parser
 
@@ -345,12 +479,7 @@ def main(argv=None) -> int:
         elif args.command == "basin":
             pipeline.basin()
         elif args.command == "run":
-            pipeline.simulate()
-            pipeline.train()
-            if config.test:
-                pipeline.predict(evaluate=True)
-            if config.basin is not None:
-                pipeline.basin()
+            pipeline.run()
         pipeline.manifest(args.command)
     except (ConfigError, OSError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)

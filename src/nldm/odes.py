@@ -281,8 +281,23 @@ _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
 def _rms(rows):
-    """RMS over the state rows of a (num_states, cells) array."""
-    return np.sqrt(_ordered_sum(rows * rows)) / len(rows) ** 0.5
+    """RMS over the state rows of a (num_states, cells) array.
+
+    A cell of finite rows whose squares overflow takes the RMS of its rows
+    divided by their largest magnitude, times that magnitude; every other
+    cell keeps the plain sum of squares, bit for bit.  The overflow is
+    the caller's to silence: ``_initial_step`` does, where an infinite
+    norm would give a zero first step.  In the step loop an infinite and
+    a huge finite error norm reject the step alike.
+    """
+    norm = np.sqrt(_ordered_sum(rows * rows)) / len(rows) ** 0.5
+    over = np.isinf(norm)
+    if over.any():
+        over &= np.isfinite(rows).all(axis=0)
+        big = np.abs(rows[:, over]).max(axis=0, initial=0.0)
+        scaled = rows[:, over] / big
+        norm[over] = big * (np.sqrt(_ordered_sum(scaled * scaled)) / len(rows) ** 0.5)
+    return norm
 
 
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):

@@ -1,6 +1,9 @@
 """End-to-end command pipeline: artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,9 @@ from nldm import (
     integrate,
     make_system,
 )
+from nldm import cli
 from nldm.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
+from nldm.core import IntegrationError
 from nldm.config import config_from_dict, derived_seed
 from nldm.io import load_model, save_trajectory_csv
 
@@ -103,6 +108,120 @@ def test_run_produces_every_artifact(tmp_path):
 
     agreement = json.loads((out / "agreement.json").read_text())
     assert agreement["fraction_agree"] == 1.0
+
+
+SERIES_FILES = ["train_00_clean.csv", "train_00_noisy.csv", "train_01_clean.csv",
+                "test_00_clean.csv", "test_00_noisy.csv"]
+
+
+def assert_no_child_left():
+    # Every process the command forked has ended and been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_writes_the_files_of_the_commands_run_one_by_one(tmp_path):
+    # run writes the series and the truth grid in a forked child; its files
+    # are those of simulate, train and basin --model, listed in serial order.
+    config_path = write_config(tmp_path)
+    run, alone = tmp_path / "run", tmp_path / "alone"
+    assert main(["run", "--config", str(config_path), "--out", str(run)]) == EXIT_OK
+    assert_no_child_left()
+    for command in (["simulate"], ["train"], ["basin", "--model", str(alone / "model.txt")]):
+        assert main([*command, "--config", str(config_path), "--out", str(alone)]) == EXIT_OK
+    for name in SERIES_FILES + ["basin_truth.csv", "basin_operator.csv"]:
+        assert (run / name).read_bytes() == (alone / name).read_bytes(), name
+
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["artifacts"] == SERIES_FILES + [
+        "model.txt", "train_metrics.json", "predicted_test_00.csv", "scores.json",
+        "basin_truth.csv", "basin_operator.csv", "agreement.json",
+    ]
+    # Stage times overlap; the pipeline's wall time covers each of them.
+    timings = manifest["timings_seconds"]
+    assert timings["total"] >= max(value for stage, value in timings.items() if stage != "total")
+
+
+def test_run_where_fork_is_refused_writes_the_same_files(tmp_path, monkeypatch):
+    config_path = write_config(tmp_path)
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    assert main(["run", "--config", str(config_path), "--out", str(forked)]) == EXIT_OK
+
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert main(["run", "--config", str(config_path), "--out", str(inline)]) == EXIT_OK
+    assert_no_child_left()
+    names = sorted(path.name for path in forked.iterdir())
+    assert names == sorted(path.name for path in inline.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
+
+
+class _Unpicklable(ValueError):
+    """An error that pickles but does not unpickle: its constructor takes
+    two arguments and the error carries one."""
+
+    def __init__(self, cell, reason):
+        super().__init__(f"cell {cell}: {reason}")
+
+
+def _raises(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+_TEST_PID = os.getpid()
+
+
+def _dies(*args, **kwargs):
+    assert os.getpid() != _TEST_PID, "expected to run in the forked child"
+    os._exit(7)
+
+
+@pytest.mark.parametrize("name, replacement, message", [
+    ("ground_truth_grid", _raises(IntegrationError("truth cell 4 failed")),
+     "pipeline error: truth cell 4 failed"),
+    ("ground_truth_grid", _raises(_Unpicklable(4, "no label")),
+     "pipeline error: _Unpicklable: cell 4: no label"),
+    ("ground_truth_grid", _dies, "ended with exit code 7 and no result"),
+    ("operator_grid", _raises(ValueError("operator cell 4 failed")),
+     "pipeline error: operator cell 4 failed"),
+], ids=["child-error", "child-unpicklable-error", "child-dies", "parent-error"])
+def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
+        tmp_path, capsys, monkeypatch, name, replacement, message):
+    monkeypatch.setattr(cli, name, replacement)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == (
+        EXIT_PIPELINE)
+    assert_no_child_left()
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_run_with_an_unwritable_truth_grid_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "out" / "basin_truth.csv"
+    blocker.mkdir(parents=True)
+    argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert str(blocker) in err
+
+
+def test_cli_import_loads_no_process_pool_module():
+    # A process pool's modules would add to the start-up of every command.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, nldm.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def test_prediction_matches_test_series_shape(tmp_path):

@@ -350,10 +350,33 @@ def test_nan_noise_level_is_rejected():
         add_noise(clean, float("nan"), seed=1)
 
 
-@pytest.mark.parametrize("ic", [(6.7e147, -0.5), (1e308, 1e308)])
-def test_a_start_whose_step_control_overflows_fails_by_name(ic):
-    # |f| / tolerance overflows when squared in the initial step's norm,
-    # or f itself overflows: the step is NaN, so the series fails instead
-    # of raising numpy's overflow warning.
+def test_a_start_whose_derivative_overflows_fails_by_name():
+    # f itself overflows: the step is NaN, so the series fails instead of
+    # raising numpy's overflow warning.
     with pytest.raises(IntegrationError, match="non-finite samples"):
-        integrate(make_system("lho"), ic, (0.0, 1.9), 20)
+        integrate(make_system("lho"), (1e308, 1e308), (0.0, 1.9), 20)
+
+
+def test_a_start_whose_squared_norm_overflows_matches_solve_ivp():
+    # |f| / tolerance is about 1.3e157 here, so its square overflows in
+    # the initial step's RMS norm; the norm is taken of the scaled rows
+    # instead, and the series runs to the end of its span as scipy's does.
+    # scipy's own norm overflows too, and it recovers by starting from its
+    # smallest step, hence the error state around it.
+    system, ic = make_system("lho"), (6.7e147, -0.5)
+    got = integrate(system, ic, (0.0, 1.9), 20).states
+    with np.errstate(all="ignore"):
+        reference = oracles.solve_ivp_series(system, ic, (0.0, 1.9), 20, 1e-9, 1e-12)
+    assert np.isfinite(reference).all()
+    np.testing.assert_allclose(got, reference, rtol=1e-8)
+
+
+def test_rms_of_rows_whose_squares_overflow_is_finite():
+    rows = np.array([[3e200, 1.0, np.inf, 3e200, 0.0],
+                     [4e200, 2.0, 1.0, np.nan, 0.0]])
+    with np.errstate(over="ignore"):  # as the initial step calls it
+        norm = odes._rms(rows)
+    plain = np.sqrt((rows[:, 1:2] ** 2).sum(axis=0)) / 2 ** 0.5
+    assert norm[1:2].tobytes() == plain.tobytes()
+    np.testing.assert_allclose(norm[0], 5e200 / 2 ** 0.5, rtol=1e-15)
+    assert norm[2] == np.inf and np.isnan(norm[3]) and norm[4] == 0.0
