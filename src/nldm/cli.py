@@ -14,6 +14,7 @@ import pickle
 import platform
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -444,6 +445,12 @@ def _check_model_fits(operator, config: ExperimentConfig, path) -> None:
         raise ConfigError(f"model {path} has dt={operator.dt}, the config's series have dt={dt}")
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a warning (an underdetermined fit) as one line on stderr, as
+    the errors are, without its source location."""
+    print(f"nldm: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -470,17 +477,19 @@ def main(argv=None) -> int:
     pipeline = _Pipeline(config, out_dir, global_seed)
     pipeline.operator = operator
     try:
-        if args.command == "simulate":
-            pipeline.simulate()
-        elif args.command == "train":
-            pipeline.train()
-        elif args.command in ("predict", "evaluate"):
-            pipeline.predict(evaluate=args.command == "evaluate")
-        elif args.command == "basin":
-            pipeline.basin()
-        elif args.command == "run":
-            pipeline.run()
-        pipeline.manifest(args.command)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            if args.command == "simulate":
+                pipeline.simulate()
+            elif args.command == "train":
+                pipeline.train()
+            elif args.command in ("predict", "evaluate"):
+                pipeline.predict(evaluate=args.command == "evaluate")
+            elif args.command == "basin":
+                pipeline.basin()
+            elif args.command == "run":
+                pipeline.run()
+            pipeline.manifest(args.command)
     except (ConfigError, OSError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

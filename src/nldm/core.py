@@ -148,11 +148,11 @@ def _ordered_sum(terms, out=None):
     summed two wide.  Every sum of the forecasting kernel and the
     integrator goes through here, so their rows are batch-invariant.
     """
-    if out is None:
-        out = np.empty_like(terms[0])
     if terms.size != len(terms):  # planes of two or more elements
         return np.add.reduce(terms, axis=0, initial=0.0, out=out)
     pair = np.repeat(terms.reshape(-1, 1), 2, axis=1)
+    if out is None:
+        out = np.empty_like(terms[0])
     out[...] = np.add.reduce(pair, axis=0, initial=0.0)[0]
     return out
 

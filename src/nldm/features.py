@@ -35,17 +35,24 @@ class MonomialBasis:
     each monomial of degree g >= 2 is its first variable times a monomial
     of degree g - 1 (its parent).  Consecutive monomials that share a
     first variable and have consecutive, already evaluated parents form
-    a run, evaluated by one elementwise multiply of slices (in the graded
-    order, one run per first variable and degree), so a lift makes no
-    temporary arrays.  Each value is therefore one multiply of the same
-    two operands whether points are evaluated one at a time or in a
-    batch, and bitwise identical.
+    a run (in the graded order, one run per first variable and degree).
+    A lift copies each run of degree-1 monomials from the points, then
+    takes one elementwise multiply per higher run, which reads its
+    variable from the lift's own degree-1 row; a variable without a
+    degree-1 monomial is copied into a row past the last monomial.
+    ``_lift_plan`` lays a lift out as views, so a caller that lifts many
+    windows into one workspace (the forecasting kernel) builds them once
+    and makes no slices or temporary arrays per lift.  Each value is one
+    multiply of the same two operands whether points are evaluated one
+    at a time or in a batch, and bitwise identical.
     """
 
     exponents: np.ndarray
-    # (first column, end column, first variable, first parent or -1 for
-    # degree 1, whose variables are consecutive instead) per run
-    _runs: tuple
+    # (first row, end row, first variable) of each read, and (first row,
+    # end row, lift row of the variable, first parent) of each product
+    _reads: tuple
+    _products: tuple
+    _lift_rows: int  # the monomials, then the variables read past them
 
     @classmethod
     def from_exponents(cls, exponents: np.ndarray) -> "MonomialBasis":
@@ -92,7 +99,15 @@ class MonomialBasis:
                     runs[-1] = (lo, j + 1, run_var, run_par)
                     continue
             runs.append((j, j + 1, var, par))
-        return cls(exponents, tuple(runs))
+        reads = [(lo, hi, var) for lo, hi, var, par in runs if par < 0]
+        row_of = {var + i: lo + i for lo, hi, var in reads for i in range(hi - lo)}
+        lift_rows = num_monomials
+        for var in sorted(set(first_var[parent >= 0].tolist()) - set(row_of)):
+            reads.append((lift_rows, lift_rows + 1, var))
+            row_of[var] = lift_rows
+            lift_rows += 1
+        products = tuple((lo, hi, row_of[var], par) for lo, hi, var, par in runs if par >= 0)
+        return cls(exponents, tuple(reads), products, lift_rows)
 
     @property
     def num_monomials(self) -> int:
@@ -102,18 +117,26 @@ class MonomialBasis:
     def num_vars(self) -> int:
         return self.exponents.shape[1]
 
-    def _evaluate_rows(self, points: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    def _lift_plan(self, points: np.ndarray, values: np.ndarray) -> tuple[list, list]:
+        """The views of a lift of ``points``, shape (..., num_vars, n), into
+        ``values``, shape (``_lift_rows``, n): a (source, target) pair per
+        read, whose source keeps the leading axes of ``points``, and a
+        (variable, parents, target) triple per product, in lift order."""
+        reads = [(points[..., var:var + hi - lo, :], values[lo:hi]) for lo, hi, var in self._reads]
+        products = [(values[var], values[parent:parent + hi - lo], values[lo:hi])
+                    for lo, hi, var, parent in self._products]
+        return reads, products
+
+    def _evaluate_rows(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at each column of ``points``, shape
-        (num_vars, n), into ``values`` (a new array if None); returns
-        ``values``, shape (num_monomials, n)."""
-        if values is None:
-            values = np.empty((self.num_monomials, points.shape[1]))
-        for lo, hi, var, parent in self._runs:
-            if parent < 0:
-                values[lo:hi] = points[var:var + hi - lo]
-            else:
-                np.multiply(points[var], values[parent:parent + hi - lo], out=values[lo:hi])
-        return values
+        (num_vars, n); returns shape (num_monomials, n)."""
+        values = np.empty((self._lift_rows, points.shape[1]))
+        reads, products = self._lift_plan(points, values)
+        for source, target in reads:
+            np.copyto(target, source)
+        for factors in products:
+            np.multiply(*factors)
+        return values[:self.num_monomials]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at each row of ``points``.

@@ -15,7 +15,11 @@ its dense output on a uniform time grid.  A step keeps its seven stage
 derivatives in one (stages, num_states, cells) workspace allocated once
 per run, and forms each stage, the update, the error estimate and the
 dense-output coefficients as one product of tableau weights and stages
-summed over the stage axis, in stage order.  Training and test series,
+summed over the stage axis, in stage order.  The cells still stepping
+advance on gathered copies of their state, regathered only when one of
+them fails or passes the block's last sample, and every step goes into
+a log whose samples are evaluated from the dense output in one gather
+when the log fills or the block ends.  Training and test series,
 a config's series of one span and length, and whole basin grids each
 run as one batch; a series comes out bitwise the same alone or batched.
 """
@@ -278,6 +282,18 @@ _P = np.array([
 ])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+# The weights of each sum over the stages, shaped to scale (num_states,
+# cells) planes: stages 2..6, the update, the error estimate and the
+# dense-output coefficients.
+_WEIGHTS = [_A[stage, :stage, None, None] for stage in range(1, len(_C))] + [
+    _B[:, None, None], _E[:, None, None], _P[..., None, None]]
+_LOG_SIZE = 1024  # cell-steps logged before their samples are evaluated
+
+
+def _combine(weights, stages, terms):
+    """Sum ``weights[i] * stages[i]`` over the leading (stage) axis, stage
+    by stage in order, with the products in ``terms``."""
+    return _ordered_sum(np.multiply(weights, stages, terms))
 
 
 def _rms(rows):
@@ -292,7 +308,7 @@ def _rms(rows):
     """
     norm = np.sqrt(_ordered_sum(rows * rows)) / len(rows) ** 0.5
     over = np.isinf(norm)
-    if over.any():
+    if np.count_nonzero(over):
         over &= np.isfinite(rows).all(axis=0)
         big = np.abs(rows[:, over]).max(axis=0, initial=0.0)
         scaled = rows[:, over] / big
@@ -336,6 +352,14 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     weights and stage derivatives summed over the stage axis in stage
     order (``core._ordered_sum``), so a cell's samples are bitwise the
     same alone or in any batch.
+
+    The cells still short of the block's last sample step together on
+    gathered copies of their state, and the views of the step's
+    workspaces are taken again only when that set changes: a cell
+    reaches the block's last sample or fails.  Every step is written to
+    a log of at most ``_LOG_SIZE`` cell-steps (or one step of every
+    cell), and the samples the logged steps cover are evaluated in one
+    gather when the log fills or the block ends.
     """
     rtol, atol = settings.rel_tol, settings.abs_tol
     t_start, t_end = t_span
@@ -348,92 +372,118 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     h_abs = _initial_step(rhs, t, y, f, t_end - t_start, rtol, atol)
     rejected = np.zeros(cells, dtype=bool)
     failed = np.zeros(cells, dtype=bool)
-    emitted = np.zeros(cells, dtype=np.int64)  # samples written so far
-    # Dense output of each cell's last accepted step; before the first
-    # one it evaluates to the start point at the start time.
-    t_old, h, y_old = t.copy(), np.ones(cells), y.copy()
+    # Each cell's last accepted step, for its dense output.  Before the
+    # first one, a step from one float below the start time with zero
+    # coefficients, which evaluates to the start point, covers sample 0.
+    t_old, h, y_old = np.full(cells, np.nextafter(t_start, -np.inf)), np.ones(cells), y.copy()
     q = np.zeros((_P.shape[1],) + y.shape)
     # The stage derivatives, (stages, num_states, cells), and their weighted
     # terms live in workspaces sized for the first step (``core._leading``).
     stage_space = np.empty(len(_E) * y.size)
     terms_space = np.empty(_P.size * y.size)
+    # The step log: each logged step's cell, start time, size, start state,
+    # dense-output coefficients and the cell's time after it, which is its
+    # start time if the step was rejected, so that it covers no sample.
+    capacity = max(_LOG_SIZE, cells)
+    log = (np.empty(capacity, dtype=np.int64), np.empty(capacity), np.empty(capacity),
+           np.empty((num_states, capacity)), np.empty(q.shape[:2] + (capacity,)),
+           np.empty(capacity))
 
-    def combine(weights, stages):
-        """Sum ``weights[i] * stages[i]`` over the leading (stage) axis,
-        stage by stage in order; each weight scales a (num_states, cells)
-        plane."""
-        terms = _leading(terms_space, weights.shape + stages.shape[-2:])
-        return _ordered_sum(np.multiply(weights[..., None, None], stages, out=terms))
-
-    def emit(rows):
-        """Write the block's samples that the rows' last steps cover."""
-        upto = np.minimum(np.searchsorted(times, t[rows], side="right"), stop)
-        counts = upto - emitted[rows]
-        cell = np.repeat(rows, counts)
-        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        sample = np.repeat(emitted[rows], counts) + offset
-        x = (times[sample] - t_old[cell]) / h[cell]
+    def emit(out, first, stop, cells, starts, sizes, states, coefficients, ends):
+        """Write into ``out``, the block of samples ``first .. stop - 1``,
+        the samples each step covers, those in (start, end] of its cell,
+        from the step's dense output."""
+        lo = np.maximum(np.searchsorted(times, starts, side="right"), first)
+        upto = np.minimum(np.searchsorted(times, ends, side="right"), stop)
+        counts = np.maximum(upto - lo, 0)
+        step = np.repeat(np.arange(len(counts)), counts)
+        sample = np.arange(len(step)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        x = (times[sample] - starts[step]) / sizes[step]
         # Powers x, x**2, ... of the dense output, each the last times x.
-        terms = q.take(cell, axis=2)
+        terms = coefficients.take(step, axis=2)
         power = x
         for coefficient in terms:
             coefficient *= power
             power = power * x
-        values = h[cell] * _ordered_sum(terms) + y_old.take(cell, axis=1)
-        out[:, cell, sample - first] = values
-        emitted[rows] = upto
+        values = sizes[step] * _ordered_sum(terms) + states.take(step, axis=1)
+        out[:, cells[step], sample - first] = values
 
     for first in range(0, num_samples, block):
         stop = min(first + block, num_samples)
+        t_stop = times[stop - 1]
         out = np.full((num_states, len(t), stop - first), np.nan)
-        emit(np.arange(len(t)))
-        while True:
-            rows = (~failed & (emitted < stop)).nonzero()[0]
-            if not rows.size:
-                break
-            t0, y0, f0 = t[rows], y[:, rows], f[:, rows]
-            min_step = 10 * np.abs(np.nextafter(t0, np.inf) - t0)
-            size = np.where(rejected[rows], h_abs[rows], np.maximum(h_abs[rows], min_step))
-            too_small = ~(size >= min_step)
-            failed[rows[too_small]] = True
-            live = ~too_small
-            rows, t0, y0, f0, size = rows[live], t0[live], y0[:, live], f0[:, live], size[live]
+        logged = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            emit(out, first, stop, np.arange(len(t)), t_old, h, y_old, q, t)
+            while True:
+                rows = (~failed & (t < t_stop)).nonzero()[0]
+                if not rows.size:
+                    break
+                # The active cells' state, and the workspace views of each
+                # weighted sum: (weights, stages, terms).
+                m = rows.size
+                t0, y0, f0 = t[rows], y[:, rows], f[:, rows]
+                proposed, retried = h_abs[rows], rejected[rows]
+                k = _leading(stage_space, (len(_E), num_states, m))
+                operands = [k[:stage] for stage in range(1, len(_C))] + [k[:-1], k, k[:, None]]
+                *stage_sums, update, estimate, dense = [
+                    (weights, stages, _leading(terms_space, weights.shape[:-2] + (num_states, m)))
+                    for weights, stages in zip(_WEIGHTS, operands)
+                ]
+                while True:
+                    min_step = 10 * np.abs(np.nextafter(t0, np.inf) - t0)
+                    size = np.where(retried, proposed, np.maximum(proposed, min_step))
+                    too_small = ~(size >= min_step)
+                    if np.count_nonzero(too_small):  # cheaper than .any() on a few cells
+                        failed[rows[too_small]] = True
+                        break
+                    t1 = np.minimum(t0 + size, t_end)
+                    step = t1 - t0
+                    k[0] = f0
+                    stage_times = t0 + _C[1:, None] * step
+                    for stage, weighted in enumerate(stage_sums, 1):
+                        dy = _combine(*weighted) * step
+                        k[stage] = rhs(stage_times[stage - 1], y0 + dy)
+                    y1 = y0 + step * _combine(*update)
+                    k[-1] = rhs(t1, y1)
+                    scale = atol + np.maximum(np.abs(y0), np.abs(y1)) * rtol
+                    error = _rms(_combine(*estimate) * step / scale)
+                    factor = _SAFETY * error**_ERROR_EXPONENT
+                    # Every cell's coefficients; a rejected step's stages may
+                    # be non-finite, and it covers no sample.
+                    coefficients = _combine(*dense)
+                    accept = error < 1
+                    grow = np.where(error == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
+                    grow = np.where(retried, np.minimum(1.0, grow), grow)
+                    shrink = np.fmax(_MIN_FACTOR, factor)  # a NaN error shrinks by the minimum
+                    proposed = step * np.where(accept, grow, shrink)
+                    retried = ~accept
+                    t_next = np.where(accept, t1, t0)
 
-            t1 = np.minimum(t0 + size, t_end)
-            step = t1 - t0
-            k = _leading(stage_space, (len(_E), num_states, rows.size))
-            k[0] = f0
-            for stage in range(1, len(_C)):
-                dy = combine(_A[stage, :stage], k[:stage]) * step
-                k[stage] = rhs(t0 + _C[stage] * step, y0 + dy)
-            y1 = y0 + step * combine(_B, k[:-1])
-            k[-1] = rhs(t1, y1)
-            scale = atol + np.maximum(np.abs(y0), np.abs(y1)) * rtol
-            error = _rms(combine(_E, k) * step / scale)
-
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                factor = _SAFETY * error**_ERROR_EXPONENT
-                # Every cell's coefficients; a rejected step's stages may
-                # be non-finite, and only accepted steps keep theirs.
-                coefficients = combine(_P, k[:, None])
-            accept = error < 1
-            grow = np.where(error == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
-            grow = np.where(rejected[rows], np.minimum(1.0, grow), grow)
-            shrink = np.fmax(_MIN_FACTOR, factor)  # a NaN error shrinks by the minimum
-            h_abs[rows] = step * np.where(accept, grow, shrink)
-            rejected[rows] = ~accept
-
-            done = rows[accept]
-            t_old[done], h[done], y_old[:, done] = t0[accept], step[accept], y0[:, accept]
-            q[:, :, done] = coefficients[..., accept]
-            t[done], y[:, done], f[:, done] = t1[accept], y1[:, accept], k[-1][:, accept]
-            emit(done)
-
+                    if logged + m > capacity:
+                        emit(out, first, stop, *(entries[..., :logged] for entries in log))
+                        logged = 0
+                    for entries, values in zip(log, (rows, t0, step, y0, coefficients, t_next)):
+                        entries[..., logged:logged + m] = values
+                    logged += m
+                    past = t_next >= t_stop
+                    leaving = np.count_nonzero(past)
+                    if leaving:
+                        # A cell past the block keeps its last step for the
+                        # next block's first samples.
+                        ended = rows[past]
+                        t_old[ended], h[ended] = t0[past], step[past]
+                        y_old[:, ended], q[:, :, ended] = y0[:, past], coefficients[..., past]
+                    t0, y0, f0 = t_next, np.where(accept, y1, y0), np.where(accept, k[-1], f0)
+                    if leaving:
+                        break
+                t[rows], y[:, rows], f[:, rows] = t0, y0, f0
+                h_abs[rows], rejected[rows] = proposed, retried
+            emit(out, first, stop, *(entries[..., :logged] for entries in log))
         keep = yield out.transpose(1, 2, 0)
         if keep is not None:
-            t, h_abs, rejected, failed, emitted, t_old, h, y, f, y_old, q = (
-                v[..., keep]
-                for v in (t, h_abs, rejected, failed, emitted, t_old, h, y, f, y_old, q)
+            t, h_abs, rejected, failed, t_old, h, y, f, y_old, q = (
+                v[..., keep] for v in (t, h_abs, rejected, failed, t_old, h, y, f, y_old, q)
             )
 
 

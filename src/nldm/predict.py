@@ -11,10 +11,14 @@ state-major, one column per row, and works in buffers allocated once per
 run.  A block's samples live in one history buffer, newest first, with
 the previous ``delays`` samples carried in behind them, so a step's
 window is one contiguous slice and the step writes its state in place.
-The lift takes one multiply per run of monomials (see ``MonomialBasis``);
-the update takes the same numpy calls whatever the feature count: one
-sum of the (features, states, rows) products over the feature axis, in
-feature order (``core._ordered_sum``).  So a row's samples are bitwise
+Each block builds its lift plan once (``MonomialBasis._lift_plan``):
+the views of the lift workspace that each run of monomials writes and
+reads, with the windows of all the block's steps as one strided view.
+A step then takes one copy of its window per run of degree-1
+monomials, one multiply per higher run, one product of the weights and
+the lifted features, and one sum of those (features, states, rows)
+products over the feature axis, in feature order
+(``core._ordered_sum``), and slices nothing.  So a row's samples are bitwise
 identical alone or in a batch of any size, in blocks of any length.
 Once a produced state exceeds ``DIVERGENCE_THRESHOLD`` in max-norm (or
 is non-finite), the rest of the trajectory is NaN; the test runs once
@@ -27,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import DimensionError, LearnedOperator, Trajectory, _leading, _ordered_sum
 from .features import MonomialBasis, monomial_basis
@@ -62,14 +67,14 @@ def _iterate(seeds, steps, basis, matrix, block):
     # history holds a block's samples newest first and the ``delays``
     # samples before them behind, shape (length + delays, S, rows), so
     # the lags of a step, newest first, are one contiguous slice.
-    lift_space = np.empty(num_features * n)
+    lift_space = np.empty(basis._lift_rows * n)
     terms_space = np.empty(num_features * num_states * n)
     history_space = np.empty((min(block, total) + delays) * num_states * n)
     rows, carried = n, None
     for first in range(0, total, block):
         length = min(first + block, total) - first
         history = _leading(history_space, (length + delays, num_states, rows))
-        lift = _leading(lift_space, (num_features, rows))
+        lift = _leading(lift_space, (basis._lift_rows, rows))
         terms = _leading(terms_space, (num_features, num_states, rows))
         if carried is not None:
             history[length:] = carried
@@ -77,10 +82,18 @@ def _iterate(seeds, steps, basis, matrix, block):
         seeded = max(min(first + length, delays) - first, 0)
         history[length - seeded:length] = seed_columns[first:first + seeded][::-1]
         stepped = length - seeded  # produced samples, at positions 0 .. stepped - 1
+        # The block's lift plan: windows[i], shape (span, rows), is the
+        # window of the step that writes position i.
+        windows = as_strided(history[1:], (length, span, rows), history.strides, writeable=False)
+        reads, products = basis._lift_plan(windows, lift)
+        features = lift[:num_features, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(stepped - 1, -1, -1):
-                basis._evaluate_rows(history[i + 1:i + 1 + delays].reshape(span, rows), lift)
-                np.multiply(weights, lift[:, None, :], out=terms)
+                for source, target in reads:
+                    np.copyto(target, source[i])
+                for factors in products:
+                    np.multiply(*factors)
+                np.multiply(weights, features, terms)
                 _ordered_sum(terms, out=history[i])
         if stepped:
             _cut_divergent(history[:stepped])

@@ -546,6 +546,22 @@ def test_training_series_without_signal_exit_3(tmp_path, capsys):
     assert not (out / "model.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_underdetermined_fit_warns_in_one_line(tmp_path, capsys, command):
+    raw = base_config()
+    raw["model"] = {"delays": 2, "degree": 2}  # 14 features
+    for entry in raw["train"]:
+        entry.update(t_span=[0.0, 0.05], num_samples=6)  # 4 snapshot columns each
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, raw)),
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "nldm: warning: underdetermined fit: 14 features but only 8 snapshot "
+        "columns; the minimum-norm solution is reported\n"
+    )
+    assert json.loads((out / "train_metrics.json").read_text())["underdetermined"] is True
+
+
 def _overcommit_mode():
     try:
         return Path("/proc/sys/vm/overcommit_memory").read_text().strip()

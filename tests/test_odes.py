@@ -279,6 +279,25 @@ def test_integrator_samples_match_the_term_by_term_stepper_bitwise(ident):
             assert got.tobytes() == expected.tobytes(), (len(starts), block)
 
 
+@pytest.mark.parametrize("ident", ALL_IDENTS)
+def test_samples_stay_bitwise_when_the_step_log_fills_every_step_or_two(ident, monkeypatch):
+    # A two-entry log is evaluated after every other step of one cell and
+    # after every step of a batch, so steps whose samples straddle a
+    # flush, a block end or both must give the term-by-term stepper's
+    # samples.
+    monkeypatch.setattr(odes, "_LOG_SIZE", 2)
+    system = make_system(ident)
+    points = np.random.default_rng(13).uniform(-2.0, 2.0, (4, system.num_states))
+    span, num_samples, tols = (0.0, 4.0), 150, (1e-7, 1e-10)
+    settings = IntegratorSettings(*tols)
+    for starts in [points[:1], points]:
+        expected = oracles.loop_dormand_prince(system.rhs, starts, span, num_samples, *tols)
+        for block in (1, 32, num_samples):
+            blocks = _dormand_prince_blocks(system.rhs, starts, span, num_samples, settings, block)
+            got = np.concatenate(list(blocks), axis=1)
+            assert got.tobytes() == expected.tobytes(), (len(starts), block)
+
+
 def test_dnls_energy_never_increases():
     system = make_system("dnls")
     traj = integrate(system, (1.5, -0.5), (0.0, 12.0), 1200)

@@ -226,6 +226,49 @@ def test_blocks_of_any_size_match_the_loop_reference_bitwise(delays):
         assert all(len(np.concatenate(pieces[row])) == length for row in rows)
 
 
+@pytest.mark.parametrize("unread_linear", [False, True])
+@pytest.mark.parametrize("delays", [1, 2, 5])
+def test_permuted_basis_with_rows_dropped_between_blocks_matches_the_loop_reference(
+        delays, unread_linear):
+    # The kernel builds its lift plan per block, so a mask that drops rows
+    # must leave the next plan reading the kept rows.  Without the pure
+    # powers of the first variable, the lift reads that variable into a
+    # row past the monomials.
+    from conftest import graded_permutation
+
+    rng = np.random.default_rng(12)
+    config = FeatureConfig(2, delays, 3)
+    exponents = monomial_basis(config).exponents
+    exponents = exponents[graded_permutation(exponents, rng)]
+    if unread_linear:
+        exponents = exponents[exponents[:, 0] != exponents.sum(axis=1)]
+    basis = MonomialBasis.from_exponents(exponents)
+    assert basis._lift_rows == basis.num_monomials + unread_linear
+    matrix = 1.0 / basis.num_monomials * rng.normal(size=(2, basis.num_monomials))
+    seeds = rng.normal(size=(9, delays, 2))
+    seeds[::4] *= 20.0  # rows 0, 4 and 8 cross the divergence threshold
+    steps = 45
+    expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
+    length = delays + steps
+    # Rows leave after the blocks that hold samples 3, 10 and 33.
+    drops = {3: [1, 4], 10: [0, 7], 33: [5]}
+    for size in sorted({1, delays, 32}):
+        kernel = _iterate(seeds, steps, basis, matrix, size)
+        rows, pieces, keep = np.arange(9), {row: [] for row in range(9)}, None
+        for lo in range(0, length, size):
+            block = kernel.send(keep)
+            for row, samples in zip(rows, block):
+                pieces[row].append(samples)
+            dropped = [row for at, rows_at in drops.items() if lo <= at < lo + size
+                       for row in rows_at]
+            keep = ~np.isin(rows, dropped)
+            rows = rows[keep]
+        assert rows.tolist() == [2, 3, 6, 8]
+        for row, samples in pieces.items():
+            got = np.concatenate(samples)
+            assert got.tobytes() == expected[row, :len(got)].tobytes(), (size, row)
+
+
 def test_all_zero_window_with_negative_coefficients_steps_to_positive_zero():
     # Every product is -0.0; a sum started from +0.0 ends at +0.0.
     config = FeatureConfig(2, 2, 2)
