@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import pickle
@@ -31,7 +32,7 @@ from .config import (
     derived_seed,
 )
 from .core import FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError, _dt_differs
-from .identify import train as fit_operator
+from .identify import _score, _solve, train as fit_operator
 from .io import (
     load_model,
     save_basin_csv,
@@ -41,7 +42,7 @@ from .io import (
 )
 from .metrics import rrmse
 from .odes import _integrate_series, add_noise, make_system
-from .predict import predict as run_prediction
+from .predict import _forecast_batch, _starts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,10 +188,15 @@ class _Pipeline:
     ``out`` and records its wall time in ``timings``; the manifest lists
     the artifacts in the order of a serial run.
 
-    ``run`` forks once, after training (``_start_child``): the child
-    writes the series files and scans and writes the truth grid, none of
-    which needs the operator, while this process forecasts the test
-    series and scans the operator grid.  Stage times then overlap, so
+    ``run`` forks once, right after the least-squares solve
+    (``identify._solve``, then ``_start_child``): the child writes the
+    series files and scans and writes the truth grid, none of which needs
+    the operator, while this process runs one forecast batch over the
+    training seeds and then the test seeds (``_forecast_batch``), scores
+    and writes the fit, writes the test forecasts and their scores, and
+    scans the operator grid.  The ``train`` stage then covers the solve,
+    that batch and the training scores, and ``evaluate`` the test
+    forecasts' files and scores.  Stage times overlap, so
     ``timings["total"]`` holds the pipeline's own wall time.
     """
 
@@ -211,9 +217,10 @@ class _Pipeline:
         self.artifacts.append(name)
 
     def _timed(self, stage: str, fn):
+        """``fn()``, its wall time added to the stage's."""
         started = time.perf_counter()
         result = fn()
-        self.timings[stage] = time.perf_counter() - started
+        self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - started
         return result
 
     def _series_files(self):
@@ -240,22 +247,16 @@ class _Pipeline:
 
         self._timed("simulate", stage)
 
-    def train(self):
+    def _fit_inputs(self):
+        """``train``'s arguments: the working series, the feature shape and
+        the clean series to score against."""
         self.ensure_simulated()
-        feature_config = FeatureConfig(
-            num_states=len(self.config.train[0].ic),
-            delays=self.config.model.delays,
-            degree=self.config.model.degree,
-        )
+        model = self.config.model
+        feature_config = FeatureConfig(len(self.config.train[0].ic), model.delays, model.degree)
+        return ([data.working for data in self.train_data], feature_config,
+                [data.clean for data in self.train_data])
 
-        def stage():
-            return fit_operator(
-                [data.working for data in self.train_data],
-                feature_config,
-                references=[data.clean for data in self.train_data],
-            )
-
-        result = self._timed("train", stage)
+    def _save_training(self, result):
         self.operator = result.operator
         save_model(self.out / "model.txt", self.operator)
         self.artifacts.append("model.txt")
@@ -276,26 +277,24 @@ class _Pipeline:
         )
         self.artifacts.append("train_metrics.json")
 
-    def predict(self, evaluate: bool):
-        self.ensure_simulated()
-        delays = self.operator.config.delays
-        scores = []
+    def train(self):
+        trajectories, feature_config, references = self._fit_inputs()
+        self._save_training(self._timed(
+            "train", lambda: fit_operator(trajectories, feature_config, references=references)))
+
+    def _save_forecasts(self, predictions, evaluate: bool):
+        """Write the test series' forecasts and, to evaluate, their scores."""
         attractors = make_system(self.config.system.ident, **self.config.system.params).attractors
         tol = (self.config.basin or BasinSpec).tol  # the section's, else its default
+        delays = self.config.model.delays
+        scores = []
 
         def label(trajectory):
             return classify_series(trajectory.states, attractors, tol)
 
         def stage():
-            for index, data in enumerate(self.test_data):
-                seeds = data.working.states[:delays]
-                steps = data.working.num_samples - delays
-                prediction = run_prediction(
-                    self.operator, seeds, steps, t0=data.working.t0
-                )
-                self._write_csv(
-                    f"predicted_test_{index:02d}.csv", prediction.trajectory
-                )
+            for index, (data, prediction) in enumerate(zip(self.test_data, predictions)):
+                self._write_csv(f"predicted_test_{index:02d}.csv", prediction.trajectory)
                 if evaluate:
                     scores.append(_score_payload(prediction, data.clean, delays, label))
 
@@ -303,6 +302,13 @@ class _Pipeline:
         if evaluate:
             write_json(self.out / "scores.json", {"test": scores})
             self.artifacts.append("scores.json")
+
+    def predict(self, evaluate: bool):
+        self.ensure_simulated()
+        starts = _starts([data.working for data in self.test_data], self.config.model.delays)
+        predictions = self._timed("evaluate" if evaluate else "predict",
+                                  lambda: _forecast_batch(self.operator, starts))
+        self._save_forecasts(predictions, evaluate)
 
     def _scan(self):
         """The configured system and the one scan both grids take."""
@@ -349,10 +355,27 @@ class _Pipeline:
         predicted = self._operator_grid() if self.operator is not None else None
         self._list_grids(truth, predicted)
 
+    def _score_and_forecast(self, fit):
+        """``run``'s work after the solve that needs no grid: one forecast
+        batch over the training seeds and then the test seeds, whose rows
+        give the fit's scores and the test forecasts."""
+
+        def stage():
+            series = fit.trajectories + [data.working for data in self.test_data]
+            predictions = _forecast_batch(fit.operator, _starts(series, self.config.model.delays))
+            trained = len(fit.trajectories)
+            return _score(fit, predictions[:trained]), predictions[trained:]
+
+        result, forecasts = self._timed("train", stage)
+        self._save_training(result)
+        if forecasts:
+            self._save_forecasts(forecasts, evaluate=True)
+
     def run(self):
         series = self._series_files()
         self.artifacts.extend(name for name, _ in series)
-        self.train()
+        trajectories, feature_config, references = self._fit_inputs()
+        fit = self._timed("train", lambda: _solve(trajectories, feature_config, references))
         grids = self.config.basin is not None
 
         def operator_free():
@@ -364,8 +387,7 @@ class _Pipeline:
 
         join = _start_child(operator_free)
         try:
-            if self.config.test:
-                self.predict(evaluate=True)
+            self._score_and_forecast(fit)
             predicted = self._operator_grid() if grids else None
         except BaseException:
             # This process's error is the one reported; the child is
@@ -501,6 +523,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # The import heap lives until exit, where the interpreter's final
+    # collection would walk all of it; frozen, it is never walked, and
+    # the forked child (``_start_child``) leaves its pages unwritten.  Only
+    # the command's own process freezes: ``main`` is also called
+    # in-process, by tests and library users.
+    gc.freeze()
     sys.exit(main())
 
 

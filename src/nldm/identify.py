@@ -4,11 +4,18 @@ Training stacks snapshot pairs from every trajectory, solves the
 minimum-norm least-squares problem, and then scores the fit the hard
 way: each training trajectory is re-predicted from its own first
 ``delays`` states and compared against a reference over the predicted
-window.  All series are re-predicted in one batch padded to the longest;
-rows are batch-invariant, so each score is bitwise that of a forecast of
-its series alone.  When the training series are noisy, the clean
-originals can be passed separately so the scores measure skill against
-the truth rather than against the noise.
+window.  When the training series are noisy, the clean originals can be
+passed separately so the scores measure skill against the truth rather
+than against the noise.
+
+``train`` runs two halves: ``_solve`` (snapshot pair, least squares,
+the operator without its summary) and ``_score`` (RRMSE of the
+re-predicted series, origin multiplier, ``TrainingSummary``), with one
+forecast batch between them (``predict._forecast_batch``).  Rows of that
+batch are batch-invariant, so ``nldm run`` forecasts its test series in
+the same batch as the re-prediction and gets bitwise the scores of
+``train``; it also runs the operator-free half of its work in a forked
+child as soon as ``_solve`` returns.
 """
 
 from __future__ import annotations
@@ -22,14 +29,13 @@ from .core import (
     DimensionError,
     FeatureConfig,
     LearnedOperator,
-    Trajectory,
     TrainingSummary,
     UndefinedScoreError,
 )
-from .features import build_snapshot_pair, monomial_basis
-from .lstsq import solve_min_frobenius
+from .features import build_snapshot_pair
+from .lstsq import LstsqReport, solve_min_frobenius
 from .metrics import rrmse
-from .predict import iterate_batch
+from .predict import _forecast_batch, _starts
 
 __all__ = ["TrainingResult", "train"]
 
@@ -53,12 +59,87 @@ def _origin_multiplier(operator: LearnedOperator) -> float:
     return float(np.abs(np.linalg.eigvals(companion)).max())
 
 
+@dataclass(frozen=True, eq=False)
+class _Fit:
+    """What ``_solve`` hands to ``_score``: the operator, which has no
+    summary yet, and the series and solve diagnostics its scores need."""
+
+    operator: LearnedOperator
+    trajectories: list
+    references: list
+    total_columns: int
+    report: LstsqReport
+
+
+def _solve(trajectories, config: FeatureConfig, references=None) -> _Fit:
+    """The solve half of ``train``; see there for the arguments and the
+    errors."""
+    trajectories = list(trajectories)
+    if references is not None:
+        references = list(references)
+        if len(references) != len(trajectories):
+            raise DimensionError(
+                f"{len(references)} references for {len(trajectories)} "
+                "trajectories"
+            )
+        for q, (trajectory, reference) in enumerate(zip(trajectories, references)):
+            if reference.num_samples != trajectory.num_samples:
+                raise DimensionError(f"reference {q} length mismatch")
+
+    pair = build_snapshot_pair(trajectories, config)
+    if config.num_features > pair.num_columns:
+        warnings.warn(
+            f"underdetermined fit: {config.num_features} features but only "
+            f"{pair.num_columns} snapshot columns; the minimum-norm "
+            "solution is reported",
+            stacklevel=3,
+        )
+    report = solve_min_frobenius(pair.features, pair.targets)
+    if report.effective_rank == 0:
+        raise ValueError("the training features have effective rank 0: the series carry no signal")
+    operator = LearnedOperator(
+        matrix=report.solution,
+        config=config,
+        dt=trajectories[0].dt,
+        training_summary=None,
+    )
+    return _Fit(operator, trajectories, references or trajectories, pair.num_columns, report)
+
+
+def _score(fit: _Fit, predictions) -> TrainingResult:
+    """The scoring half of ``train``: ``predictions`` are the forecasts
+    of ``fit.trajectories`` from their seeds, in order."""
+    config = fit.operator.config
+    scores = []
+    for prediction, reference in zip(predictions, fit.references):
+        try:
+            scores.append(rrmse(prediction.trajectory, reference, config.delays).mean_rrmse)
+        except UndefinedScoreError:
+            scores.append(float("nan"))
+
+    summary = TrainingSummary(
+        num_trajectories=len(fit.trajectories),
+        total_columns=fit.total_columns,
+        residual_frobenius=fit.report.residual_frobenius,
+        per_trajectory_rrmse=tuple(scores),
+        effective_rank=fit.report.effective_rank,
+        underdetermined=config.num_features > fit.total_columns,
+        origin_multiplier=_origin_multiplier(fit.operator),
+    )
+    operator = replace(fit.operator, training_summary=summary)
+    return TrainingResult(operator=operator, mean_rrmse=float(np.mean(scores)))
+
+
 def train(
     trajectories,
     config: FeatureConfig,
     references=None,
 ) -> TrainingResult:
     """Fit an operator to the given trajectories.
+
+    The fit is ``_solve``, then one forecast batch that re-predicts every
+    series from its first ``delays`` states, padded to the longest
+    series, then ``_score``.
 
     Parameters
     ----------
@@ -84,55 +165,5 @@ def train(
         If the features have effective rank 0 (every series sits at the
         origin, say), since such a fit has seen no signal.
     """
-    trajectories = list(trajectories)
-    if references is not None:
-        references = list(references)
-        if len(references) != len(trajectories):
-            raise DimensionError(
-                f"{len(references)} references for {len(trajectories)} "
-                "trajectories"
-            )
-        for q, (trajectory, reference) in enumerate(zip(trajectories, references)):
-            if reference.num_samples != trajectory.num_samples:
-                raise DimensionError(f"reference {q} length mismatch")
-
-    pair = build_snapshot_pair(trajectories, config)
-    if config.num_features > pair.num_columns:
-        warnings.warn(
-            f"underdetermined fit: {config.num_features} features but only "
-            f"{pair.num_columns} snapshot columns; the minimum-norm "
-            "solution is reported",
-            stacklevel=2,
-        )
-    report = solve_min_frobenius(pair.features, pair.targets)
-    if report.effective_rank == 0:
-        raise ValueError("the training features have effective rank 0: the series carry no signal")
-    operator = LearnedOperator(
-        matrix=report.solution,
-        config=config,
-        dt=trajectories[0].dt,
-        training_summary=None,
-    )
-
-    seeds = np.stack([trajectory.states[: config.delays] for trajectory in trajectories])
-    steps = max(trajectory.num_samples for trajectory in trajectories) - config.delays
-    states, _ = iterate_batch(seeds, steps, monomial_basis(config), operator.matrix)
-    scores = []
-    for row, trajectory, reference in zip(states, trajectories, references or trajectories):
-        predicted = Trajectory(row[: trajectory.num_samples], operator.dt, trajectory.t0)
-        try:
-            scores.append(rrmse(predicted, reference, config.delays).mean_rrmse)
-        except UndefinedScoreError:
-            scores.append(float("nan"))
-
-    summary = TrainingSummary(
-        num_trajectories=len(trajectories),
-        total_columns=pair.num_columns,
-        residual_frobenius=report.residual_frobenius,
-        per_trajectory_rrmse=tuple(scores),
-        effective_rank=report.effective_rank,
-        underdetermined=config.num_features > pair.num_columns,
-        origin_multiplier=_origin_multiplier(operator),
-    )
-    operator = replace(operator, training_summary=summary)
-    return TrainingResult(operator=operator, mean_rrmse=float(np.mean(scores)))
+    fit = _solve(trajectories, config, references)
+    return _score(fit, _forecast_batch(fit.operator, _starts(fit.trajectories, config.delays)))

@@ -8,6 +8,7 @@ versioned header naming the dimensions and the monomial ordering.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -38,6 +39,17 @@ def _header_fields(text: str) -> dict[str, str]:
     return dict(part.split("=", 1) for part in text.split() if "=" in part)
 
 
+@functools.lru_cache(maxsize=8)
+def _time_column(t0: float, dt: float, num_samples: int) -> tuple[str, ...]:
+    """Each time of ``Trajectory.times`` as _fmt writes it, with its comma.
+
+    The column is ``t0 + dt * arange(num_samples)``, so these three values
+    fix its text; the series of one run mostly share one.
+    """
+    times = t0 + dt * np.arange(num_samples)
+    return tuple(["%.17g," % value for value in times.tolist()])
+
+
 def save_trajectory_csv(path, trajectory: Trajectory) -> None:
     path = Path(path)
     prov = trajectory.provenance
@@ -52,9 +64,11 @@ def save_trajectory_csv(path, trajectory: Trajectory) -> None:
         f"# dt={_fmt(trajectory.dt)} t0={_fmt(trajectory.t0)} {prov_text}",
         "t," + ",".join(f"x{n + 1}" for n in range(trajectory.num_states)),
     ]
-    # One %-format for every row writes what _fmt writes for each value.
-    values = np.column_stack([trajectory.times, trajectory.states])
-    row_format = ",".join(["%.17g"] * values.shape[1])
+    # One %-format for every row writes what _fmt writes for each state.
+    values = np.empty((trajectory.num_samples, trajectory.num_states + 1), dtype=object)
+    values[:, 0] = _time_column(trajectory.t0, trajectory.dt, trajectory.num_samples)
+    values[:, 1:] = trajectory.states
+    row_format = "%s" + ",".join(["%.17g"] * trajectory.num_states)
     lines.append("\n".join([row_format] * len(values)) % tuple(values.ravel().tolist()))
     path.write_text("\n".join(lines) + "\n")
 

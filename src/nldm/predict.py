@@ -171,6 +171,48 @@ def iterate_batch(
     return states, diverged_at
 
 
+def _starts(trajectories, delays: int) -> list:
+    """``(seeds, steps, t0)`` that forecast each trajectory over its own
+    samples from its first ``delays`` states."""
+    return [(trajectory.states[:delays], trajectory.num_samples - delays, trajectory.t0)
+            for trajectory in trajectories]
+
+
+def _forecast_batch(operator: LearnedOperator, starts) -> list[Prediction]:
+    """The forecast of each ``(seeds, steps, t0)`` in ``starts``, all from
+    one ``iterate_batch`` padded to the longest.
+
+    Each start is checked as ``predict`` documents.  A row is cut to its
+    own ``delays + steps`` samples and ``diverged_at`` is read from that
+    cut, so a short row that would cross ``DIVERGENCE_THRESHOLD`` only in
+    its padding has not diverged.  Rows depend neither on their batch
+    mates nor on the padding after them, so each forecast is bitwise
+    ``predict`` of its start alone.
+    """
+    config = operator.config
+    batch = []
+    for seeds, steps, _ in starts:
+        seeds = np.asarray(seeds, dtype=float)
+        if seeds.shape != (config.delays, config.num_states):
+            raise DimensionError(
+                f"seeds must have shape ({config.delays}, {config.num_states}), "
+                f"got {seeds.shape}"
+            )
+        if not np.all(np.isfinite(seeds)):
+            raise ValueError("seeds contain non-finite entries")
+        if steps < 0:
+            raise ValueError(f"steps must be non-negative, got {steps}")
+        batch.append(seeds)
+    longest = max(steps for _, steps, _ in starts)
+    states, _ = iterate_batch(np.stack(batch), longest, monomial_basis(config), operator.matrix)
+    predictions = []
+    for row, (_, steps, t0) in zip(states, starts):
+        trajectory = Trajectory(row[:config.delays + steps], dt=operator.dt, t0=t0)
+        nan = np.isnan(trajectory.states).any(axis=1)
+        predictions.append(Prediction(trajectory, int(nan.argmax()) if nan.any() else None))
+    return predictions
+
+
 def predict(
     operator: LearnedOperator,
     seeds: np.ndarray,
@@ -183,24 +225,8 @@ def predict(
     seeds plus steps must make at least two samples; the returned
     trajectory has the seeds as its first rows and inherits the
     operator's sampling interval.  It is bitwise the forecast of these
-    seeds in any batch (see ``core._ordered_sum``).
+    seeds in any batch (see ``core._ordered_sum``), padded or not: the
+    commands forecast all their series, training and test, in one
+    (``_forecast_batch``).
     """
-    config = operator.config
-    seeds = np.asarray(seeds, dtype=float)
-    if seeds.shape != (config.delays, config.num_states):
-        raise DimensionError(
-            f"seeds must have shape ({config.delays}, {config.num_states}), "
-            f"got {seeds.shape}"
-        )
-    if not np.all(np.isfinite(seeds)):
-        raise ValueError("seeds contain non-finite entries")
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    states, diverged = iterate_batch(
-        seeds[None], steps, monomial_basis(config), operator.matrix
-    )
-    trajectory = Trajectory(states[0], dt=operator.dt, t0=t0)
-    return Prediction(
-        trajectory=trajectory,
-        diverged_at=None if diverged[0] < 0 else int(diverged[0]),
-    )
+    return _forecast_batch(operator, [(seeds, steps, t0)])[0]

@@ -1,5 +1,6 @@
 """End-to-end command pipeline: artifacts, exit codes, reproducibility."""
 
+import gc
 import json
 import os
 import subprocess
@@ -121,15 +122,19 @@ def assert_no_child_left():
 
 
 def test_run_writes_the_files_of_the_commands_run_one_by_one(tmp_path):
-    # run writes the series and the truth grid in a forked child; its files
-    # are those of simulate, train and basin --model, listed in serial order.
+    # run forks right after the solve and writes the series and the truth
+    # grid in the child; it scores the fit and forecasts the test series
+    # in one batch.  Its files are those of simulate, train, evaluate
+    # --model and basin --model, listed in serial order.
     config_path = write_config(tmp_path)
     run, alone = tmp_path / "run", tmp_path / "alone"
     assert main(["run", "--config", str(config_path), "--out", str(run)]) == EXIT_OK
     assert_no_child_left()
-    for command in (["simulate"], ["train"], ["basin", "--model", str(alone / "model.txt")]):
+    model = ["--model", str(alone / "model.txt")]
+    for command in (["simulate"], ["train"], ["evaluate", *model], ["basin", *model]):
         assert main([*command, "--config", str(config_path), "--out", str(alone)]) == EXIT_OK
-    for name in SERIES_FILES + ["basin_truth.csv", "basin_operator.csv"]:
+    for name in SERIES_FILES + ["model.txt", "train_metrics.json", "predicted_test_00.csv",
+                                "scores.json", "basin_truth.csv", "basin_operator.csv"]:
         assert (run / name).read_bytes() == (alone / name).read_bytes(), name
 
     manifest = json.loads((run / "manifest.json").read_text())
@@ -191,7 +196,10 @@ def _dies(*args, **kwargs):
     ("ground_truth_grid", _dies, "ended with exit code 7 and no result"),
     ("operator_grid", _raises(ValueError("operator cell 4 failed")),
      "pipeline error: operator cell 4 failed"),
-], ids=["child-error", "child-unpicklable-error", "child-dies", "parent-error"])
+    ("_forecast_batch", _raises(ValueError("seeds contain non-finite entries")),
+     "pipeline error: seeds contain non-finite entries"),
+], ids=["child-error", "child-unpicklable-error", "child-dies", "parent-error",
+        "parent-forecast-error"])
 def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
         tmp_path, capsys, monkeypatch, name, replacement, message):
     monkeypatch.setattr(cli, name, replacement)
@@ -212,6 +220,31 @@ def test_run_with_an_unwritable_truth_grid_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert str(blocker) in err
+
+
+def test_only_the_command_entry_freezes_the_collector(tmp_path, capsys):
+    # main runs in-process for tests and library users, so it leaves the
+    # collector alone; the console entry freezes the import heap first and
+    # otherwise ends as main returns.
+    config_path = write_config(tmp_path)
+    bad = write_config(tmp_path, {**base_config(), "extra": 1}, name="bad.json")
+    frozen = gc.get_freeze_count()
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+    assert gc.get_freeze_count() == frozen
+    bad_err = capsys.readouterr().err
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for path, code, err in ((config_path, EXIT_OK, ""), (bad, EXIT_CONFIG, bad_err)):
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "b")]
+        result = subprocess.run([sys.executable, "-m", "nldm.cli", *argv], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert (result.returncode, result.stderr) == (code, err)
+    code = ("import atexit, gc, sys; from nldm import cli; "
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = ['train', '--config', sys.argv[1]]; cli.entry()")
+    result = subprocess.run([sys.executable, "-c", code, str(bad)], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_CONFIG, "True\n", bad_err)
 
 
 def test_cli_import_loads_no_process_pool_module():
@@ -534,14 +567,17 @@ def test_training_series_with_an_undefined_score_is_scored_null(tmp_path):
     assert load_model(out / "model.txt").config.delays == 2
 
 
-def test_training_series_without_signal_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_training_series_without_signal_exit_3(tmp_path, capsys, command):
+    # run solves before it forks, so it fails with no child to reap.
     raw = base_config()
     raw["model"] = {"delays": 1, "degree": 1}
     raw["train"] = [{"ic": [0.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60}]
     del raw["test"], raw["basin"]
     out = tmp_path / "out"
-    assert main(["train", "--config", str(write_config(tmp_path, raw)),
+    assert main([command, "--config", str(write_config(tmp_path, raw)),
                  "--out", str(out)]) == EXIT_PIPELINE
+    assert_no_child_left()
     assert "effective rank 0" in capsys.readouterr().err
     assert not (out / "model.txt").exists()
 

@@ -73,6 +73,9 @@ def test_trajectory_rows_are_written_as_fmt_writes_each_value(tmp_path):
     states = np.array([specials, specials[::-1]]).T
     trajectory = Trajectory(states, dt=0.1, t0=-0.0, provenance=Provenance.clean())
     path = tmp_path / "series.csv"
+    # The time column's text is kept per (t0, dt, length), and t0 = 0.0
+    # shares -0.0's key: written first, it must not change these rows.
+    save_trajectory_csv(path, Trajectory(states, dt=0.1, t0=0.0))
     save_trajectory_csv(path, trajectory)
     rows = path.read_text().splitlines()[2:]
     expected = [

@@ -18,7 +18,7 @@ from nldm import (
     predict,
 )
 from nldm.features import MonomialBasis
-from nldm.predict import DIVERGENCE_THRESHOLD, _iterate, iterate_batch
+from nldm.predict import DIVERGENCE_THRESHOLD, _forecast_batch, _iterate, iterate_batch
 
 
 def scalar_operator(value, delays=1, degree=1, dt=0.1):
@@ -90,6 +90,29 @@ def test_batch_rows_match_single_row_runs_bitwise():
         alone, alone_div = iterate_batch(seeds[i : i + 1], 40, basis, matrix)
         assert states[i].tobytes() == alone[0].tobytes()
         assert diverged[i] == alone_div[0]
+
+
+def test_padded_batch_rows_are_each_series_forecast_alone():
+    # The commands forecast training and then test series of different
+    # lengths in one batch padded to the longest.  Under a map that
+    # doubles the state, the short training row would cross the
+    # divergence threshold only in its padding (sample 20, 2**20 > 1e6).
+    config = FeatureConfig(num_states=2, delays=1, degree=1)
+    operator = LearnedOperator(2.0 * np.eye(2), config, dt=0.1)
+    training = [([[1.0, -1.0]], 9, 0.0), ([[0.5, 2.0]], 40, 0.0)]
+    tests = [([[-1.0, 1.0]], 15, 1.0), ([[3.0, 0.25]], 30, 2.5)]
+    starts = training + tests
+    predictions = _forecast_batch(operator, starts)
+    for (seeds, steps, t0), prediction in zip(starts, predictions):
+        alone = predict(operator, np.array(seeds), steps, t0=t0)
+        assert prediction.trajectory.num_samples == 1 + steps
+        assert prediction.trajectory.t0 == t0
+        assert prediction.trajectory.states.tobytes() == alone.trajectory.states.tobytes()
+        assert prediction.diverged_at == alone.diverged_at
+    padded, _ = iterate_batch(np.array([training[0][0]]), 40, monomial_basis(config),
+                              operator.matrix)
+    assert np.isnan(padded[0, 20:]).all() and np.isfinite(padded[0, :20]).all()
+    assert [prediction.diverged_at for prediction in predictions] == [None, 19, None, 19]
 
 
 def test_step_batch_matches_matrix_product():
@@ -422,6 +445,13 @@ def test_seed_validation():
         predict(operator, np.array([[np.nan], [1.0]]), steps=3)
     with pytest.raises(ValueError):
         predict(operator, np.array([[1.0], [2.0]]), steps=-1)
+    # The batch of the commands checks every start as predict does.
+    good = (np.array([[1.0], [2.0]]), 3, 0.0)
+    for bad, error in (((np.array([[1.0]]), 3, 0.0), DimensionError),
+                       ((np.array([[np.inf], [1.0]]), 3, 0.0), ValueError),
+                       ((np.array([[1.0], [2.0]]), -1, 0.0), ValueError)):
+        with pytest.raises(error):
+            _forecast_batch(operator, [good, bad])
 
 
 def test_iterate_batch_rejects_seeds_matrices_and_steps_of_the_wrong_shape():
