@@ -1,5 +1,10 @@
 """Command-line pipeline: simulate, train, predict, evaluate, basin, run.
 
+Each command is a row of ``_STAGES``, the stages it runs out of one
+pipeline (series files, fit, test forecasts, basin grids), and
+``_Pipeline.execute`` runs any row the same way, forking once where the
+stages leave work both with and without an operator.
+
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures inside the pipeline and for arrays too large to allocate.
 """
@@ -32,7 +37,7 @@ from .config import (
     derived_seed,
 )
 from .core import FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError, _dt_differs
-from .identify import _score, _solve, train as fit_operator
+from .identify import _score, _solve
 from .io import (
     load_model,
     save_basin_csv,
@@ -62,9 +67,8 @@ class SeriesData:
         return self.noisy if self.noisy is not None else self.clean
 
 
-def _simulate(config: ExperimentConfig, global_seed: int):
-    """The train and test series, as two lists of SeriesData."""
-    system = make_system(config.system.ident, **config.system.params)
+def _simulate(config: ExperimentConfig, system, global_seed: int):
+    """The train and test series of ``system``, as two lists of SeriesData."""
     entries = [
         (role, index, entry)
         for role, specs in (("train", config.train), ("test", config.test))
@@ -128,6 +132,12 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
+def _inline(work):
+    """``work()`` run here, in the shape of ``_start_child``'s ``join``."""
+    result = work()
+    return lambda: result
+
+
 def _start_child(work):
     """Run ``work()`` in a forked child while the caller goes on.
 
@@ -146,8 +156,7 @@ def _start_child(work):
     except (OSError, AttributeError):  # refused, or a platform without fork
         os.close(read_end)
         os.close(write_end)
-        result = work()
-        return lambda: result
+        return _inline(work)
     if pid == 0:
         # The child never returns into the caller: whatever happens, it
         # leaves through os._exit, which runs no exit handlers and
@@ -183,38 +192,36 @@ def _start_child(work):
     return join
 
 
-class _Pipeline:
-    """The stages of one command.  Each stage writes its artifacts into
-    ``out`` and records its wall time in ``timings``; the manifest lists
-    the artifacts in the order of a serial run.
+# The stages of each command.  Every command runs its stages in this
+# order: the series files, the fit, the test forecasts (scored under
+# "evaluate") and the basin grids.
+_STAGES = {
+    "simulate": ("series",),
+    "train": ("fit",),
+    "predict": ("predict",),
+    "evaluate": ("evaluate",),
+    "basin": ("grids",),
+    "run": ("series", "fit", "evaluate", "grids"),
+}
 
-    ``run`` forks once, right after the least-squares solve
-    (``identify._solve``, then ``_start_child``): the child writes the
-    series files and scans and writes the truth grid, none of which needs
-    the operator, while this process runs one forecast batch over the
-    training seeds and then the test seeds (``_forecast_batch``), scores
-    and writes the fit, writes the test forecasts and their scores, and
-    scans the operator grid.  The ``train`` stage then covers the solve,
-    that batch and the training scores, and ``evaluate`` the test
-    forecasts' files and scores.  Stage times overlap, so
-    ``timings["total"]`` holds the pipeline's own wall time.
+
+class _Pipeline:
+    """One command's stages.  Each stage writes its artifacts into
+    ``out`` and records its wall time in ``timings``; the manifest lists
+    the artifacts in the order of the stages.
     """
 
-    def __init__(self, config, out_dir: Path, global_seed: int):
+    def __init__(self, config, system, out_dir: Path, global_seed: int, operator=None):
         self.config = config
+        self.system = system
         self.out = out_dir
         self.global_seed = global_seed
+        self.operator = operator
         self.started = time.perf_counter()
         self.timings: dict[str, float] = {}
         self.artifacts: list[str] = []
         self.train_data = None
         self.test_data = None
-        self.operator = None
-
-    def _write_csv(self, name: str, trajectory: Trajectory):
-        path = self.out / name
-        save_trajectory_csv(path, trajectory)
-        self.artifacts.append(name)
 
     def _timed(self, stage: str, fn):
         """``fn()``, its wall time added to the stage's."""
@@ -225,7 +232,6 @@ class _Pipeline:
 
     def _series_files(self):
         """(file name, trajectory) for every simulated series."""
-        self.ensure_simulated()
         files = []
         for role, series in (("train", self.train_data), ("test", self.test_data)):
             for index, data in enumerate(series):
@@ -233,28 +239,6 @@ class _Pipeline:
                 if data.noisy is not None:
                     files.append((f"{role}_{index:02d}_noisy.csv", data.noisy))
         return files
-
-    def simulate(self):
-        for name, trajectory in self._series_files():
-            self._write_csv(name, trajectory)
-
-    def ensure_simulated(self):
-        if self.train_data is not None:
-            return
-
-        def stage():
-            self.train_data, self.test_data = _simulate(self.config, self.global_seed)
-
-        self._timed("simulate", stage)
-
-    def _fit_inputs(self):
-        """``train``'s arguments: the working series, the feature shape and
-        the clean series to score against."""
-        self.ensure_simulated()
-        model = self.config.model
-        feature_config = FeatureConfig(len(self.config.train[0].ic), model.delays, model.degree)
-        return ([data.working for data in self.train_data], feature_config,
-                [data.clean for data in self.train_data])
 
     def _save_training(self, result):
         self.operator = result.operator
@@ -277,58 +261,63 @@ class _Pipeline:
         )
         self.artifacts.append("train_metrics.json")
 
-    def train(self):
-        trajectories, feature_config, references = self._fit_inputs()
-        self._save_training(self._timed(
-            "train", lambda: fit_operator(trajectories, feature_config, references=references)))
-
-    def _save_forecasts(self, predictions, evaluate: bool):
+    def _save_forecasts(self, predictions, stage: str):
         """Write the test series' forecasts and, to evaluate, their scores."""
-        attractors = make_system(self.config.system.ident, **self.config.system.params).attractors
         tol = (self.config.basin or BasinSpec).tol  # the section's, else its default
         delays = self.config.model.delays
+        evaluate = stage == "evaluate"
         scores = []
 
         def label(trajectory):
-            return classify_series(trajectory.states, attractors, tol)
+            return classify_series(trajectory.states, self.system.attractors, tol)
 
-        def stage():
+        def write():
             for index, (data, prediction) in enumerate(zip(self.test_data, predictions)):
-                self._write_csv(f"predicted_test_{index:02d}.csv", prediction.trajectory)
+                name = f"predicted_test_{index:02d}.csv"
+                save_trajectory_csv(self.out / name, prediction.trajectory)
+                self.artifacts.append(name)
                 if evaluate:
                     scores.append(_score_payload(prediction, data.clean, delays, label))
 
-        self._timed("evaluate" if evaluate else "predict", stage)
+        self._timed(stage, write)
         if evaluate:
             write_json(self.out / "scores.json", {"test": scores})
             self.artifacts.append("scores.json")
 
-    def predict(self, evaluate: bool):
-        self.ensure_simulated()
-        starts = _starts([data.working for data in self.test_data], self.config.model.delays)
-        predictions = self._timed("evaluate" if evaluate else "predict",
-                                  lambda: _forecast_batch(self.operator, starts))
-        self._save_forecasts(predictions, evaluate)
+    def _forecast(self, fit, stage):
+        """One forecast batch over the training seeds, whose rows score
+        ``fit``, and then, for a forecast ``stage``, the test seeds."""
+        trained = fit.trajectories if fit is not None else []
+        tests = [data.working for data in self.test_data] if stage is not None else []
+        if not trained and not tests:
+            return
+        operator = fit.operator if fit is not None else self.operator
+        starts = _starts(trained + tests, self.config.model.delays)
+        predictions = self._timed("train" if fit is not None else stage,
+                                  lambda: _forecast_batch(operator, starts))
+        if fit is not None:
+            self._save_training(self._timed("train",
+                                            lambda: _score(fit, predictions[:len(trained)])))
+        if tests:
+            self._save_forecasts(predictions[len(trained):], stage)
 
     def _scan(self):
-        """The configured system and the one scan both grids take."""
+        """The one scan both grids take."""
         spec = self.config.basin
-        system = make_system(self.config.system.ident, **self.config.system.params)
-        return system, dict(window=spec.window, resolution=spec.resolution, steps=spec.steps,
-                            tol=spec.tol, fixed_coords=dict(spec.fixed) or None)
+        return dict(window=spec.window, resolution=spec.resolution, steps=spec.steps,
+                    tol=spec.tol, fixed_coords=dict(spec.fixed) or None)
 
     def _truth_grid(self):
         """Scan and write the truth grid, which steps the series' dt."""
-        system, scan = self._scan()
         dt = self.config.train[0].dt
-        truth = self._timed("basin_truth", lambda: ground_truth_grid(system, dt=dt, **scan))
+        truth = self._timed("basin_truth",
+                            lambda: ground_truth_grid(self.system, dt=dt, **self._scan()))
         save_basin_csv(self.out / "basin_truth.csv", truth)
         return truth
 
     def _operator_grid(self):
-        system, scan = self._scan()
         predicted = self._timed(
-            "basin_operator", lambda: operator_grid(self.operator, system, **scan)
+            "basin_operator", lambda: operator_grid(self.operator, self.system, **self._scan())
         )
         save_basin_csv(self.out / "basin_operator.csv", predicted)
         return predicted
@@ -350,33 +339,39 @@ class _Pipeline:
         )
         self.artifacts.append("agreement.json")
 
-    def basin(self):
-        truth = self._truth_grid()
-        predicted = self._operator_grid() if self.operator is not None else None
-        self._list_grids(truth, predicted)
+    def execute(self, stages):
+        """Run ``stages``, one value of ``_STAGES``.
 
-    def _score_and_forecast(self, fit):
-        """``run``'s work after the solve that needs no grid: one forecast
-        batch over the training seeds and then the test seeds, whose rows
-        give the fit's scores and the test forecasts."""
-
-        def stage():
-            series = fit.trajectories + [data.working for data in self.test_data]
-            predictions = _forecast_batch(fit.operator, _starts(series, self.config.model.delays))
-            trained = len(fit.trajectories)
-            return _score(fit, predictions[:trained]), predictions[trained:]
-
-        result, forecasts = self._timed("train", stage)
-        self._save_training(result)
-        if forecasts:
-            self._save_forecasts(forecasts, evaluate=True)
-
-    def run(self):
-        series = self._series_files()
+        Every stage but the grids reads the simulated series, and a
+        command that fits solves first (``identify._solve``).  The work
+        then falls into two halves.  One needs no operator: writing the
+        series files and scanning and writing the truth grid.  The other
+        does: one forecast batch over the training seeds and then the test
+        seeds (``_forecast_batch``), whose rows score and write the fit and
+        are the test forecasts, then the operator grid.  When both halves
+        have work (``run``, ``basin --model``), the first runs in a forked
+        child (``_start_child``) while this process runs the second;
+        otherwise the one with work runs here.  The ``train`` stage covers
+        the solve, the batch and the training scores; a command that fits
+        nothing times the batch under its forecast stage.  Stage times
+        overlap, so ``timings["total"]`` holds the pipeline's own wall
+        time.
+        """
+        if stages != ("grids",):
+            self.train_data, self.test_data = self._timed(
+                "simulate", lambda: _simulate(self.config, self.system, self.global_seed))
+        series = self._series_files() if "series" in stages else []
         self.artifacts.extend(name for name, _ in series)
-        trajectories, feature_config, references = self._fit_inputs()
-        fit = self._timed("train", lambda: _solve(trajectories, feature_config, references))
-        grids = self.config.basin is not None
+        fits = "fit" in stages
+        fit = None
+        if fits:
+            model, train = self.config.model, self.train_data
+            shape = FeatureConfig(self.system.num_states, model.delays, model.degree)
+            fit = self._timed("train", lambda: _solve([data.working for data in train], shape,
+                                                      [data.clean for data in train]))
+        forecast = next((stage for stage in ("predict", "evaluate") if stage in stages), None)
+        grids = "grids" in stages and self.config.basin is not None
+        scan_operator = grids and (fits or self.operator is not None)
 
         def operator_free():
             for name, trajectory in series:
@@ -385,10 +380,11 @@ class _Pipeline:
                 return self._truth_grid(), self.timings["basin_truth"]
             return None
 
-        join = _start_child(operator_free)
+        both_halves = bool(series or grids) and (fits or forecast is not None or scan_operator)
+        join = (_start_child if both_halves else _inline)(operator_free)
         try:
-            self._score_and_forecast(fit)
-            predicted = self._operator_grid() if grids else None
+            self._forecast(fit, forecast)
+            predicted = self._operator_grid() if scan_operator else None
         except BaseException:
             # This process's error is the one reported; the child is
             # still reaped before the command ends.
@@ -443,20 +439,19 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="accepted and ignored; run overlaps its truth grid with the operator "
-            "work in a forked child, and other commands run in one process",
+            help="accepted and ignored; run and basin --model overlap their two halves "
+            "in one forked child",
         )
     return parser
 
 
-def _check_model_fits(operator, config: ExperimentConfig, path) -> None:
-    """A saved model must have the config's state count, model shape and
-    series dt."""
-    num_states = make_system(config.system.ident, **config.system.params).num_states
-    if operator.config.num_states != num_states:
+def _check_model_fits(operator, config: ExperimentConfig, system, path) -> None:
+    """A saved model must have the system's state count and the config's
+    model shape and series dt."""
+    if operator.config.num_states != system.num_states:
         raise ConfigError(
             f"model {path} has {operator.config.num_states} states, system "
-            f"{config.system.ident!r} has {num_states}"
+            f"{config.system.ident!r} has {system.num_states}"
         )
     shape, model = operator.config, config.model
     if (shape.delays, shape.degree) != (model.delays, model.degree):
@@ -475,6 +470,13 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    stages = _STAGES[args.command]
+    # A command that fits nothing takes its operator from --model, which
+    # its forecasts need and its grids use when given; it also needs the
+    # config section its stage reads.
+    fits = "fit" in stages
+    forecasts = not fits and ("predict" in stages or "evaluate" in stages)
+    scans = not fits and "grids" in stages
     try:
         raw = json.loads(Path(args.config).read_text())
         config = config_from_dict(raw)
@@ -482,35 +484,29 @@ def main(argv=None) -> int:
         seeded = config if args.seed is None else replace(config, global_seed=args.seed)
         global_seed = seeded.global_seed
         out_dir = Path(args.out if args.out else config.output_dir)
-        if args.command in ("predict", "evaluate") and not config.test:
+        system = make_system(config.system.ident, **config.system.params)
+        if forecasts and not config.test:
             raise ConfigError(f"{args.command} needs at least one test series")
-        if args.command == "basin" and config.basin is None:
+        if scans and config.basin is None:
             raise ConfigError("config has no basin section")
-        operator = load_model(args.model) if args.model else None
-        if operator is not None:
-            _check_model_fits(operator, config, args.model)
-        if args.command in ("predict", "evaluate") and operator is None:
+        operator = None
+        if args.model:
+            if not (forecasts or scans):
+                raise ConfigError(f"--model is not read by {args.command}")
+            operator = load_model(args.model)
+            _check_model_fits(operator, config, system, args.model)
+        elif forecasts:
             raise ConfigError(f"--model is required for {args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, RecursionError, ConfigError, ValueError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    pipeline = _Pipeline(config, out_dir, global_seed)
-    pipeline.operator = operator
+    pipeline = _Pipeline(config, system, out_dir, global_seed, operator)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            if args.command == "simulate":
-                pipeline.simulate()
-            elif args.command == "train":
-                pipeline.train()
-            elif args.command in ("predict", "evaluate"):
-                pipeline.predict(evaluate=args.command == "evaluate")
-            elif args.command == "basin":
-                pipeline.basin()
-            elif args.command == "run":
-                pipeline.run()
+            pipeline.execute(stages)
             pipeline.manifest(args.command)
     except (ConfigError, OSError) as exc:
         print(f"nldm: configuration error: {exc}", file=sys.stderr)

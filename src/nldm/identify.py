@@ -11,11 +11,12 @@ than against the noise.
 ``train`` runs two halves: ``_solve`` (snapshot pair, least squares,
 the operator without its summary) and ``_score`` (RRMSE of the
 re-predicted series, origin multiplier, ``TrainingSummary``), with one
-forecast batch between them (``predict._forecast_batch``).  Rows of that
-batch are batch-invariant, so ``nldm run`` forecasts its test series in
-the same batch as the re-prediction and gets bitwise the scores of
-``train``; it also runs the operator-free half of its work in a forked
-child as soon as ``_solve`` returns.
+forecast batch between them (``predict._forecast_batch``).  The ``nldm``
+commands that fit call the two halves themselves, not ``train``: rows of
+the batch are batch-invariant, so ``nldm run`` forecasts its test series
+in the same batch as the re-prediction and gets bitwise the scores of
+``train``, and it forks its operator-free work as soon as ``_solve``
+returns.
 """
 
 from __future__ import annotations

@@ -147,16 +147,31 @@ def test_run_writes_the_files_of_the_commands_run_one_by_one(tmp_path):
     assert timings["total"] >= max(value for stage, value in timings.items() if stage != "total")
 
 
-def test_run_where_fork_is_refused_writes_the_same_files(tmp_path, monkeypatch):
-    config_path = write_config(tmp_path)
+def forking_argv(tmp_path, command):
+    """The arguments, bar ``--out``, of a command that forks: ``run``, or
+    ``basin --model`` with the model ``train`` saves."""
+    config = ["--config", str(write_config(tmp_path))]
+    if command == "run":
+        return ["run", *config]
+    fit = tmp_path / "fit"
+    assert main(["train", *config, "--out", str(fit)]) == EXIT_OK
+    return ["basin", *config, "--model", str(fit / "model.txt")]
+
+
+FORKING = ["run", "basin --model"]
+
+
+@pytest.mark.parametrize("command", FORKING)
+def test_run_where_fork_is_refused_writes_the_same_files(tmp_path, monkeypatch, command):
+    argv = forking_argv(tmp_path, command)
     forked, inline = tmp_path / "forked", tmp_path / "inline"
-    assert main(["run", "--config", str(config_path), "--out", str(forked)]) == EXIT_OK
+    assert main([*argv, "--out", str(forked)]) == EXIT_OK
 
     def refuse():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", refuse)
-    assert main(["run", "--config", str(config_path), "--out", str(inline)]) == EXIT_OK
+    assert main([*argv, "--out", str(inline)]) == EXIT_OK
     assert_no_child_left()
     names = sorted(path.name for path in forked.iterdir())
     assert names == sorted(path.name for path in inline.iterdir())
@@ -188,27 +203,45 @@ def _dies(*args, **kwargs):
     os._exit(7)
 
 
-@pytest.mark.parametrize("name, replacement, message", [
-    ("ground_truth_grid", _raises(IntegrationError("truth cell 4 failed")),
-     "pipeline error: truth cell 4 failed"),
-    ("ground_truth_grid", _raises(_Unpicklable(4, "no label")),
-     "pipeline error: _Unpicklable: cell 4: no label"),
-    ("ground_truth_grid", _dies, "ended with exit code 7 and no result"),
-    ("operator_grid", _raises(ValueError("operator cell 4 failed")),
-     "pipeline error: operator cell 4 failed"),
-    ("_forecast_batch", _raises(ValueError("seeds contain non-finite entries")),
-     "pipeline error: seeds contain non-finite entries"),
-], ids=["child-error", "child-unpicklable-error", "child-dies", "parent-error",
-        "parent-forecast-error"])
+_FORK_FAILURES = {
+    "child-error": ("ground_truth_grid", _raises(IntegrationError("truth cell 4 failed")),
+                    "pipeline error: truth cell 4 failed"),
+    "child-unpicklable-error": ("ground_truth_grid", _raises(_Unpicklable(4, "no label")),
+                                "pipeline error: _Unpicklable: cell 4: no label"),
+    "child-dies": ("ground_truth_grid", _dies, "ended with exit code 7 and no result"),
+    "parent-error": ("operator_grid", _raises(ValueError("operator cell 4 failed")),
+                     "pipeline error: operator cell 4 failed"),
+    "parent-forecast-error": ("_forecast_batch",
+                              _raises(ValueError("seeds contain non-finite entries")),
+                              "pipeline error: seeds contain non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("command, failure", [
+    (command, failure) for command in FORKING for failure in _FORK_FAILURES
+    # basin --model forecasts nothing.
+    if (command, failure) != ("basin --model", "parent-forecast-error")
+])
 def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
-        tmp_path, capsys, monkeypatch, name, replacement, message):
+        tmp_path, capsys, monkeypatch, command, failure):
+    argv = forking_argv(tmp_path, command)
+    name, replacement, message = _FORK_FAILURES[failure]
     monkeypatch.setattr(cli, name, replacement)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == (
-        EXIT_PIPELINE)
+    assert main([*argv, "--out", str(out)]) == EXIT_PIPELINE
     assert_no_child_left()
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_commands_with_one_half_of_the_work_do_not_fork(tmp_path, monkeypatch):
+    config_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setattr(os, "fork", _raises(AssertionError("forked")))
+    model = ["--model", str(out / "model.txt")]
+    for command in (["train"], ["simulate"], ["predict", *model], ["evaluate", *model],
+                    ["basin"]):
+        assert main([*command, "--config", str(config_path), "--out", str(out)]) == EXIT_OK
 
 
 def test_run_with_an_unwritable_truth_grid_file_exits_2(tmp_path, capsys):
@@ -370,18 +403,29 @@ def test_predict_skips_scoring(tmp_path):
     assert not (predict_out / "scores.json").exists()
 
 
+def _handed_the_model_in_its_out(command):
+    """An argv builder for a command that reads no --model."""
+    return lambda tmp, cfg: [command, "--config", str(cfg), "--out", str(tmp / "fit"),
+                             "--model", str(tmp / "fit" / "model.txt")]
+
+
 @pytest.mark.parametrize(
     "argv_builder",
     [
         lambda tmp, cfg: ["train", "--config", str(tmp / "missing.json")],
         lambda tmp, cfg: ["train", "--config", str(cfg), "--seed", "-1"],
         lambda tmp, cfg: ["evaluate", "--config", str(cfg)],  # no --model
+        *(_handed_the_model_in_its_out(command) for command in ("simulate", "train", "run")),
     ],
 )
 def test_configuration_failures_exit_2(tmp_path, capsys, argv_builder):
     config_path = write_config(tmp_path)
+    fit = tmp_path / "fit"
+    assert main(["train", "--config", str(config_path), "--out", str(fit)]) == EXIT_OK
+    files = {path.name: path.read_bytes() for path in fit.iterdir()}
     assert main(argv_builder(tmp_path, config_path)) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in fit.iterdir()} == files
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])
