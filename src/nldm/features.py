@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionError, FeatureConfig, _dt_differs
+from .core import DimensionError, FeatureConfig, _dt_differs, _leading
 
 __all__ = [
     "MonomialBasis",
@@ -42,9 +42,17 @@ class MonomialBasis:
     degree-1 monomial is copied into a row past the last monomial.
     ``_lift_plan`` lays a lift out as views, so a caller that lifts many
     windows into one workspace (the forecasting kernel) builds them once
-    and makes no slices or temporary arrays per lift.  Each value is one
-    multiply of the same two operands whether points are evaluated one
-    at a time or in a batch, and bitwise identical.
+    and makes no slices or temporary arrays per lift.  Given a pair
+    workspace, the plan instead forms each degree >= 2 in two calls,
+    whatever its number of runs: one ``take`` of the degree's variable
+    and parent rows into the workspace and one multiply of the two.  The
+    forecasting kernel lifts blocks of at most ``predict._NARROW_ROWS``
+    rows this way: at those widths numpy's per-call overhead costs more
+    than the copies.  That form needs each degree's rows to be
+    contiguous, so the rows must be sorted by total degree.  Each value
+    is one multiply of the same two operands whether points are
+    evaluated one at a time or in a batch, by runs or by degrees, and
+    bitwise identical.
     """
 
     exponents: np.ndarray
@@ -52,15 +60,19 @@ class MonomialBasis:
     # end row, lift row of the variable, first parent) of each product
     _reads: tuple
     _products: tuple
+    # (first row, end row, gather) of each degree >= 2, where ``gather``
+    # stacks the lift rows of each row's variable over its parent's
+    _degrees: tuple
     _lift_rows: int  # the monomials, then the variables read past them
 
     @classmethod
     def from_exponents(cls, exponents: np.ndarray) -> "MonomialBasis":
-        """Build a basis from explicit exponent rows (any order).
+        """Build a basis from explicit exponent rows.
 
-        Every row must either have total degree 1 or be divisible by an
-        earlier row of one degree less; the canonical graded order
-        satisfies this by construction.
+        The rows must be sorted by total degree, in any order within a
+        degree, and every row must either have total degree 1 or be
+        divisible by an earlier row of one degree less; the canonical
+        graded order satisfies both by construction.
         """
         exponents = np.array(exponents, dtype=np.int64)
         if exponents.ndim != 2:
@@ -88,6 +100,14 @@ class MonomialBasis:
                     raise ValueError(
                         f"monomial {key} appears before its divisor {tuple(reduced)}"
                     ) from None
+        degree = exponents.sum(axis=1)
+        falls = np.flatnonzero(np.diff(degree) < 0)
+        if falls.size:
+            j = int(falls[0]) + 1
+            raise ValueError(
+                f"monomial {j} of degree {degree[j]} follows one of degree "
+                f"{degree[j - 1]}: rows must be sorted by total degree"
+            )
         runs = []
         for j, (var, par) in enumerate(zip(first_var.tolist(), parent.tolist())):
             if runs:
@@ -107,7 +127,14 @@ class MonomialBasis:
             row_of[var] = lift_rows
             lift_rows += 1
         products = tuple((lo, hi, row_of[var], par) for lo, hi, var, par in runs if par >= 0)
-        return cls(exponents, tuple(reads), products, lift_rows)
+        bounds = np.searchsorted(degree, np.arange(2, degree.max(initial=1) + 2)).tolist()
+        degrees = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            gather = np.array([[row_of[var] for var in first_var[lo:hi].tolist()],
+                               parent[lo:hi].tolist()], dtype=np.intp)
+            gather.flags.writeable = False
+            degrees.append((lo, hi, gather))
+        return cls(exponents, tuple(reads), products, tuple(degrees), lift_rows)
 
     @property
     def num_monomials(self) -> int:
@@ -117,15 +144,34 @@ class MonomialBasis:
     def num_vars(self) -> int:
         return self.exponents.shape[1]
 
-    def _lift_plan(self, points: np.ndarray, values: np.ndarray) -> tuple[list, list]:
+    def _lift_plan(self, points: np.ndarray, values: np.ndarray, pair=None):
         """The views of a lift of ``points``, shape (..., num_vars, n), into
         ``values``, shape (``_lift_rows``, n): a (source, target) pair per
         read, whose source keeps the leading axes of ``points``, and a
-        (variable, parents, target) triple per product, in lift order."""
+        (gather, factors) pair per product step, in lift order.
+
+        Without ``pair`` a product step is one run, with no gather.  With a
+        flat workspace ``pair`` of at least ``2 * n`` entries per row of the
+        widest degree, it is one degree: ``values.take(*gather)`` writes the
+        degree's variables and parents into ``pair``, which ``factors``
+        multiplies into the degree's rows.
+        """
         reads = [(points[..., var:var + hi - lo, :], values[lo:hi]) for lo, hi, var in self._reads]
-        products = [(values[var], values[parent:parent + hi - lo], values[lo:hi])
-                    for lo, hi, var, parent in self._products]
+        if pair is None:
+            products = [((), (values[var], values[parent:parent + hi - lo], values[lo:hi]))
+                        for lo, hi, var, parent in self._products]
+        else:
+            products = []
+            for lo, hi, gather in self._degrees:
+                operands = _leading(pair, gather.shape + values.shape[1:])
+                products.append(((gather, 0, operands, "clip"),
+                                 (operands[0], operands[1], values[lo:hi])))
         return reads, products
+
+    @property
+    def _widest_degree(self) -> int:
+        """The most monomials of one degree >= 2."""
+        return max((hi - lo for lo, hi, _ in self._degrees), default=0)
 
     def _evaluate_rows(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at each column of ``points``, shape
@@ -134,7 +180,7 @@ class MonomialBasis:
         reads, products = self._lift_plan(points, values)
         for source, target in reads:
             np.copyto(target, source)
-        for factors in products:
+        for _, factors in products:
             np.multiply(*factors)
         return values[:self.num_monomials]
 

@@ -4,6 +4,7 @@ All floats are written with 17 significant digits, so the text reads
 back to every value bit for bit.  Trajectory files carry their
 sampling metadata in a leading comment; operator files start with a
 versioned header naming the dimensions and the monomial ordering.
+Every writer replaces the file at its path with a new one (``_replace``).
 """
 
 from __future__ import annotations
@@ -50,8 +51,23 @@ def _time_column(t0: float, dt: float, num_samples: int) -> tuple[str, ...]:
     return tuple(["%.17g," % value for value in times.tolist()])
 
 
-def save_trajectory_csv(path, trajectory: Trajectory) -> None:
+def _replace(path, text: str) -> None:
+    """Write ``text`` to a new file at ``path``, unlinking what is there.
+
+    Rewriting a file in place truncates it first.  On ext4 that made a
+    run into an output directory that already held its files take about
+    ten times as long as one into a new directory, most likely because
+    ext4 flushes a file truncated and rewritten when it is closed; new
+    files showed no such cost.  A hard link to the old file keeps the
+    old bytes, and a symlink at ``path`` is replaced, not written
+    through.
+    """
     path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
+def save_trajectory_csv(path, trajectory: Trajectory) -> None:
     prov = trajectory.provenance
     if prov.kind == "noisy":
         prov_text = (
@@ -70,7 +86,7 @@ def save_trajectory_csv(path, trajectory: Trajectory) -> None:
     values[:, 1:] = trajectory.states
     row_format = "%s" + ",".join(["%.17g"] * trajectory.num_states)
     lines.append("\n".join([row_format] * len(values)) % tuple(values.ravel().tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    _replace(path, "\n".join(lines) + "\n")
 
 
 def save_model(path, operator: LearnedOperator) -> None:
@@ -84,7 +100,7 @@ def save_model(path, operator: LearnedOperator) -> None:
     ]
     for row in operator.matrix:
         lines.append(" ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _replace(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> LearnedOperator:
@@ -141,7 +157,7 @@ def save_basin_csv(path, grid: BasinGrid) -> None:
         for x, row in zip(xs, grid.labels.tolist())
         for y, label in zip(ys, row)
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _replace(path, "\n".join(lines) + "\n")
 
 
 def _json_safe(obj):
@@ -163,6 +179,4 @@ def _json_safe(obj):
 
 def write_json(path, payload: dict) -> None:
     """Serialize with non-finite floats mapped to null."""
-    Path(path).write_text(
-        json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n"
-    )
+    _replace(path, json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n")

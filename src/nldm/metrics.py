@@ -5,7 +5,9 @@ normally the number of delays), so the seeded prefix never counts.  Each
 state's RMS error is normalized by the population standard deviation of
 the reference over the same window; the trajectory score is the plain
 mean across states.  Non-finite predictions propagate to NaN scores
-rather than raising.
+rather than raising.  A state whose squares overflow a float is scaled
+by its largest magnitude for its standard deviation and RMS error, so
+its score stays finite; every other state keeps the plain formula.
 """
 
 from __future__ import annotations
@@ -24,6 +26,32 @@ class SkillScore:
     per_state_rrmse: np.ndarray
     mean_rrmse: float
     compared_points: int
+
+
+def _column_stat(stat, columns: np.ndarray) -> np.ndarray:
+    """``stat`` of each column of ``columns``, shape (samples, states).
+
+    A column of finite entries whose ``stat`` overflows takes ``stat`` of
+    the column divided by its largest magnitude, times that magnitude, as
+    ``odes._rms`` does; every other column keeps the plain value, bit for
+    bit.  ``stat`` is a standard deviation or an RMS, so the scaled value
+    is at most 1 and its product with the magnitude cannot overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = stat(columns)
+    over = np.isinf(value) & np.isfinite(columns).all(axis=0)
+    if np.count_nonzero(over):
+        big = np.abs(columns[:, over]).max(axis=0)
+        value[over] = big * stat(columns[:, over] / big)
+    return value
+
+
+def _std(columns):
+    return columns.std(axis=0)
+
+
+def _rms(columns):
+    return np.sqrt(np.mean(columns ** 2, axis=0))
 
 
 def rrmse(predicted: Trajectory, reference: Trajectory, skip: int) -> SkillScore:
@@ -61,7 +89,7 @@ def rrmse(predicted: Trajectory, reference: Trajectory, skip: int) -> SkillScore
     pred = predicted.states[skip:]
     if not np.all(np.isfinite(ref)):
         raise ValueError("reference contains non-finite entries")
-    std = ref.std(axis=0)
+    std = _column_stat(_std, ref)
     flat = np.flatnonzero(std == 0.0)
     if flat.size:
         raise UndefinedScoreError(
@@ -69,7 +97,9 @@ def rrmse(predicted: Trajectory, reference: Trajectory, skip: int) -> SkillScore
         )
     compared = ref.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        rms = np.sqrt(np.mean((pred - ref) ** 2, axis=0))
+        error = pred - ref
+    rms = _column_stat(_rms, error)
+    with np.errstate(invalid="ignore", over="ignore"):
         per_state = rms / std
         mean = float(np.mean(per_state))
     per_state.flags.writeable = False

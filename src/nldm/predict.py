@@ -11,15 +11,35 @@ state-major, one column per row, and works in buffers allocated once per
 run.  A block's samples live in one history buffer, newest first, with
 the previous ``delays`` samples carried in behind them, so a step's
 window is one contiguous slice and the step writes its state in place.
-Each block builds its lift plan once (``MonomialBasis._lift_plan``):
-the views of the lift workspace that each run of monomials writes and
-reads, with the windows of all the block's steps as one strided view.
-A step then takes one copy of its window per run of degree-1
-monomials, one multiply per higher run, one product of the weights and
-the lifted features, and one sum of those (features, states, rows)
-products over the feature axis, in feature order
-(``core._ordered_sum``), and slices nothing.  So a row's samples are bitwise
-identical alone or in a batch of any size, in blocks of any length.
+Each block builds its lift plan once (``MonomialBasis._lift_plan``),
+with the windows of all the block's steps as one strided view, and a
+step slices nothing.  A step copies its window into the degree-1 rows
+(one copy per run of them), forms the higher monomials, multiplies them
+by the weights into (features, states, rows) terms, and sums those over
+the feature axis in feature order (``core._ordered_sum``).  It takes one
+of two forms, by the block's row count:
+
+- a narrow block, of at most ``_NARROW_ROWS`` rows, forms each degree
+  >= 2 with one ``take`` of its variable and parent rows and one
+  multiply, and multiplies by a (features, states, rows) copy of the
+  weights made once per block, so a step is a fixed few numpy calls;
+- a wider block forms each run of monomials with one multiply of views
+  of the lift and multiplies by the weights broadcast over the rows,
+  which copies nothing, with numpy's ufunc buffer no longer than a row.
+
+A narrow step's cost is numpy's per-call overhead, which the narrow form
+cuts.  A wider step's is the traffic over its arrays, to which the
+narrow form's gathers and weight copy add, and so does numpy's default
+buffering: a ufunc over a broadcast operand whose rows are shorter than
+the buffer (8192 entries) copies its operands through the buffer, which
+took two to three times as long per entry as iterating them in place
+from a few hundred rows on (numpy 2.4).  ``_NARROW_ROWS`` is the
+crossover of the two forms measured on a 2-core AMD EPYC (CHANGES.md has
+the per-step table).  Both forms multiply the same weight by the same monomial, each
+monomial being its variable times its parent, and sum in the same
+order, and buffering changes no value, so a row's samples are bitwise
+identical alone or in a batch of any size, in blocks of any length and
+in either form.
 Once a produced state exceeds ``DIVERGENCE_THRESHOLD`` in max-norm (or
 is non-finite), the rest of the trajectory is NaN; the test runs once
 per block, which gives the same samples as a test after every step,
@@ -39,6 +59,8 @@ from .features import MonomialBasis, monomial_basis
 __all__ = ["Prediction", "predict", "iterate_batch"]
 
 DIVERGENCE_THRESHOLD = 1e6
+# Blocks of at most this many rows step in the narrow form (see above).
+_NARROW_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +92,10 @@ def _iterate(seeds, steps, basis, matrix, block):
     lift_space = np.empty(basis._lift_rows * n)
     terms_space = np.empty(num_features * num_states * n)
     history_space = np.empty((min(block, total) + delays) * num_states * n)
+    # A narrow block's degree operands and its weights, one column per row.
+    narrow = min(n, _NARROW_ROWS)
+    pair_space = np.empty(2 * basis._widest_degree * narrow)
+    weights_space = np.empty(num_features * num_states * narrow)
     rows, carried = n, None
     for first in range(0, total, block):
         length = min(first + block, total) - first
@@ -85,16 +111,31 @@ def _iterate(seeds, steps, basis, matrix, block):
         # The block's lift plan: windows[i], shape (span, rows), is the
         # window of the step that writes position i.
         windows = as_strided(history[1:], (length, span, rows), history.strides, writeable=False)
-        reads, products = basis._lift_plan(windows, lift)
+        buffer = np.getbufsize()
+        if rows <= _NARROW_ROWS:
+            reads, products = basis._lift_plan(windows, lift, pair_space)
+            factors = _leading(weights_space, terms.shape)
+            np.copyto(factors, weights)
+        else:
+            reads, products = basis._lift_plan(windows, lift)
+            factors = weights
+            # No longer than a row, in the multiples of 16 numpy takes.
+            buffer = min(buffer, max(rows // 16 * 16, 16))
         features = lift[:num_features, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(stepped - 1, -1, -1):
-                for source, target in reads:
-                    np.copyto(target, source[i])
-                for factors in products:
-                    np.multiply(*factors)
-                np.multiply(weights, features, terms)
-                _ordered_sum(terms, out=history[i])
+            default = np.setbufsize(buffer)
+            try:
+                for i in range(stepped - 1, -1, -1):
+                    for source, target in reads:
+                        np.copyto(target, source[i])
+                    for gather, operands in products:
+                        if gather:
+                            lift.take(*gather)
+                        np.multiply(*operands)
+                    np.multiply(factors, features, terms)
+                    _ordered_sum(terms, out=history[i])
+            finally:
+                np.setbufsize(default)
         if stepped:
             _cut_divergent(history[:stepped])
         # A fresh block, state-major in memory like the kernel's arrays.

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nldm import (
     SYSTEM_IDS,
@@ -838,6 +838,9 @@ def mutated_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(raw=mutated_configs(),
        command=st.sampled_from(["simulate", "train", "predict", "evaluate", "basin", "run"]))
+# A test series whose squares overflow, which its score once warned of.
+@example(raw={**tiny_config(), "test": [{"ic": [3.17e154, 1.0], "t_span": [0.0, 1.9],
+                                         "num_samples": 20}]}, command="run")
 def test_main_on_a_mutated_config_exits_by_code(tmp_path_factory, raw, command):
     # Any one-leaf edit of a valid config ends in a named exit code, never
     # a traceback; pytest turns numpy's RuntimeWarnings into errors here.

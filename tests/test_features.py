@@ -122,6 +122,13 @@ def test_from_exponents_rejects_parent_after_child():
         MonomialBasis.from_exponents(np.array([[0, 2], [0, 1]]))
 
 
+def test_from_exponents_rejects_rows_not_sorted_by_degree():
+    # Every divisor comes first, but the variable x1 follows the square
+    # x0**2: the kernel forms each degree's rows as one slice.
+    with pytest.raises(ValueError, match="monomial 2 of degree 1 follows one of degree 2"):
+        MonomialBasis.from_exponents(np.array([[1, 0], [2, 0], [0, 1]]))
+
+
 def test_from_exponents_rejects_duplicates_and_orphans():
     with pytest.raises(ValueError):
         MonomialBasis.from_exponents(np.array([[1, 0], [1, 0]]))

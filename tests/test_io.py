@@ -252,3 +252,41 @@ def test_write_json_normalizes_numpy_and_nonfinite(tmp_path):
     }
     assert loaded["flag"] is True
     assert loaded["np_flag"] is False
+
+
+# ---------------------------------------------------------- rewriting a path
+
+
+def _artifacts(k):
+    """One writer call per artifact kind; ``k`` picks different contents."""
+    config = FeatureConfig(1, 1, 1)
+    labels = np.array([["left_sink", "diverged"], ["unresolved", "right_sink"]], dtype=object)
+    return {
+        "series": lambda path: save_trajectory_csv(
+            path, Trajectory(np.full((3, 1), float(k)), dt=0.1)),
+        "model": lambda path: save_model(
+            path, LearnedOperator(np.full((1, 1), float(k)), config, dt=0.1)),
+        "basin": lambda path: save_basin_csv(path, BasinGrid(
+            x_range=(-1.0, 1.0), y_range=(-1.0, 1.0), resolution=2,
+            labels=np.roll(labels, k), source={"kind": "operator"}, meta={})),
+        "json": lambda path: write_json(path, {"k": k}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["series", "model", "basin", "json"])
+def test_writers_replace_an_existing_file_instead_of_rewriting_it(tmp_path, kind):
+    # A hard link to an earlier artifact keeps its bytes after a rerun,
+    # and a symlink at an artifact's path is replaced, not written through.
+    path, link, target = tmp_path / "artifact", tmp_path / "link", tmp_path / "target"
+    _artifacts(0)[kind](path)
+    first = path.read_bytes()
+    link.hardlink_to(path)
+    _artifacts(1)[kind](path)
+    second = path.read_bytes()
+    assert second != first and link.read_bytes() == first
+    target.write_bytes(b"kept")
+    path.unlink()
+    path.symlink_to(target)
+    _artifacts(1)[kind](path)
+    assert not path.is_symlink() and path.read_bytes() == second
+    assert target.read_bytes() == b"kept"

@@ -88,6 +88,21 @@ def test_doubling_one_states_error_doubles_its_score():
     )
 
 
+def test_states_whose_squares_overflow_keep_finite_scores():
+    # State 0 near 1e160 has squares past the float range, in its spread
+    # and in its error; it is scored as if scaled down, without a
+    # warning, and the ordinary state 1 keeps its plain score bit for bit.
+    rng = np.random.default_rng(6)
+    ref = rng.normal(size=(12, 2))
+    prediction = ref + rng.normal(size=(12, 2))
+    base = rrmse(*pair(prediction, ref), skip=1)
+    scale = np.array([1e160, 1.0])
+    score = rrmse(*pair(scale * prediction, scale * ref), skip=1)
+    assert np.isfinite(score.per_state_rrmse).all()
+    np.testing.assert_allclose(score.per_state_rrmse[0], base.per_state_rrmse[0], rtol=1e-12)
+    assert score.per_state_rrmse[1] == base.per_state_rrmse[1]
+
+
 def test_skip_ignores_earlier_rows():
     rng = np.random.default_rng(9)
     ref = rng.normal(size=(10, 1))

@@ -1,6 +1,9 @@
 """Iterative prediction under a learned operator."""
 
+import importlib
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,9 @@ from nldm import (
 )
 from nldm.features import MonomialBasis
 from nldm.predict import DIVERGENCE_THRESHOLD, _forecast_batch, _iterate, iterate_batch
+
+# The module, which the package's ``predict`` function shadows.
+kernel_module = importlib.import_module("nldm.predict")
 
 
 def scalar_operator(value, delays=1, degree=1, dt=0.1):
@@ -290,6 +296,74 @@ def test_permuted_basis_with_rows_dropped_between_blocks_matches_the_loop_refere
         for row, samples in pieces.items():
             got = np.concatenate(samples)
             assert got.tobytes() == expected[row, :len(got)].tobytes(), (size, row)
+
+
+def study_shapes():
+    """(num_states, delays, degree) of each study's model in configs/."""
+    shapes = set()
+    for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.json"):
+        raw = json.loads(path.read_text())
+        num_states = make_system(raw["system"]["ident"]).num_states
+        shapes.add((num_states, raw["model"]["delays"], raw["model"]["degree"]))
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("order", ["canonical", "permuted", "unread_linear"])
+@pytest.mark.parametrize("shape", study_shapes(), ids=lambda shape: "S{}d{}o{}".format(*shape))
+def test_rows_crossing_from_wide_to_narrow_blocks_match_the_loop_reference(
+        shape, order, monkeypatch):
+    # With blocks of at most 5 rows narrow, 40 rows step wide, as do the
+    # 20 left after the first drop between blocks, with ufunc buffers of
+    # 32 and 16 entries, no longer than a row.  The 5 left after the
+    # second drop step narrow, where one more row leaves.  Without the
+    # pure powers of the first variable, the lift reads that variable
+    # into a row past the monomials.
+    from conftest import graded_permutation
+
+    monkeypatch.setattr(kernel_module, "_NARROW_ROWS", 5)
+    forms = []
+    plan = MonomialBasis._lift_plan
+
+    def recorded_plan(self, points, values, pair=None):
+        forms.append("wide" if pair is None else "narrow")
+        return plan(self, points, values, pair)
+
+    monkeypatch.setattr(MonomialBasis, "_lift_plan", recorded_plan)
+    rng = np.random.default_rng(13)
+    config = FeatureConfig(*shape)
+    exponents = monomial_basis(config).exponents
+    if order != "canonical":
+        exponents = exponents[graded_permutation(exponents, rng)]
+    if order == "unread_linear":
+        exponents = exponents[exponents[:, 0] != exponents.sum(axis=1)]
+    basis = MonomialBasis.from_exponents(exponents)
+    unread = order == "unread_linear" and config.degree > 1
+    assert basis._lift_rows == basis.num_monomials + unread
+    matrix = 1.0 / basis.num_monomials * rng.normal(size=(config.num_states, basis.num_monomials))
+    seeds = rng.normal(size=(40, config.delays, config.num_states))
+    seeds[::3] *= 20.0  # every third row goes far out, most of them past the threshold
+    steps, size = 30, 4
+    expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
+    length = config.delays + steps
+    # Rows leave after the blocks that hold samples 9, 17 and 25.
+    drops = {9: range(1, 40, 2), 17: [row for row in range(0, 40, 2) if row % 8], 25: [8]}
+    buffer = np.getbufsize()
+    kernel = _iterate(seeds, steps, basis, matrix, size)
+    rows, pieces, keep = np.arange(40), {row: [] for row in range(40)}, None
+    for lo in range(0, length, size):
+        block = kernel.send(keep)
+        for row, samples in zip(rows, block):
+            pieces[row].append(samples)
+        dropped = [row for at, rows_at in drops.items() if lo <= at < lo + size
+                   for row in rows_at]
+        keep = ~np.isin(rows, dropped)
+        rows = rows[keep]
+    assert forms == ["wide"] * 5 + ["narrow"] * (len(forms) - 5)
+    assert np.getbufsize() == buffer  # as the kernel found it
+    assert rows.tolist() == [0, 16, 24, 32] and len(forms) == -(-length // size)
+    for row, samples in pieces.items():
+        got = np.concatenate(samples)
+        assert got.tobytes() == expected[row, :len(got)].tobytes(), row
 
 
 def test_all_zero_window_with_negative_coefficients_steps_to_positive_zero():
