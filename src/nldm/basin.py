@@ -17,7 +17,8 @@ num_states) blocks, and after each block take the mask of cells still
 open, so a labeled cell stops being advanced.  Both are bitwise
 independent of the batch, so refining the grid never relabels a point
 that both grids share.  Both grids describe a scan as ``steps`` steps of
-``dt`` and label it through ``_scan``; only their block sources differ.
+``dt`` and label it through ``_scan``, which can label any run of its
+cells apart (``_Scan.codes``); only their block sources differ.
 """
 
 from __future__ import annotations
@@ -197,8 +198,9 @@ def _capture_walk(block, attractors, tol, codes, runs, work):
     codes[settled] = np.where(winner < len(attractors), winner, _DIVERGED)[settled]
 
 
-def _classify(blocks, attractors, tol):
-    """Label every cell of a generator of sample blocks.
+def _capture_codes(blocks, attractors, tol):
+    """The capture code of every cell of a generator of sample blocks:
+    the index of its attractor, ``_OPEN`` or ``_DIVERGED``.
 
     The first block holds every cell, shape (cells, T, num_states).  After
     each block it sends the generator a mask of that block's cells
@@ -227,9 +229,19 @@ def _classify(blocks, attractors, tol):
             block = blocks.send(still_open)
         except StopIteration:
             break
-    # Code -1 (open) indexes the last entry and -2 the one before it.
-    names = [attractor.ident for attractor in attractors] + [DIVERGED, UNRESOLVED]
-    return np.array(names, dtype=object)[codes]
+    return codes
+
+
+def _names(attractors):
+    """The label of each capture code, indexed by the code: -1 (open) is
+    the last entry and -2 the one before it."""
+    return np.array([attractor.ident for attractor in attractors] + [DIVERGED, UNRESOLVED],
+                    dtype=object)
+
+
+def _classify(blocks, attractors, tol):
+    """Label every cell of a generator of sample blocks (see ``_capture_codes``)."""
+    return _names(attractors)[_capture_codes(blocks, attractors, tol)]
 
 
 def classify_series(states: np.ndarray, attractors, tol: float) -> str:
@@ -263,20 +275,44 @@ def classify_series(states: np.ndarray, attractors, tol: float) -> str:
     return _classify(blocks, attractors, tol)[0]
 
 
+class _Scan:
+    """A checked scan: every cell's start point, x-major, which ``codes``
+    labels a run of cells at a time and ``grid`` lays out once every
+    cell has its code.  ``blocks`` maps start points, shape (cells,
+    num_states), to a block source (see the module docstring).  A plain
+    class, as each command imports this module: a dataclass would cost
+    0.3 ms to define."""
+
+    def __init__(self, points, blocks, attractors, tol, fields):
+        self.points = points
+        self.blocks = blocks
+        self.attractors = attractors
+        self.tol = tol
+        self.fields = fields  # BasinGrid's fields but the labels
+
+    def codes(self, start=0, stop=None) -> np.ndarray:
+        """The capture codes of cells ``start`` to ``stop``, each the same
+        as in a scan of any other run of cells."""
+        return _capture_codes(self.blocks(self.points[start:stop]), self.attractors, self.tol)
+
+    def grid(self, codes) -> BasinGrid:
+        """The grid of every cell's code, in cell order."""
+        resolution = self.fields["resolution"]
+        labels = _names(self.attractors)[codes].reshape(resolution, resolution)
+        return BasinGrid(labels=labels, **self.fields)
+
+
 def _scan(kind, system, window, resolution, steps, dt, tol, fixed_coords, blocks, **meta):
-    """Label every cell of a scan of ``steps`` steps of ``dt``; ``blocks``
-    maps the cells' start points, shape (cells, num_states), to a block
-    source of kind ``kind`` (see the module docstring)."""
+    """The scan of ``steps`` steps of ``dt`` whose cells a block source of
+    kind ``kind``, made by ``blocks``, advances (see ``_Scan``)."""
     _check_attractors(system)
     _check_capture(tol, steps)
     x_range, y_range = _check_window(window, resolution)
     points = _grid_points(x_range, y_range, resolution, system.num_states, fixed_coords)
-    labels = _classify(blocks(points), system.attractors, tol)
-    return BasinGrid(
+    return _Scan(points, blocks, tuple(system.attractors), tol, dict(
         x_range=x_range,
         y_range=y_range,
         resolution=resolution,
-        labels=labels.reshape(resolution, resolution),
         source={"kind": kind, "system": system.ident, "params": dict(system.params)},
         meta={
             "steps": int(steps),
@@ -285,7 +321,7 @@ def _scan(kind, system, window, resolution, steps, dt, tol, fixed_coords, blocks
             **meta,
             "fixed_coords": dict(fixed_coords or {}),
         },
-    )
+    ))
 
 
 def ground_truth_grid(
@@ -319,8 +355,9 @@ def ground_truth_grid(
             system.rhs, points, (0.0, horizon), num_samples, GRID_SETTINGS, _BLOCK
         )
 
-    return _scan("integrator", system, window, resolution, steps, dt, tol, fixed_coords,
+    scan = _scan("integrator", system, window, resolution, steps, dt, tol, fixed_coords,
                  blocks, horizon=float(horizon), num_samples=num_samples)
+    return scan.grid(scan.codes())
 
 
 def _operator_blocks(operator, points, steps):
@@ -347,6 +384,13 @@ def operator_grid(
     label is identical whether it is advanced alone or with the whole
     grid.
     """
+    scan = _operator_scan(operator, system, window, resolution, steps, tol, fixed_coords)
+    return scan.grid(scan.codes())
+
+
+def _operator_scan(operator, system, window, resolution, steps=1000, tol=0.05,
+                   fixed_coords=None) -> _Scan:
+    """``operator_grid``'s scan, whose cells can be labelled a run at a time."""
     _check_attractors(system)
     if operator.config.num_states != system.num_states:
         raise DimensionError(

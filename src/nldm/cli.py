@@ -2,8 +2,10 @@
 
 Each command is a row of ``_STAGES``, the stages it runs out of one
 pipeline (series files, fit, test forecasts, basin grids), and
-``_Pipeline.execute`` runs any row the same way, forking once where the
-stages leave work both with and without an operator.
+``_Pipeline.execute`` runs any row the same way.  A command that scans
+a basin and has other work forks the truth grid at once, and once it has
+an operator, a forked worker claims the rest of the work with it from
+one queue.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures inside the pipeline and for arrays too large to allocate.
@@ -12,7 +14,6 @@ failures inside the pipeline and for arrays too large to allocate.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import os
@@ -22,12 +23,13 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basin import classify_series, ground_truth_grid, grid_agreement, operator_grid
+from .basin import _operator_scan, classify_series, ground_truth_grid, grid_agreement
 from .config import (
     BasinSpec,
     ConfigError,
@@ -52,6 +54,18 @@ from .predict import _forecast_batch, _starts
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
+
+# An operator grid is cut into chunks of at least this many contiguous
+# cells, each one item of the claim queue (``_Pipeline._claim_all``): from
+# about this many rows on, the forecasting kernel's cost per row levels
+# off (CHANGES.md has the per-step table).
+_CHUNK_CELLS = 2500
+# A claim token is an index in this many bytes.  A queue holds at most
+# ``_MAX_CLAIMS`` tokens, so that they all go into the pipe in one write
+# of at most a page, which a pipe takes whole and at once; the tokens of
+# a longer queue each name a run of its items.
+_TOKEN_BYTES = 2
+_MAX_CLAIMS = 2048
 
 
 @dataclass
@@ -132,22 +146,61 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
-def _inline(work):
-    """``work()`` run here, in the shape of ``_start_child``'s ``join``."""
-    result = work()
-    return lambda: result
+class _Ran:
+    """``work()`` run here, in the shape of a ``_Child``."""
+
+    def __init__(self, work):
+        self.value = work()
+
+    def join(self):
+        return self.value
+
+    def reap(self):
+        return 0
+
+
+class _Child:
+    """A forked child that runs ``work()`` (``_start_child``)."""
+
+    def __init__(self, pid, read_end):
+        self.pid = pid
+        self.pipe = os.fdopen(read_end, "rb")
+        self.code = None
+
+    def join(self):
+        """``work()``'s result, or its exception raised again with the same
+        type and message; call it once.  It waits for the result, not for
+        the child to end (``reap``).  A child that ends without a whole
+        result is reaped and makes this raise a RuntimeError."""
+        with self.pipe:
+            data = self.pipe.read()
+        try:
+            ok, value = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):  # none, or cut short
+            raise RuntimeError(
+                f"child process ended with exit code {self.reap()} and no result") from None
+        if not ok:
+            raise value
+        return value
+
+    def reap(self):
+        """Wait for the child to end and return its exit code; later calls
+        return it again.  A result not yet read is read first and dropped:
+        one larger than the pipe's buffer holds the child until it is
+        read."""
+        if self.code is None:
+            if not self.pipe.closed:
+                with self.pipe:
+                    self.pipe.read()
+            _, status = os.waitpid(self.pid, 0)
+            self.code = os.waitstatus_to_exitcode(status)
+        return self.code
 
 
 def _start_child(work):
-    """Run ``work()`` in a forked child while the caller goes on.
-
-    Returns ``join``, which waits for the child and returns ``work()``'s
-    result or raises its exception again, with the same type and message.
-    ``join`` reaps the child whatever the outcome; call it once.  A child
-    that ends without a result makes ``join`` raise a RuntimeError.
-    Where the system refuses the fork or has none, ``work`` runs here
-    before this returns.
-    """
+    """Run ``work()`` in a forked child while the caller goes on, and
+    return the ``_Child``.  Where the system refuses the fork or has none,
+    ``work`` runs here before this returns (``_Ran``)."""
     sys.stdout.flush()
     sys.stderr.flush()
     read_end, write_end = os.pipe()
@@ -156,7 +209,7 @@ def _start_child(work):
     except (OSError, AttributeError):  # refused, or a platform without fork
         os.close(read_end)
         os.close(write_end)
-        return _inline(work)
+        return _Ran(work)
     if pid == 0:
         # The child never returns into the caller: whatever happens, it
         # leaves through os._exit, which runs no exit handlers and
@@ -174,22 +227,34 @@ def _start_child(work):
         finally:
             os._exit(code)
     os.close(write_end)
+    return _Child(pid, read_end)
 
-    def join():
-        # Read to the end before waiting: a result larger than the pipe's
-        # buffer holds the child until it is read.
-        with os.fdopen(read_end, "rb") as pipe:
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:  # the child exits 0 only once its result is written
-            raise RuntimeError(f"child process ended with exit code {code} and no result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
 
-    return join
+def _split(count, parts):
+    """``parts`` contiguous ranges that cover ``range(count)``, their
+    lengths within one of each other."""
+    bounds = [count * k // parts for k in range(parts + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _claims(count):
+    """The read end of a pipe that holds the claim tokens 0 .. count - 1
+    and whose write end is closed, so a read past the last token reads
+    nothing."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"".join(k.to_bytes(_TOKEN_BYTES, "little") for k in range(count)))
+    finally:
+        os.close(write_end)
+    return read_end
+
+
+def _claim(read_end):
+    """Yield each token claimed from ``read_end`` until none is left.
+    Every read takes exactly one token from a pipe that holds only whole
+    ones, so no two processes claim the same token."""
+    while token := os.read(read_end, _TOKEN_BYTES):
+        yield int.from_bytes(token, "little")
 
 
 # The stages of each command.  Every command runs its stages in this
@@ -207,8 +272,9 @@ _STAGES = {
 
 class _Pipeline:
     """One command's stages.  Each stage writes its artifacts into
-    ``out`` and records its wall time in ``timings``; the manifest lists
-    the artifacts in the order of the stages.
+    ``out`` and records its span in ``spans``, from its first start to
+    its last end in either process; the manifest lists the artifacts in
+    the order of the stages.
     """
 
     def __init__(self, config, system, out_dir: Path, global_seed: int, operator=None):
@@ -218,17 +284,29 @@ class _Pipeline:
         self.global_seed = global_seed
         self.operator = operator
         self.started = time.perf_counter()
-        self.timings: dict[str, float] = {}
+        # Stage -> (first start, last end) on the perf_counter clock,
+        # which a forked child shares.
+        self.spans: dict[str, tuple[float, float]] = {}
         self.artifacts: list[str] = []
+        self.children = []  # the forked children, each reaped before ``execute`` returns
         self.train_data = None
         self.test_data = None
 
     def _timed(self, stage: str, fn):
-        """``fn()``, its wall time added to the stage's."""
+        """``fn()``, its start and end added to the stage's span."""
         started = time.perf_counter()
         result = fn()
-        self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - started
+        self._merge({stage: (started, time.perf_counter())})
         return result
+
+    def _merge(self, spans):
+        """Widen each stage's span to cover ``spans``, another process's
+        or this one's, so no stage outlasts the pipeline's ``total``.  A
+        forked child's spans also hold those it inherited, which change
+        nothing."""
+        for stage, (start, end) in spans.items():
+            first, last = self.spans.get(stage, (start, end))
+            self.spans[stage] = (min(start, first), max(end, last))
 
     def _series_files(self):
         """(file name, trajectory) for every simulated series."""
@@ -241,10 +319,8 @@ class _Pipeline:
         return files
 
     def _save_training(self, result):
-        self.operator = result.operator
-        save_model(self.out / "model.txt", self.operator)
-        self.artifacts.append("model.txt")
-        summary = self.operator.training_summary
+        save_model(self.out / "model.txt", result.operator)
+        summary = result.operator.training_summary
         write_json(
             self.out / "train_metrics.json",
             {
@@ -259,7 +335,6 @@ class _Pipeline:
                 "rrmse_std_window": "compared samples only",
             },
         )
-        self.artifacts.append("train_metrics.json")
 
     def _save_forecasts(self, predictions, stage: str):
         """Write the test series' forecasts and, to evaluate, their scores."""
@@ -273,16 +348,14 @@ class _Pipeline:
 
         def write():
             for index, (data, prediction) in enumerate(zip(self.test_data, predictions)):
-                name = f"predicted_test_{index:02d}.csv"
-                save_trajectory_csv(self.out / name, prediction.trajectory)
-                self.artifacts.append(name)
+                save_trajectory_csv(self.out / f"predicted_test_{index:02d}.csv",
+                                    prediction.trajectory)
                 if evaluate:
                     scores.append(_score_payload(prediction, data.clean, delays, label))
 
         self._timed(stage, write)
         if evaluate:
             write_json(self.out / "scores.json", {"test": scores})
-            self.artifacts.append("scores.json")
 
     def _forecast(self, fit, stage):
         """One forecast batch over the training seeds, whose rows score
@@ -301,6 +374,15 @@ class _Pipeline:
         if tests:
             self._save_forecasts(predictions[len(trained):], stage)
 
+    def _forecast_files(self, fits, stage):
+        """The files ``_forecast`` writes, in its order."""
+        names = ["model.txt", "train_metrics.json"] if fits else []
+        if stage is not None and self.test_data:
+            names += [f"predicted_test_{index:02d}.csv" for index in range(len(self.test_data))]
+            if stage == "evaluate":
+                names.append("scores.json")
+        return names
+
     def _scan(self):
         """The one scan both grids take."""
         spec = self.config.basin
@@ -314,13 +396,6 @@ class _Pipeline:
                             lambda: ground_truth_grid(self.system, dt=dt, **self._scan()))
         save_basin_csv(self.out / "basin_truth.csv", truth)
         return truth
-
-    def _operator_grid(self):
-        predicted = self._timed(
-            "basin_operator", lambda: operator_grid(self.operator, self.system, **self._scan())
-        )
-        save_basin_csv(self.out / "basin_operator.csv", predicted)
-        return predicted
 
     def _list_grids(self, truth, predicted):
         """List the written grids and, given both, write their agreement."""
@@ -339,62 +414,122 @@ class _Pipeline:
         )
         self.artifacts.append("agreement.json")
 
+    def _claim_all(self, items, fork: bool):
+        """Run every item of ``items``; returns ``{index: its result}``.
+
+        Each process claims a token from one pipe (``_claims``), runs the
+        items it names and claims again until none is left.  Given
+        ``fork`` and two or more items, a forked worker (``_start_child``,
+        listed in ``children``) claims alongside this process and sends
+        home its results and its stage spans; otherwise this process runs them
+        all.  A process whose item fails claims the rest unrun, so the
+        other stops after its current item, and raises its error; this
+        process's error comes first, and ``execute`` reaps the worker.
+        """
+        if not items:
+            return {}
+        runs = _split(len(items), min(len(items), _MAX_CLAIMS))
+        read_end = _claims(len(runs))
+
+        def work():
+            done = {}
+            try:
+                for token in _claim(read_end):
+                    for index in runs[token]:
+                        done[index] = items[index]()
+            except BaseException:
+                for _ in _claim(read_end):
+                    pass
+                raise
+            return done
+
+        try:
+            if fork and len(items) > 1:
+                worker = _start_child(lambda: (work(), self.spans))
+                self.children.append(worker)
+            else:
+                worker = _Ran(lambda: ({}, {}))
+            done = work()
+        finally:
+            os.close(read_end)
+        theirs, spans = worker.join()
+        self._merge(spans)
+        return {**done, **theirs}
+
     def execute(self, stages):
         """Run ``stages``, one value of ``_STAGES``.
 
-        Every stage but the grids reads the simulated series, and a
-        command that fits solves first (``identify._solve``).  The work
-        then falls into two halves.  One needs no operator: writing the
-        series files and scanning and writing the truth grid.  The other
-        does: one forecast batch over the training seeds and then the test
-        seeds (``_forecast_batch``), whose rows score and write the fit and
-        are the test forecasts, then the operator grid.  When both halves
-        have work (``run``, ``basin --model``), the first runs in a forked
-        child (``_start_child``) while this process runs the second;
-        otherwise the one with work runs here.  The ``train`` stage covers
-        the solve, the batch and the training scores; a command that fits
-        nothing times the batch under its forecast stage.  Stage times
-        overlap, so ``timings["total"]`` holds the pipeline's own wall
-        time.
+        A command that scans a basin and has other work too (``run``,
+        ``basin --model``) first forks a child (``_start_child``) that
+        scans and writes the truth grid, which reads nothing but the
+        config.  Every stage but the grids reads the simulated series,
+        and a command that fits solves next (``identify._solve``).  The
+        rest of the work is a queue of items, in this order: the operator
+        grid in chunks of at least ``_CHUNK_CELLS`` contiguous cells; one
+        forecast batch over the training seeds and then the test seeds
+        (``_forecast_batch``), whose rows score and write the fit and are
+        the test forecasts, with their files; and each series file.  Once
+        the command has an operator and the queue two or more items, a
+        forked worker claims them with this process (``_claim_all``), so
+        at most two children are alive at once.  This process then lays
+        out and writes the operator grid from its chunks' codes, waits
+        for the truth grid and writes the agreement; the manifest lists
+        the files in the stages' order, whichever process wrote them.
+        Every child is reaped before this returns, on every path, and
+        the first error raised is the one reported.  The ``train`` stage
+        covers the solve, the batch and the training scores; a command
+        that fits nothing times the batch under its forecast stage.  Stage
+        times overlap, so the manifest's ``total`` holds the pipeline's
+        own wall time.
         """
-        if stages != ("grids",):
-            self.train_data, self.test_data = self._timed(
-                "simulate", lambda: _simulate(self.config, self.system, self.global_seed))
-        series = self._series_files() if "series" in stages else []
-        self.artifacts.extend(name for name, _ in series)
         fits = "fit" in stages
-        fit = None
-        if fits:
-            model, train = self.config.model, self.train_data
-            shape = FeatureConfig(self.system.num_states, model.delays, model.degree)
-            fit = self._timed("train", lambda: _solve([data.working for data in train], shape,
-                                                      [data.clean for data in train]))
         forecast = next((stage for stage in ("predict", "evaluate") if stage in stages), None)
         grids = "grids" in stages and self.config.basin is not None
-        scan_operator = grids and (fits or self.operator is not None)
-
-        def operator_free():
-            for name, trajectory in series:
-                save_trajectory_csv(self.out / name, trajectory)
-            if grids:
-                return self._truth_grid(), self.timings["basin_truth"]
-            return None
-
-        both_halves = bool(series or grids) and (fits or forecast is not None or scan_operator)
-        join = (_start_child if both_halves else _inline)(operator_free)
+        scans_operator = grids and (fits or self.operator is not None)
+        predicted = None
         try:
-            self._forecast(fit, forecast)
-            predicted = self._operator_grid() if scan_operator else None
-        except BaseException:
-            # This process's error is the one reported; the child is
-            # still reaped before the command ends.
-            with contextlib.suppress(BaseException):
-                join()
-            raise
-        outcome = join()
-        if grids:
-            truth, self.timings["basin_truth"] = outcome
-            self._list_grids(truth, predicted)
+            if grids:
+                alone = stages == ("grids",) and not scans_operator
+                truth = (_Ran if alone else _start_child)(lambda: (self._truth_grid(), self.spans))
+                self.children.append(truth)
+            if stages != ("grids",):
+                self.train_data, self.test_data = self._timed(
+                    "simulate", lambda: _simulate(self.config, self.system, self.global_seed))
+            fit = None
+            if fits:
+                model, train = self.config.model, self.train_data
+                shape = FeatureConfig(self.system.num_states, model.delays, model.degree)
+                fit = self._timed("train", lambda: _solve([data.working for data in train], shape,
+                                                          [data.clean for data in train]))
+                self.operator = fit.operator
+            items = []
+            if scans_operator:
+                scan = _operator_scan(self.operator, self.system, **self._scan())
+                cells = len(scan.points)
+                chunks = _split(cells, max(cells // _CHUNK_CELLS, 1))
+                items += [partial(self._timed, "basin_operator",
+                                  partial(scan.codes, chunk.start, chunk.stop))
+                          for chunk in chunks]
+            if fits or forecast is not None:
+                items.append(partial(self._forecast, fit, forecast))
+            series = self._series_files() if "series" in stages else []
+            items += [partial(self._timed, "series",
+                              partial(save_trajectory_csv, self.out / name, trajectory))
+                      for name, trajectory in series]
+            done = self._claim_all(items, fork=self.operator is not None)
+            if scans_operator:
+                predicted = scan.grid(np.concatenate([done[k] for k in range(len(chunks))]))
+                save_basin_csv(self.out / "basin_operator.csv", predicted)
+            self.artifacts = [name for name, _ in series] + self._forecast_files(fits, forecast)
+            if grids:
+                grid, spans = truth.join()
+                self._merge(spans)
+                self._list_grids(grid, predicted)
+        finally:
+            # Reaped last, the worker's exit overlaps this process's last
+            # writes.
+            for child in self.children:
+                child.reap()
 
     def manifest(self, command: str):
         payload = {
@@ -410,7 +545,12 @@ class _Pipeline:
                 "numpy": np.__version__,
                 "nldm": __version__,
             },
-            "timings_seconds": {**self.timings, "total": time.perf_counter() - self.started},
+            # Each stage's span, in the order the stages started.
+            "timings_seconds": {
+                **{stage: end - start for stage, (start, end) in sorted(
+                    self.spans.items(), key=lambda item: item[1])},
+                "total": time.perf_counter() - self.started,
+            },
             "artifacts": self.artifacts,
         }
         write_json(self.out / "manifest.json", payload)
@@ -439,8 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="accepted and ignored; run and basin --model overlap their two halves "
-            "in one forked child",
+            help="accepted and ignored; run and basin --model scan the truth grid in one "
+            "forked child and share their other work with one forked worker",
         )
     return parser
 

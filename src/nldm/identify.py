@@ -15,8 +15,8 @@ forecast batch between them (``predict._forecast_batch``).  The ``nldm``
 commands that fit call the two halves themselves, not ``train``: rows of
 the batch are batch-invariant, so ``nldm run`` forecasts its test series
 in the same batch as the re-prediction and gets bitwise the scores of
-``train``, and it forks its operator-free work as soon as ``_solve``
-returns.
+``train``; after ``_solve`` returns, the batch and ``_score`` are one
+item of the queue that ``nldm run``'s two processes claim.
 """
 
 from __future__ import annotations

@@ -372,11 +372,16 @@ def quadratic_delay_operator():
 def test_single_cell_labels_match_grid_cells():
     # Each cell alone through the loop oracles, which share no code with
     # the grid: a forecast lifted one monomial and summed one term at a
-    # time, then a capture count one sample at a time.
+    # time, then a capture count one sample at a time.  The grid labelled
+    # in four runs of cells, as the command's chunks are, is the same.
     system = make_system("lho")
+    window = ((-3.0, 3.0), (-3.0, 3.0))
     for operator, steps in ((scaling_operator(2.0), 30), (quadratic_delay_operator(), 12)):
-        grid = operator_grid(operator, system, ((-3.0, 3.0), (-3.0, 3.0)), 5, steps=steps)
+        grid = operator_grid(operator, system, window, 5, steps=steps)
         assert len(set(grid.labels.ravel())) >= 2
+        scan = basin._operator_scan(operator, system, window, 5, steps=steps)
+        chunks = [scan.codes(start, stop) for start, stop in ((0, 6), (6, 12), (12, 18), (18, 25))]
+        assert scan.grid(np.concatenate(chunks)).labels.tolist() == grid.labels.tolist()
         exponents = monomial_basis(operator.config).exponents
         for i, x in enumerate(grid.xs):
             for j, y in enumerate(grid.ys):

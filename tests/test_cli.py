@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from nldm import (
     integrate,
     make_system,
 )
-from nldm import cli
+from nldm import basin, cli
 from nldm.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from nldm.core import IntegrationError
 from nldm.config import config_from_dict, derived_seed
@@ -122,9 +123,10 @@ def assert_no_child_left():
 
 
 def test_run_writes_the_files_of_the_commands_run_one_by_one(tmp_path):
-    # run forks right after the solve and writes the series and the truth
-    # grid in the child; it scores the fit and forecasts the test series
-    # in one batch.  Its files are those of simulate, train, evaluate
+    # run forks the truth grid as it starts and, after the solve, a worker
+    # that claims the operator grid, the forecasts and the series files
+    # with it; it scores the fit and forecasts the test series in one
+    # batch.  Its files are those of simulate, train, evaluate
     # --model and basin --model, listed in serial order.
     config_path = write_config(tmp_path)
     run, alone = tmp_path / "run", tmp_path / "alone"
@@ -147,10 +149,10 @@ def test_run_writes_the_files_of_the_commands_run_one_by_one(tmp_path):
     assert timings["total"] >= max(value for stage, value in timings.items() if stage != "total")
 
 
-def forking_argv(tmp_path, command):
+def forking_argv(tmp_path, command, raw=None):
     """The arguments, bar ``--out``, of a command that forks: ``run``, or
     ``basin --model`` with the model ``train`` saves."""
-    config = ["--config", str(write_config(tmp_path))]
+    config = ["--config", str(write_config(tmp_path, raw))]
     if command == "run":
         return ["run", *config]
     fit = tmp_path / "fit"
@@ -161,23 +163,129 @@ def forking_argv(tmp_path, command):
 FORKING = ["run", "basin --model"]
 
 
+def assert_same_files(first, second):
+    """The two output directories hold the same files, byte for byte,
+    the manifest's timings aside."""
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (first, second)]
+    for manifest in manifests:
+        del manifest["timings_seconds"]
+    assert manifests[0] == manifests[1]
+
+
 @pytest.mark.parametrize("command", FORKING)
 def test_run_where_fork_is_refused_writes_the_same_files(tmp_path, monkeypatch, command):
+    # Once with the one-chunk operator grid and once in 4 chunks of 2-3
+    # cells, which a forked worker would claim alongside the command.
     argv = forking_argv(tmp_path, command)
-    forked, inline = tmp_path / "forked", tmp_path / "inline"
-    assert main([*argv, "--out", str(forked)]) == EXIT_OK
+    fork = os.fork
 
     def refuse():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", refuse)
-    assert main([*argv, "--out", str(inline)]) == EXIT_OK
+    for chunk_cells in (cli._CHUNK_CELLS, 2):
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk_cells)
+        forked, inline = tmp_path / f"forked{chunk_cells}", tmp_path / f"inline{chunk_cells}"
+        monkeypatch.setattr(os, "fork", fork)
+        assert main([*argv, "--out", str(forked)]) == EXIT_OK
+        monkeypatch.setattr(os, "fork", refuse)
+        assert main([*argv, "--out", str(inline)]) == EXIT_OK
+        assert_no_child_left()
+        assert_same_files(forked, inline)
+    assert_same_files(tmp_path / f"forked{cli._CHUNK_CELLS}", tmp_path / "forked2")
+
+
+@pytest.mark.parametrize("command", FORKING)
+def test_operator_grid_chunks_claimed_by_both_processes_write_the_one_chunk_files(
+        tmp_path, monkeypatch, command):
+    # A 5² grid in chunks of at least 6 cells is 4 chunks of 6, 6, 6 and 7
+    # cells.  This process waits in its first chunk until the forked
+    # worker has claimed one, so both label chunks.  With at most 3 claim
+    # tokens, each token names a run of the queue's items.
+    raw = base_config()
+    raw["basin"]["resolution"] = 5
+    argv = forking_argv(tmp_path, command, raw)
+    whole, chunked = tmp_path / "whole", tmp_path / "chunked"
+    assert main([*argv, "--out", str(whole)]) == EXIT_OK
+    claims = tmp_path / "claims"
+    claims.mkdir()
+
+    def recording_scan(*args, **kwargs):
+        scan = basin._operator_scan(*args, **kwargs)
+        deadline = time.monotonic() + 10.0
+
+        def blocks(points):
+            (claims / f"{os.getpid()}-{len(list(claims.iterdir()))}").write_text(str(len(points)))
+            while os.getpid() == _TEST_PID and time.monotonic() < deadline and all(
+                    path.name.startswith(f"{_TEST_PID}-") for path in claims.iterdir()):
+                time.sleep(0.01)
+            return scan_blocks(points)
+
+        scan_blocks, scan.blocks = scan.blocks, blocks
+        return scan
+
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 6)
+    monkeypatch.setattr(cli, "_MAX_CLAIMS", 3)
+    monkeypatch.setattr(cli, "_operator_scan", recording_scan)
+    assert main([*argv, "--out", str(chunked)]) == EXIT_OK
     assert_no_child_left()
-    names = sorted(path.name for path in forked.iterdir())
-    assert names == sorted(path.name for path in inline.iterdir())
-    for name in names:
-        if name != "manifest.json":
-            assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
+    sizes = sorted(int(path.read_text()) for path in claims.iterdir())
+    assert sizes == [6, 6, 6, 7]
+    assert len({path.name.split("-")[0] for path in claims.iterdir()}) == 2
+    assert_same_files(whole, chunked)
+
+
+def test_two_processes_claim_each_token_of_a_full_queue_once():
+    # The most tokens a queue holds go into the pipe in one write; this
+    # process and a forked one then claim them at once.
+    read_end = cli._claims(cli._MAX_CLAIMS)
+    try:
+        child = cli._start_child(lambda: list(cli._claim(read_end)))
+        mine = list(cli._claim(read_end))
+        theirs = child.join()
+        child.reap()
+    finally:
+        os.close(read_end)
+    assert_no_child_left()
+    assert sorted(mine + theirs) == list(range(cli._MAX_CLAIMS))
+
+
+def _scan_failing_in_the_worker(*args, **kwargs):
+    """An operator scan whose chunks fail in the forked worker; this
+    process sleeps in its chunk, leaving the others to the worker."""
+    scan = basin._operator_scan(*args, **kwargs)
+
+    def blocks(points):
+        if os.getpid() != _TEST_PID:
+            raise ValueError("operator chunk failed in the worker")
+        time.sleep(0.2)
+        return scan_blocks(points)
+
+    scan_blocks, scan.blocks = scan.blocks, blocks
+    return scan
+
+
+_simulate = cli._simulate
+# The pids that simulated, as the reading process holds the list: a
+# forked child sees it as it was at the fork.
+_SIMULATED = []
+
+
+def _noted_simulate(*args):
+    _SIMULATED.append(os.getpid())
+    return _simulate(*args)
+
+
+def _truth_before_the_series(*args, **kwargs):
+    """A truth grid that fails in a child forked before the series were
+    simulated, and is scanned anywhere else."""
+    if os.getpid() != _TEST_PID and not _SIMULATED:
+        raise IntegrationError("truth grid started before the series")
+    return basin.ground_truth_grid(*args, **kwargs)
 
 
 class _Unpicklable(ValueError):
@@ -209,11 +317,21 @@ _FORK_FAILURES = {
     "child-unpicklable-error": ("ground_truth_grid", _raises(_Unpicklable(4, "no label")),
                                 "pipeline error: _Unpicklable: cell 4: no label"),
     "child-dies": ("ground_truth_grid", _dies, "ended with exit code 7 and no result"),
-    "parent-error": ("operator_grid", _raises(ValueError("operator cell 4 failed")),
+    "parent-error": ("_operator_scan", _raises(ValueError("operator cell 4 failed")),
                      "pipeline error: operator cell 4 failed"),
     "parent-forecast-error": ("_forecast_batch",
                               _raises(ValueError("seeds contain non-finite entries")),
                               "pipeline error: seeds contain non-finite entries"),
+    "worker-chunk-error": ("_operator_scan", _scan_failing_in_the_worker,
+                           "pipeline error: operator chunk failed in the worker"),
+    "early-truth-child-error": ("ground_truth_grid", _truth_before_the_series,
+                                "pipeline error: truth grid started before the series"),
+}
+# Further settings of some failures: the grid in 4 chunks of 2-3 cells,
+# and simulations that leave a note in the process's memory.
+_FORK_FAILURE_SETTINGS = {
+    "worker-chunk-error": {"_CHUNK_CELLS": 2},
+    "early-truth-child-error": {"_simulate": _noted_simulate},
 }
 
 
@@ -227,6 +345,9 @@ def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
     argv = forking_argv(tmp_path, command)
     name, replacement, message = _FORK_FAILURES[failure]
     monkeypatch.setattr(cli, name, replacement)
+    for setting, value in _FORK_FAILURE_SETTINGS.get(failure, {}).items():
+        monkeypatch.setattr(cli, setting, value)
+    _SIMULATED.clear()
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == EXIT_PIPELINE
     assert_no_child_left()
