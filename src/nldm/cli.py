@@ -155,6 +155,9 @@ class _Ran:
     def join(self):
         return self.value
 
+    def kill(self):
+        pass
+
     def reap(self):
         return 0
 
@@ -182,6 +185,13 @@ class _Child:
         if not ok:
             raise value
         return value
+
+    def kill(self):
+        """End the child at once, unless it has been reaped."""
+        if self.code is None:
+            import signal  # only a failing command needs it
+
+            os.kill(self.pid, signal.SIGKILL)
 
     def reap(self):
         """Wait for the child to end and return its exit code; later calls
@@ -270,11 +280,21 @@ _STAGES = {
 }
 
 
+def _covered(runs):
+    """The time covered by at least one of ``runs``, (start, end) pairs."""
+    covered, reach = 0.0, float("-inf")
+    for start, end in sorted(runs):
+        if end > reach:
+            covered += end - max(start, reach)
+            reach = end
+    return covered
+
+
 class _Pipeline:
     """One command's stages.  Each stage writes its artifacts into
-    ``out`` and records its span in ``spans``, from its first start to
-    its last end in either process; the manifest lists the artifacts in
-    the order of the stages.
+    ``out`` and records the start and end of each of its runs in
+    ``runs``, in either process; the manifest lists the artifacts in the
+    order of the stages.
     """
 
     def __init__(self, config, system, out_dir: Path, global_seed: int, operator=None):
@@ -284,29 +304,26 @@ class _Pipeline:
         self.global_seed = global_seed
         self.operator = operator
         self.started = time.perf_counter()
-        # Stage -> (first start, last end) on the perf_counter clock,
+        # Stage -> its runs' (start, end) on the perf_counter clock,
         # which a forked child shares.
-        self.spans: dict[str, tuple[float, float]] = {}
+        self.runs: dict[str, list[tuple[float, float]]] = {}
         self.artifacts: list[str] = []
         self.children = []  # the forked children, each reaped before ``execute`` returns
         self.train_data = None
         self.test_data = None
 
     def _timed(self, stage: str, fn):
-        """``fn()``, its start and end added to the stage's span."""
+        """``fn()``, its start and end added to the stage's runs."""
         started = time.perf_counter()
         result = fn()
-        self._merge({stage: (started, time.perf_counter())})
+        self.runs.setdefault(stage, []).append((started, time.perf_counter()))
         return result
 
-    def _merge(self, spans):
-        """Widen each stage's span to cover ``spans``, another process's
-        or this one's, so no stage outlasts the pipeline's ``total``.  A
-        forked child's spans also hold those it inherited, which change
-        nothing."""
-        for stage, (start, end) in spans.items():
-            first, last = self.spans.get(stage, (start, end))
-            self.spans[stage] = (min(start, first), max(end, last))
+    def _merge(self, runs):
+        """Add another process's ``runs``.  A forked child's also hold
+        those it inherited, which cover no more time."""
+        for stage, more in runs.items():
+            self.runs.setdefault(stage, []).extend(more)
 
     def _series_files(self):
         """(file name, trajectory) for every simulated series."""
@@ -421,7 +438,7 @@ class _Pipeline:
         items it names and claims again until none is left.  Given
         ``fork`` and two or more items, a forked worker (``_start_child``,
         listed in ``children``) claims alongside this process and sends
-        home its results and its stage spans; otherwise this process runs them
+        home its results and its stages' runs; otherwise this process runs them
         all.  A process whose item fails claims the rest unrun, so the
         other stops after its current item, and raises its error; this
         process's error comes first, and ``execute`` reaps the worker.
@@ -445,15 +462,15 @@ class _Pipeline:
 
         try:
             if fork and len(items) > 1:
-                worker = _start_child(lambda: (work(), self.spans))
+                worker = _start_child(lambda: (work(), self.runs))
                 self.children.append(worker)
             else:
                 worker = _Ran(lambda: ({}, {}))
             done = work()
         finally:
             os.close(read_end)
-        theirs, spans = worker.join()
-        self._merge(spans)
+        theirs, runs = worker.join()
+        self._merge(runs)
         return {**done, **theirs}
 
     def execute(self, stages):
@@ -475,12 +492,14 @@ class _Pipeline:
         out and writes the operator grid from its chunks' codes, waits
         for the truth grid and writes the agreement; the manifest lists
         the files in the stages' order, whichever process wrote them.
-        Every child is reaped before this returns, on every path, and
-        the first error raised is the one reported.  The ``train`` stage
-        covers the solve, the batch and the training scores; a command
-        that fits nothing times the batch under its forecast stage.  Stage
-        times overlap, so the manifest's ``total`` holds the pipeline's
-        own wall time.
+        Every child is reaped before this returns, on every path; on an
+        error, those still running are killed first, and the first error
+        raised is the one reported.  A stage's time is the time its runs
+        cover in either process, waits in the queue left out: ``train``
+        runs the solve and then the batch and the training scores; a
+        command that fits nothing times the batch under its forecast
+        stage.  Stage times overlap, so the manifest's ``total`` holds the
+        pipeline's own wall time.
         """
         fits = "fit" in stages
         forecast = next((stage for stage in ("predict", "evaluate") if stage in stages), None)
@@ -490,7 +509,7 @@ class _Pipeline:
         try:
             if grids:
                 alone = stages == ("grids",) and not scans_operator
-                truth = (_Ran if alone else _start_child)(lambda: (self._truth_grid(), self.spans))
+                truth = (_Ran if alone else _start_child)(lambda: (self._truth_grid(), self.runs))
                 self.children.append(truth)
             if stages != ("grids",):
                 self.train_data, self.test_data = self._timed(
@@ -522,9 +541,14 @@ class _Pipeline:
                 save_basin_csv(self.out / "basin_operator.csv", predicted)
             self.artifacts = [name for name, _ in series] + self._forecast_files(fits, forecast)
             if grids:
-                grid, spans = truth.join()
-                self._merge(spans)
+                grid, runs = truth.join()
+                self._merge(runs)
                 self._list_grids(grid, predicted)
+        except BaseException:
+            # A failing command waits for no child's work.
+            for child in self.children:
+                child.kill()
+            raise
         finally:
             # Reaped last, the worker's exit overlaps this process's last
             # writes.
@@ -545,10 +569,11 @@ class _Pipeline:
                 "numpy": np.__version__,
                 "nldm": __version__,
             },
-            # Each stage's span, in the order the stages started.
+            # The time each stage's runs cover, in the order the stages
+            # started.
             "timings_seconds": {
-                **{stage: end - start for stage, (start, end) in sorted(
-                    self.spans.items(), key=lambda item: item[1])},
+                **{stage: _covered(runs) for stage, runs in sorted(
+                    self.runs.items(), key=lambda item: min(item[1]))},
                 "total": time.perf_counter() - self.started,
             },
             "artifacts": self.artifacts,

@@ -63,13 +63,18 @@ def _origin_multiplier(operator: LearnedOperator) -> float:
 @dataclass(frozen=True, eq=False)
 class _Fit:
     """What ``_solve`` hands to ``_score``: the operator, which has no
-    summary yet, and the series and solve diagnostics its scores need."""
+    summary yet, and the series and solve diagnostics its scores need.
+    The origin multiplier is found with the solve, so that ``_score``
+    and the forecasts call no LAPACK routine: ``nldm run`` may run them
+    in a process forked after the solve, from one that holds BLAS
+    threads."""
 
     operator: LearnedOperator
     trajectories: list
     references: list
     total_columns: int
     report: LstsqReport
+    origin_multiplier: float
 
 
 def _solve(trajectories, config: FeatureConfig, references=None) -> _Fit:
@@ -104,7 +109,8 @@ def _solve(trajectories, config: FeatureConfig, references=None) -> _Fit:
         dt=trajectories[0].dt,
         training_summary=None,
     )
-    return _Fit(operator, trajectories, references or trajectories, pair.num_columns, report)
+    return _Fit(operator, trajectories, references or trajectories, pair.num_columns, report,
+                _origin_multiplier(operator))
 
 
 def _score(fit: _Fit, predictions) -> TrainingResult:
@@ -125,7 +131,7 @@ def _score(fit: _Fit, predictions) -> TrainingResult:
         per_trajectory_rrmse=tuple(scores),
         effective_rank=fit.report.effective_rank,
         underdetermined=config.num_features > fit.total_columns,
-        origin_multiplier=_origin_multiplier(fit.operator),
+        origin_multiplier=fit.origin_multiplier,
     )
     operator = replace(fit.operator, training_summary=summary)
     return TrainingResult(operator=operator, mean_rrmse=float(np.mean(scores)))

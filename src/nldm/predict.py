@@ -25,8 +25,7 @@ of two forms, by the block's row count:
   weights made once per block, so a step is a fixed few numpy calls;
 - a wider block forms each run of monomials with one multiply of views
   of the lift and multiplies by the weights broadcast over the rows,
-  which copies nothing; up to ``_ROW_BUFFER_ROWS`` rows it does so with
-  numpy's ufunc buffer no longer than a row.
+  which copies nothing, with numpy's ufunc buffer no longer than a row.
 
 A narrow step's cost is numpy's per-call overhead, which the narrow form
 cuts.  A wider step's is the traffic over its arrays, to which the
@@ -34,12 +33,9 @@ narrow form's gathers and weight copy add, and so does numpy's default
 buffering: a ufunc over a broadcast operand whose rows are shorter than
 the buffer (8192 entries) copies its operands through the buffer, which
 took two to three times as long per entry as iterating them in place
-from a few hundred rows on (numpy 2.4).  Whole steps with a row-sized
-buffer were faster up to 4096 rows, but from 5000 rows on as fast or
-up to 3% slower than with the default one.  ``_NARROW_ROWS`` is
-the crossover of the two forms, and ``_ROW_BUFFER_ROWS`` that of the two
-buffers, measured on a 2-core AMD EPYC (CHANGES.md has the per-step
-tables).  Both forms multiply the same weight by the same monomial, each
+from a few hundred rows on (numpy 2.4).  ``_NARROW_ROWS`` is the
+crossover of the two forms measured on a 2-core AMD EPYC (CHANGES.md has
+the per-step table).  Both forms multiply the same weight by the same monomial, each
 monomial being its variable times its parent, and sum in the same
 order, and buffering changes no value, so a row's samples are bitwise
 identical alone or in a batch of any size, in blocks of any length and
@@ -65,9 +61,6 @@ __all__ = ["Prediction", "predict", "iterate_batch"]
 DIVERGENCE_THRESHOLD = 1e6
 # Blocks of at most this many rows step in the narrow form (see above).
 _NARROW_ROWS = 256
-# Wider blocks of at most this many rows step with a ufunc buffer no
-# longer than a row; wider ones keep numpy's default (see above).
-_ROW_BUFFER_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +119,8 @@ def _iterate(seeds, steps, basis, matrix, block):
         else:
             reads, products = basis._lift_plan(windows, lift)
             factors = weights
-            if rows <= _ROW_BUFFER_ROWS:
-                # No longer than a row, in the multiples of 16 numpy takes.
-                buffer = min(buffer, max(rows // 16 * 16, 16))
+            # No longer than a row, in the multiples of 16 numpy takes.
+            buffer = min(buffer, max(rows // 16 * 16, 16))
         features = lift[:num_features, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             default = np.setbufsize(buffer)

@@ -149,6 +149,13 @@ def test_run_writes_the_files_of_the_commands_run_one_by_one(tmp_path):
     assert timings["total"] >= max(value for stage, value in timings.items() if stage != "total")
 
 
+def test_stage_time_covers_its_runs_and_not_the_waits_between_them():
+    # Runs in two processes overlap, and a child's list repeats the runs
+    # it inherited.
+    assert cli._covered([(0.0, 2.0), (5.0, 6.0), (1.0, 3.0), (0.0, 2.0), (5.5, 5.75)]) == 4.0
+    assert cli._covered([]) == 0.0
+
+
 def forking_argv(tmp_path, command, raw=None):
     """The arguments, bar ``--out``, of a command that forks: ``run``, or
     ``basin --model`` with the model ``train`` saves."""
@@ -303,6 +310,16 @@ def _raises(exc):
     return fail
 
 
+# Longer than any failing command may take.
+_SLOW_TRUTH_SECONDS = 30.0
+
+
+def _slow_truth(*args, **kwargs):
+    """A truth grid that outlasts the command's failure elsewhere."""
+    time.sleep(_SLOW_TRUTH_SECONDS)
+    return basin.ground_truth_grid(*args, **kwargs)
+
+
 _TEST_PID = os.getpid()
 
 
@@ -319,6 +336,8 @@ _FORK_FAILURES = {
     "child-dies": ("ground_truth_grid", _dies, "ended with exit code 7 and no result"),
     "parent-error": ("_operator_scan", _raises(ValueError("operator cell 4 failed")),
                      "pipeline error: operator cell 4 failed"),
+    "simulate-error": ("_simulate", _raises(IntegrationError("series step too small")),
+                       "pipeline error: series step too small"),
     "parent-forecast-error": ("_forecast_batch",
                               _raises(ValueError("seeds contain non-finite entries")),
                               "pipeline error: seeds contain non-finite entries"),
@@ -327,9 +346,12 @@ _FORK_FAILURES = {
     "early-truth-child-error": ("ground_truth_grid", _truth_before_the_series,
                                 "pipeline error: truth grid started before the series"),
 }
-# Further settings of some failures: the grid in 4 chunks of 2-3 cells,
-# and simulations that leave a note in the process's memory.
+# Further settings of some failures: a truth grid slower than the
+# failing command, the grid in 4 chunks of 2-3 cells, and simulations
+# that leave a note in the process's memory.
 _FORK_FAILURE_SETTINGS = {
+    "parent-error": {"ground_truth_grid": _slow_truth},
+    "simulate-error": {"ground_truth_grid": _slow_truth},
     "worker-chunk-error": {"_CHUNK_CELLS": 2},
     "early-truth-child-error": {"_simulate": _noted_simulate},
 }
@@ -337,8 +359,8 @@ _FORK_FAILURE_SETTINGS = {
 
 @pytest.mark.parametrize("command, failure", [
     (command, failure) for command in FORKING for failure in _FORK_FAILURES
-    # basin --model forecasts nothing.
-    if (command, failure) != ("basin --model", "parent-forecast-error")
+    # basin --model simulates and forecasts nothing.
+    if command == "run" or failure not in ("simulate-error", "parent-forecast-error")
 ])
 def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
         tmp_path, capsys, monkeypatch, command, failure):
@@ -349,7 +371,10 @@ def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
         monkeypatch.setattr(cli, setting, value)
     _SIMULATED.clear()
     out = tmp_path / "out"
+    started = time.monotonic()
     assert main([*argv, "--out", str(out)]) == EXIT_PIPELINE
+    # A child still at work when the command fails is killed, not awaited.
+    assert time.monotonic() - started < _SLOW_TRUTH_SECONDS / 2
     assert_no_child_left()
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()

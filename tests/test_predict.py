@@ -312,30 +312,23 @@ def study_shapes():
 @pytest.mark.parametrize("shape", study_shapes(), ids=lambda shape: "S{}d{}o{}".format(*shape))
 def test_rows_crossing_from_wide_to_narrow_blocks_match_the_loop_reference(
         shape, order, monkeypatch):
-    # With blocks of at most 5 rows narrow and wide ones of at most 30
-    # rows buffered by the row, 40 rows step wide with numpy's default
-    # ufunc buffer, and the 20 left after the first drop between blocks
-    # step wide with a buffer of 16 entries, no longer than a row.  The 5
-    # left after the second drop step narrow, where one more row leaves.
-    # Without the pure powers of the first variable, the lift reads that
-    # variable into a row past the monomials.
+    # With blocks of at most 5 rows narrow, 40 rows step wide, as do the
+    # 20 left after the first drop between blocks, with ufunc buffers of
+    # 32 and 16 entries, no longer than a row.  The 5 left after the
+    # second drop step narrow, where one more row leaves.  Without the
+    # pure powers of the first variable, the lift reads that variable
+    # into a row past the monomials.
     from conftest import graded_permutation
 
     monkeypatch.setattr(kernel_module, "_NARROW_ROWS", 5)
-    monkeypatch.setattr(kernel_module, "_ROW_BUFFER_ROWS", 30)
-    forms, buffers = [], set()
-    plan, ordered_sum = MonomialBasis._lift_plan, kernel_module._ordered_sum
+    forms = []
+    plan = MonomialBasis._lift_plan
 
     def recorded_plan(self, points, values, pair=None):
         forms.append("wide" if pair is None else "narrow")
         return plan(self, points, values, pair)
 
-    def recorded_sum(terms, out):
-        buffers.add((terms.shape[2], np.getbufsize()))
-        return ordered_sum(terms, out=out)
-
     monkeypatch.setattr(MonomialBasis, "_lift_plan", recorded_plan)
-    monkeypatch.setattr(kernel_module, "_ordered_sum", recorded_sum)
     rng = np.random.default_rng(13)
     config = FeatureConfig(*shape)
     exponents = monomial_basis(config).exponents
@@ -366,7 +359,6 @@ def test_rows_crossing_from_wide_to_narrow_blocks_match_the_loop_reference(
         keep = ~np.isin(rows, dropped)
         rows = rows[keep]
     assert forms == ["wide"] * 5 + ["narrow"] * (len(forms) - 5)
-    assert buffers == {(40, buffer), (20, 16), (5, buffer), (4, buffer)}
     assert np.getbufsize() == buffer  # as the kernel found it
     assert rows.tolist() == [0, 16, 24, 32] and len(forms) == -(-length // size)
     for row, samples in pieces.items():
