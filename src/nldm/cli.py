@@ -5,7 +5,10 @@ pipeline (series files, fit, test forecasts, basin grids), and
 ``_Pipeline.execute`` runs any row the same way.  A command that scans
 a basin and has other work forks the truth grid at once, and once it has
 an operator, a forked worker claims the rest of the work with it from
-one queue.
+one queue.  The modules every command runs are imported here, those of
+one stage only where that stage runs, so a command loads no module it
+does not run.  The console entry (``entry``) leaves through ``os._exit``
+once ``main`` has returned, skipping the interpreter's teardown.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
 failures inside the pipeline and for arrays too large to allocate.
@@ -14,6 +17,7 @@ failures inside the pipeline and for arrays too large to allocate.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -39,7 +43,6 @@ from .config import (
     derived_seed,
 )
 from .core import FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError, _dt_differs
-from .identify import _score, _solve
 from .io import (
     load_model,
     save_basin_csv,
@@ -47,7 +50,6 @@ from .io import (
     save_trajectory_csv,
     write_json,
 )
-from .metrics import rrmse
 from .odes import _integrate_series, add_noise, make_system
 from .predict import _forecast_batch, _starts
 
@@ -117,6 +119,8 @@ def _simulate(config: ExperimentConfig, system, global_seed: int):
 def _score_payload(prediction, reference, skip, label):
     """One ``scores.json`` test entry; a score that is undefined for the
     reference (a constant state) is written as null with the reason."""
+    from .metrics import rrmse
+
     try:
         score = rrmse(prediction.trajectory, reference, skip)
         per_state, mean, undefined = score.per_state_rrmse, score.mean_rrmse, {}
@@ -207,12 +211,22 @@ class _Child:
         return self.code
 
 
+def _flush_std_streams():
+    """Flush stdout and stderr, skipping one the process started without
+    (None) and one that is closed or broken."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                pass
+
+
 def _start_child(work):
     """Run ``work()`` in a forked child while the caller goes on, and
     return the ``_Child``.  Where the system refuses the fork or has none,
     ``work`` runs here before this returns (``_Ran``)."""
-    sys.stdout.flush()
-    sys.stderr.flush()
+    _flush_std_streams()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -386,6 +400,8 @@ class _Pipeline:
         predictions = self._timed("train" if fit is not None else stage,
                                   lambda: _forecast_batch(operator, starts))
         if fit is not None:
+            from .identify import _score
+
             self._save_training(self._timed("train",
                                             lambda: _score(fit, predictions[:len(trained)])))
         if tests:
@@ -516,6 +532,8 @@ class _Pipeline:
                     "simulate", lambda: _simulate(self.config, self.system, self.global_seed))
             fit = None
             if fits:
+                from .identify import _solve
+
                 model, train = self.config.model, self.train_data
                 shape = FeatureConfig(self.system.num_states, model.delays, model.degree)
                 fit = self._timed("train", lambda: _solve([data.working for data in train], shape,
@@ -605,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             help="accepted and ignored; run and basin --model scan the truth grid in one "
-            "forked child and share their other work with one forked worker",
+            "forked child, and fork one worker to share the rest of the work only when "
+            "it has two or more items",
         )
     return parser
 
@@ -687,10 +706,19 @@ def entry() -> None:
     # The import heap lives until exit, where the interpreter's final
     # collection would walk all of it; frozen, it is never walked, and
     # the forked child (``_start_child``) leaves its pages unwritten.  Only
-    # the command's own process freezes: ``main`` is also called
-    # in-process, by tests and library users.
+    # the command's own process freezes and leaves through ``os._exit``:
+    # ``main`` is also called in-process, by tests and library users.
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    # ``main`` has reaped every child and closed every file it wrote, so
+    # what the interpreter's teardown has left to do is clear modules and
+    # free the heap object by object, which no one reads.  The exit
+    # handlers registered so far and the standard streams' buffers are
+    # all it would do that shows; a usage error or --help leaves by
+    # SystemExit, the normal way.
+    atexit._run_exitfuncs()
+    _flush_std_streams()
+    os._exit(code)
 
 
 if __name__ == "__main__":

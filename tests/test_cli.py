@@ -436,6 +436,110 @@ def test_cli_import_loads_no_process_pool_module():
     assert result.stdout.strip() == "[]"
 
 
+def _package_env():
+    # Buffered, as a console's pipes are, so that only a flush at exit
+    # delivers what is left in a buffer.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_commands_load_only_the_modules_their_stages_run(tmp_path):
+    # Only a command that fits or scores imports the fit's, the solver's
+    # and the scores' modules; run does, so the check is not vacuous.
+    config_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    unloaded = {"nldm.identify", "nldm.lstsq", "nldm.metrics"}
+    code = ("import sys; from nldm import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, *sorted(m for m in sys.modules if m.startswith('nldm.')))")
+    for command, loads in ((["basin", "--model", str(out / "model.txt")], False),
+                           (["simulate"], False), (["run"], True)):
+        argv = [*command, "--config", str(config_path), "--out", str(tmp_path / "cmd")]
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env=_package_env(), check=True, timeout=120)
+        code_printed, *loaded = result.stdout.split()
+        assert code_printed == str(EXIT_OK)
+        assert (unloaded <= set(loaded)) if loads else not (unloaded & set(loaded)), command
+
+
+def _session_processes(sid):
+    """The live processes (no zombies) of session ``sid``, from /proc."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except OSError:  # ended while read
+            continue
+        if int(session) == sid and state != "Z":
+            live.append(stat.parent.name)
+    return live
+
+
+def _command(argv, closed=None):
+    """Run ``python -m nldm.cli argv`` in a session of its own, with the
+    ``closed`` stream's descriptor closed; (exit code, stdout, stderr),
+    once no process of the session is left."""
+    prefix = ["sh", "-c", f'exec "$@" {closed}>&-', "sh"] if closed else []
+    proc = subprocess.Popen([*prefix, sys.executable, "-m", "nldm.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_package_env(), start_new_session=True)
+    stdout, stderr = proc.communicate(timeout=120)
+    if Path("/proc/self/stat").exists():
+        assert _session_processes(proc.pid) == []
+    return proc.returncode, stdout, stderr
+
+
+def test_module_entry_exits_with_the_code_and_messages_of_main(tmp_path, capsys):
+    # The command leaves through os._exit once main returns: its exit code
+    # and its stderr lines are main's, and no process it forked is left.
+    config_path = write_config(tmp_path)
+    bad = write_config(tmp_path, {**base_config(), "extra": 1}, name="bad.json")
+    flat = base_config()
+    flat["model"] = {"delays": 1, "degree": 1}
+    flat["train"] = [{"ic": [0.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60}]
+    del flat["test"], flat["basin"]
+    few = base_config()
+    few["model"] = {"delays": 2, "degree": 2}
+    for entry in few["train"]:
+        entry.update(t_span=[0.0, 0.05], num_samples=6)
+    cases = [("run", config_path, EXIT_OK),
+             ("run", bad, EXIT_CONFIG),
+             ("run", write_config(tmp_path, flat, name="flat.json"), EXIT_PIPELINE),
+             ("train", write_config(tmp_path, few, name="few.json"), EXIT_OK)]
+    for command, path, code in cases:
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "main")]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        argv[-1] = str(tmp_path / "entry")
+        assert _command(argv) == (code, expected.out, expected.err)
+    assert "nldm: warning: underdetermined fit" in expected.err
+    for name in ("model.txt", "train_metrics.json"):
+        assert (tmp_path / "main" / name).read_bytes() == (tmp_path / "entry" / name).read_bytes()
+
+
+def test_module_entry_with_a_closed_stream_keeps_its_exit_code(tmp_path):
+    config_path = write_config(tmp_path)
+    bad = write_config(tmp_path, {**base_config(), "extra": 1}, name="bad.json")
+    out = ["--out", str(tmp_path / "out")]
+    for closed in (1, 2):
+        for path, code in ((config_path, EXIT_OK), (bad, EXIT_CONFIG)):
+            exit_code, stdout, stderr = _command(["run", "--config", str(path), *out], closed)
+            assert exit_code == code
+            assert "Traceback" not in stdout + stderr
+    # The exit handlers registered before the entry run and what they
+    # print arrives; a stream one of them closes changes nothing.
+    for handler, printed in (("print, 'handler ran'", "handler ran\n"), ("sys.stdout.close", "")):
+        script = (f"import atexit, sys; from nldm import cli; atexit.register({handler}); "
+                  "sys.argv[1:] = ['run', '--config', *sys.argv[1:]]; cli.entry()")
+        for path, code in ((config_path, EXIT_OK), (bad, EXIT_CONFIG)):
+            result = subprocess.run([sys.executable, "-c", script, str(path), *out],
+                                    capture_output=True, text=True, env=_package_env(),
+                                    timeout=120)
+            assert (result.returncode, result.stdout) == (code, printed)
+            assert "Traceback" not in result.stderr
+
+
 def test_prediction_matches_test_series_shape(tmp_path):
     config_path = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,10 +1,12 @@
 """Container types, the feature-count formula and the package exports."""
 
-import ast
 import dataclasses
 import importlib
-import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,14 +181,62 @@ def test_training_summary_round_trip_fields():
 def test_package_exports_are_exported_by_their_modules():
     # Each name in nldm.__all__ must also be in the __all__ of the module
     # the package imports it from.
-    home = {
-        alias.name: importlib.import_module(f"nldm.{node.module}")
-        for node in ast.parse(inspect.getsource(nldm)).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    home = {name: importlib.import_module(f"nldm.{module}")
+            for name, module in nldm._HOME.items()}
     for name in set(nldm.__all__) - {"__version__"}:
         assert name in home[name].__all__, f"{home[name].__name__} does not export {name}"
+
+
+def _fresh(code):
+    """``code``'s stdout, run in a fresh interpreter on this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(nldm.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    return result.stdout
+
+
+def test_package_import_loads_only_the_predict_module():
+    # ``predict`` is bound at import (it names a module and its function);
+    # nldm.predict imports core and features, and every other name waits
+    # for its first use.
+    loaded = _fresh("import sys, nldm; print(*sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'nldm'))")
+    assert loaded.split() == ["nldm", "nldm.core", "nldm.features", "nldm.predict"]
+
+
+@pytest.mark.parametrize("first", [
+    "nldm", "nldm.basin", "nldm.cli", "nldm.config", "nldm.core", "nldm.features",
+    "nldm.identify", "nldm.io", "nldm.lstsq", "nldm.metrics", "nldm.odes", "nldm.predict",
+])
+def test_package_names_are_their_home_modules_objects_whatever_is_imported_first(first):
+    # A first import of a submodule binds its name in the package, so a
+    # public name that is also a submodule's must still read the object.
+    code = (f"import {first}, importlib, nldm\n"
+            "for name in nldm.__all__[1:]:\n"
+            "    home = importlib.import_module(f'nldm.{nldm._HOME[name]}')\n"
+            "    assert name in home.__all__, name\n"
+            "    assert getattr(nldm, name) is getattr(home, name), name\n"
+            "print(nldm.predict is importlib.import_module('nldm.predict').predict)")
+    assert _fresh(code) == "True\n"
+
+
+def test_package_star_import_binds_every_public_name():
+    code = ("from nldm import *\n"
+            "import nldm\n"
+            "print(all(globals()[name] is getattr(nldm, name) for name in nldm.__all__))")
+    assert _fresh(code) == "True\n"
+
+
+def test_package_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'nldm' has no attribute 'no_such_name'$"):
+        nldm.no_such_name
+    with pytest.raises(ImportError):
+        from nldm import no_such_name  # noqa: F401
+    assert not hasattr(nldm, "_no_such_private_name")
+
+
+def test_package_dir_lists_every_public_name():
+    assert set(nldm.__all__) <= set(dir(nldm))
 
 
 # --- ordered sums ----------------------------------------------------------
