@@ -220,19 +220,11 @@ def test_package_names_are_their_home_modules_objects_whatever_is_imported_first
     assert _fresh(code) == "True\n"
 
 
-def test_package_star_import_binds_every_public_name():
-    code = ("from nldm import *\n"
-            "import nldm\n"
-            "print(all(globals()[name] is getattr(nldm, name) for name in nldm.__all__))")
-    assert _fresh(code) == "True\n"
-
-
 def test_package_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="^module 'nldm' has no attribute 'no_such_name'$"):
         nldm.no_such_name
     with pytest.raises(ImportError):
         from nldm import no_such_name  # noqa: F401
-    assert not hasattr(nldm, "_no_such_private_name")
 
 
 def test_package_dir_lists_every_public_name():
