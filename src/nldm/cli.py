@@ -350,6 +350,7 @@ class _Pipeline:
         return files
 
     def _save_training(self, result):
+        """Write the fit's files; returns their names."""
         save_model(self.out / "model.txt", result.operator)
         summary = result.operator.training_summary
         write_json(
@@ -366,54 +367,52 @@ class _Pipeline:
                 "rrmse_std_window": "compared samples only",
             },
         )
+        return ["model.txt", "train_metrics.json"]
 
     def _save_forecasts(self, predictions, stage: str):
-        """Write the test series' forecasts and, to evaluate, their scores."""
+        """Write the test series' forecasts and, to evaluate, their
+        scores; returns the files' names, in the order written."""
         tol = (self.config.basin or BasinSpec).tol  # the section's, else its default
         delays = self.config.model.delays
         evaluate = stage == "evaluate"
-        scores = []
+        scores, names = [], []
 
         def label(trajectory):
             return classify_series(trajectory.states, self.system.attractors, tol)
 
         def write():
             for index, (data, prediction) in enumerate(zip(self.test_data, predictions)):
-                save_trajectory_csv(self.out / f"predicted_test_{index:02d}.csv",
-                                    prediction.trajectory)
+                names.append(f"predicted_test_{index:02d}.csv")
+                save_trajectory_csv(self.out / names[-1], prediction.trajectory)
                 if evaluate:
                     scores.append(_score_payload(prediction, data.clean, delays, label))
 
         self._timed(stage, write)
         if evaluate:
             write_json(self.out / "scores.json", {"test": scores})
+            names.append("scores.json")
+        return names
 
     def _forecast(self, fit, stage):
         """One forecast batch over the training seeds, whose rows score
-        ``fit``, and then, for a forecast ``stage``, the test seeds."""
+        ``fit``, and then, for a forecast ``stage``, the test seeds;
+        returns the names of the files written, in their order."""
         trained = fit.trajectories if fit is not None else []
         tests = [data.working for data in self.test_data] if stage is not None else []
         if not trained and not tests:
-            return
+            return []
         operator = fit.operator if fit is not None else self.operator
         starts = _starts(trained + tests, self.config.model.delays)
         predictions = self._timed("train" if fit is not None else stage,
                                   lambda: _forecast_batch(operator, starts))
+        names = []
         if fit is not None:
             from .identify import _score
 
-            self._save_training(self._timed("train",
-                                            lambda: _score(fit, predictions[:len(trained)])))
+            names += self._save_training(
+                self._timed("train", lambda: _score(fit, predictions[:len(trained)])))
         if tests:
-            self._save_forecasts(predictions[len(trained):], stage)
-
-    def _forecast_files(self, fits, stage):
-        """The files ``_forecast`` writes, in its order."""
-        names = ["model.txt", "train_metrics.json"] if fits else []
-        if stage is not None and self.test_data:
-            names += [f"predicted_test_{index:02d}.csv" for index in range(len(self.test_data))]
-            if stage == "evaluate":
-                names.append("scores.json")
+            names += self._save_forecasts(predictions[len(trained):], stage)
         return names
 
     def _scan(self):
@@ -547,7 +546,9 @@ class _Pipeline:
                 items += [partial(self._timed, "basin_operator",
                                   partial(scan.codes, chunk.start, chunk.stop))
                           for chunk in chunks]
+            forecast_item = None
             if fits or forecast is not None:
+                forecast_item = len(items)
                 items.append(partial(self._forecast, fit, forecast))
             series = self._series_files() if "series" in stages else []
             items += [partial(self._timed, "series",
@@ -557,7 +558,8 @@ class _Pipeline:
             if scans_operator:
                 predicted = scan.grid(np.concatenate([done[k] for k in range(len(chunks))]))
                 save_basin_csv(self.out / "basin_operator.csv", predicted)
-            self.artifacts = [name for name, _ in series] + self._forecast_files(fits, forecast)
+            written = done[forecast_item] if forecast_item is not None else []
+            self.artifacts = [name for name, _ in series] + written
             if grids:
                 grid, runs = truth.join()
                 self._merge(runs)
@@ -646,10 +648,19 @@ def _check_model_fits(operator, config: ExperimentConfig, system, path) -> None:
         raise ConfigError(f"model {path} has dt={operator.dt}, the config's series have dt={dt}")
 
 
+def _tell(line):
+    """Print ``line`` on stderr; a stderr that is gone (a pipe whose
+    reader has closed it) loses the line and leaves the exit code alone."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None):
     """Show a warning (an underdetermined fit) as one line on stderr, as
     the errors are, without its source location."""
-    print(f"nldm: warning: {message}", file=sys.stderr)
+    _tell(f"nldm: warning: {message}")
 
 
 def main(argv=None) -> int:
@@ -683,7 +694,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--model is required for {args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, RecursionError, ConfigError, ValueError) as exc:
-        print(f"nldm: configuration error: {exc}", file=sys.stderr)
+        _tell(f"nldm: configuration error: {exc}")
         return EXIT_CONFIG
 
     pipeline = _Pipeline(config, system, out_dir, global_seed, operator)
@@ -693,11 +704,11 @@ def main(argv=None) -> int:
             pipeline.execute(stages)
             pipeline.manifest(args.command)
     except (ConfigError, OSError) as exc:
-        print(f"nldm: configuration error: {exc}", file=sys.stderr)
+        _tell(f"nldm: configuration error: {exc}")
         return EXIT_CONFIG
     except (IntegrationError, ValueError, RuntimeError, np.linalg.LinAlgError,
             MemoryError) as exc:
-        print(f"nldm: pipeline error: {exc}", file=sys.stderr)
+        _tell(f"nldm: pipeline error: {exc}")
         return EXIT_PIPELINE
     return EXIT_OK
 

@@ -5,19 +5,19 @@ states, most recent first.  The lift evaluates every monomial of total
 degree 1..``degree`` in the stacked entries, ordered by ascending total
 degree and, within a degree, by the variable combinations that
 ``itertools.combinations_with_replacement`` yields over the stacked
-entry order.  Snapshot pairs line these lifted vectors up against the
-states they should predict.
+entry order, which ``MonomialBasis`` builds in closed form.  Snapshot
+pairs line these lifted vectors up against the states they should
+predict.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionError, FeatureConfig, _dt_differs, _leading
+from .core import DimensionError, FeatureConfig, _dt_differs, _leading, feature_dim
 
 __all__ = [
     "MonomialBasis",
@@ -29,78 +29,60 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MonomialBasis:
-    """Ordered monomial basis over ``num_vars`` variables.
+    """Every monomial of total degree 1..D over ``num_vars`` variables,
+    sorted by total degree.
 
     ``exponents`` has one row per monomial.  Evaluation is incremental:
     each monomial of degree g >= 2 is its first variable times a monomial
-    of degree g - 1 (its parent).  Consecutive monomials that share a
-    first variable and have consecutive, already evaluated parents form
-    a run (in the graded order, one run per first variable and degree).
-    A lift copies each run of degree-1 monomials from the points, then
-    takes one elementwise multiply per higher run, which reads its
-    variable from the lift's own degree-1 row; a variable without a
-    degree-1 monomial is copied into a row past the last monomial.
-    ``_lift_plan`` lays a lift out as views, so a caller that lifts many
-    windows into one workspace (the forecasting kernel) builds them once
-    and makes no slices or temporary arrays per lift.  Given a pair
-    workspace, the plan instead forms each degree >= 2 in two calls,
-    whatever its number of runs: one ``take`` of the degree's variable
-    and parent rows into the workspace and one multiply of the two.  The
-    forecasting kernel lifts blocks of at most ``predict._NARROW_ROWS``
-    rows this way: at those widths numpy's per-call overhead costs more
-    than the copies.  That form needs each degree's rows to be
-    contiguous, so the rows must be sorted by total degree.  Each value
-    is one multiply of the same two operands whether points are
-    evaluated one at a time or in a batch, by runs or by degrees, and
-    bitwise identical.
+    of degree g - 1 (its parent).  In the canonical order the degree-1
+    rows are the variables in order, and the degree-g monomials whose
+    first variable is v are v times the tail of degree g - 1 that starts
+    at v's first monomial: one run per variable and degree, each a range
+    of consecutive parents.  A lift copies the points into the degree-1
+    rows, then takes one elementwise multiply per run.  ``_lift_plan``
+    lays a lift out as views, so a caller that lifts many windows into
+    one workspace (the forecasting kernel) builds them once and makes no
+    slices or temporary arrays per lift.  Given a pair workspace, the
+    plan instead forms each degree >= 2 in two calls, whatever its number
+    of runs: one ``take`` of the degree's variable and parent rows into
+    the workspace and one multiply of the two.  The forecasting kernel
+    lifts blocks of at most ``predict._NARROW_ROWS`` rows this way: at
+    those widths numpy's per-call overhead costs more than the copies.
+    Each value is one multiply of the same two operands whether points
+    are evaluated one at a time or in a batch, by runs or by degrees, and
+    bitwise identical.  A basis in another order within degrees
+    (``from_exponents``) keeps its own ``exponents`` and the canonical
+    row of each row: it evaluates as the canonical basis with its rows
+    reordered, and forecasts as it with the operator's columns reordered.
     """
 
     exponents: np.ndarray
-    # (first row, end row, first variable) of each read, and (first row,
-    # end row, lift row of the variable, first parent) of each product
-    _reads: tuple
-    _products: tuple
-    # (first row, end row, gather) of each degree >= 2, where ``gather``
-    # stacks the lift rows of each row's variable over its parent's
+    # (first row, end row, variable, first parent) of each run of the
+    # canonical order, and (first row, end row, gather) of each degree
+    # >= 2, where ``gather`` stacks each row's variable over its parent
+    _runs: tuple
     _degrees: tuple
-    _lift_rows: int  # the monomials, then the variables read past them
+    _order: np.ndarray | None  # each row's canonical row; None if canonical
 
     @classmethod
     def from_exponents(cls, exponents: np.ndarray) -> "MonomialBasis":
         """Build a basis from explicit exponent rows.
 
-        The rows must be sorted by total degree, in any order within a
-        degree, and every row must either have total degree 1 or be
-        divisible by an earlier row of one degree less; the canonical
-        graded order satisfies both by construction.
+        The rows must be every monomial of total degree 1..D in their
+        columns' variables, each once, sorted by total degree, in any
+        order within a degree.  Rows in the canonical order return the
+        canonical basis.
         """
         exponents = np.array(exponents, dtype=np.int64)
         if exponents.ndim != 2:
             raise ValueError("exponents must be a 2-D array")
         exponents.flags.writeable = False
         num_monomials, num_vars = exponents.shape
-        index_of = {}
-        first_var = np.zeros(num_monomials, dtype=np.int64)
-        parent = np.full(num_monomials, -1, dtype=np.int64)
-        for j, row in enumerate(exponents):
-            key = tuple(int(e) for e in row)
-            if min(key) < 0 or sum(key) < 1:
-                raise ValueError(f"monomial {j} has invalid exponents {key}")
-            if key in index_of:
-                raise ValueError(f"duplicate monomial at row {j}: {key}")
-            index_of[key] = j
-            var = next(i for i, e in enumerate(key) if e > 0)
-            first_var[j] = var
-            if sum(key) > 1:
-                reduced = list(key)
-                reduced[var] -= 1
-                try:
-                    parent[j] = index_of[tuple(reduced)]
-                except KeyError:
-                    raise ValueError(
-                        f"monomial {key} appears before its divisor {tuple(reduced)}"
-                    ) from None
         degree = exponents.sum(axis=1)
+        invalid = np.flatnonzero((exponents < 0).any(axis=1) | (degree < 1))
+        if invalid.size:
+            j = int(invalid[0])
+            raise ValueError(f"monomial {j} has invalid exponents {tuple(exponents[j].tolist())}")
         falls = np.flatnonzero(np.diff(degree) < 0)
         if falls.size:
             j = int(falls[0]) + 1
@@ -108,33 +90,25 @@ class MonomialBasis:
                 f"monomial {j} of degree {degree[j]} follows one of degree "
                 f"{degree[j - 1]}: rows must be sorted by total degree"
             )
-        runs = []
-        for j, (var, par) in enumerate(zip(first_var.tolist(), parent.tolist())):
-            if runs:
-                lo, _, run_var, run_par = runs[-1]
-                length = j - lo
-                if (run_par < 0 and par < 0 and var == run_var + length) or (
-                    run_par >= 0 and var == run_var and par == run_par + length and par < lo
-                ):
-                    runs[-1] = (lo, j + 1, run_var, run_par)
-                    continue
-            runs.append((j, j + 1, var, par))
-        reads = [(lo, hi, var) for lo, hi, var, par in runs if par < 0]
-        row_of = {var + i: lo + i for lo, hi, var in reads for i in range(hi - lo)}
-        lift_rows = num_monomials
-        for var in sorted(set(first_var[parent >= 0].tolist()) - set(row_of)):
-            reads.append((lift_rows, lift_rows + 1, var))
-            row_of[var] = lift_rows
-            lift_rows += 1
-        products = tuple((lo, hi, row_of[var], par) for lo, hi, var, par in runs if par >= 0)
-        bounds = np.searchsorted(degree, np.arange(2, degree.max(initial=1) + 2)).tolist()
-        degrees = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            gather = np.array([[row_of[var] for var in first_var[lo:hi].tolist()],
-                               parent[lo:hi].tolist()], dtype=np.intp)
-            gather.flags.writeable = False
-            degrees.append((lo, hi, gather))
-        return cls(exponents, tuple(reads), products, tuple(degrees), lift_rows)
+        top = int(degree.max(initial=0))
+        # Counted first: feature_dim refuses a count past the cap at once.
+        if num_monomials == 0 or num_monomials != feature_dim(num_vars, 1, top):
+            raise ValueError(
+                f"{num_monomials} rows are not the {num_vars}-variable monomials of "
+                f"degree 1..{top}: every one of them must appear once"
+            )
+        canonical = _cached_basis(num_vars, top)
+        if np.array_equal(exponents, canonical.exponents):
+            return canonical
+        row_of = {row: j for j, row in enumerate(map(tuple, canonical.exponents.tolist()))}
+        order = []
+        for j, row in enumerate(map(tuple, exponents.tolist())):
+            if row not in row_of:
+                raise ValueError(f"duplicate monomial at row {j}: {row}")
+            order.append(row_of.pop(row))
+        order = np.array(order, dtype=np.intp)
+        order.flags.writeable = False
+        return cls(exponents, canonical._runs, canonical._degrees, order)
 
     @property
     def num_monomials(self) -> int:
@@ -144,29 +118,26 @@ class MonomialBasis:
     def num_vars(self) -> int:
         return self.exponents.shape[1]
 
-    def _lift_plan(self, points: np.ndarray, values: np.ndarray, pair=None):
-        """The views of a lift of ``points``, shape (..., num_vars, n), into
-        ``values``, shape (``_lift_rows``, n): a (source, target) pair per
-        read, whose source keeps the leading axes of ``points``, and a
-        (gather, factors) pair per product step, in lift order.
+    def _lift_plan(self, values: np.ndarray, pair=None):
+        """The product steps of a canonical lift in ``values``, shape
+        (num_monomials, n), whose degree-1 rows hold the points: a
+        (gather, factors) pair per step, in lift order.
 
-        Without ``pair`` a product step is one run, with no gather.  With a
-        flat workspace ``pair`` of at least ``2 * n`` entries per row of the
-        widest degree, it is one degree: ``values.take(*gather)`` writes the
-        degree's variables and parents into ``pair``, which ``factors``
-        multiplies into the degree's rows.
+        Without ``pair`` a step is one run, with no gather.  With a flat
+        workspace ``pair`` of at least ``2 * n`` entries per row of the
+        widest degree, it is one degree: ``values.take(*gather)`` writes
+        the degree's variables and parents into ``pair``, which
+        ``factors`` multiplies into the degree's rows.
         """
-        reads = [(points[..., var:var + hi - lo, :], values[lo:hi]) for lo, hi, var in self._reads]
         if pair is None:
-            products = [((), (values[var], values[parent:parent + hi - lo], values[lo:hi]))
-                        for lo, hi, var, parent in self._products]
-        else:
-            products = []
-            for lo, hi, gather in self._degrees:
-                operands = _leading(pair, gather.shape + values.shape[1:])
-                products.append(((gather, 0, operands, "clip"),
-                                 (operands[0], operands[1], values[lo:hi])))
-        return reads, products
+            return [((), (values[var], values[parent:parent + hi - lo], values[lo:hi]))
+                    for lo, hi, var, parent in self._runs]
+        products = []
+        for lo, hi, gather in self._degrees:
+            operands = _leading(pair, gather.shape + values.shape[1:])
+            products.append(((gather, 0, operands, "clip"),
+                             (operands[0], operands[1], values[lo:hi])))
+        return products
 
     @property
     def _widest_degree(self) -> int:
@@ -176,13 +147,11 @@ class MonomialBasis:
     def _evaluate_rows(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at each column of ``points``, shape
         (num_vars, n); returns shape (num_monomials, n)."""
-        values = np.empty((self._lift_rows, points.shape[1]))
-        reads, products = self._lift_plan(points, values)
-        for source, target in reads:
-            np.copyto(target, source)
-        for _, factors in products:
+        values = np.empty((self.num_monomials, points.shape[1]))
+        values[:self.num_vars] = points
+        for _, factors in self._lift_plan(values):
             np.multiply(*factors)
-        return values[:self.num_monomials]
+        return values if self._order is None else values[self._order]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every monomial at each row of ``points``.
@@ -204,20 +173,32 @@ class MonomialBasis:
         return self._evaluate_rows(points.T).T
 
 
-def _graded_exponents(num_vars: int, degree: int) -> np.ndarray:
-    rows = []
-    for total in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(num_vars), total):
-            row = [0] * num_vars
-            for var in combo:
-                row[var] += 1
-            rows.append(row)
-    return np.array(rows, dtype=np.int64)
-
-
 @lru_cache(maxsize=None)
 def _cached_basis(num_vars: int, degree: int) -> MonomialBasis:
-    return MonomialBasis.from_exponents(_graded_exponents(num_vars, degree))
+    """The canonical basis, exponents and runs from one loop (see
+    ``MonomialBasis``)."""
+    exponents = np.zeros((feature_dim(num_vars, 1, degree), num_vars), dtype=np.int64)
+    exponents[:num_vars] = np.eye(num_vars, dtype=np.int64)
+    firsts = range(num_vars)  # each variable's first row in the last degree
+    runs, degrees = [], []
+    end = num_vars  # of the last degree
+    for _ in range(2, degree + 1):
+        row, heads = end, []
+        for var, parent in enumerate(firsts):
+            count = end - parent
+            exponents[row:row + count] = exponents[parent:end]
+            exponents[row:row + count, var] += 1
+            runs.append((row, row + count, var, parent))
+            heads.append(row)
+            row += count
+        gather = np.concatenate([(np.full(end - parent, var, dtype=np.intp),
+                                  np.arange(parent, end, dtype=np.intp))
+                                 for var, parent in enumerate(firsts)], axis=1)
+        gather.flags.writeable = False
+        degrees.append((end, row, gather))
+        firsts, end = heads, row
+    exponents.flags.writeable = False
+    return MonomialBasis(exponents, tuple(runs), tuple(degrees), None)
 
 
 def monomial_basis(config: FeatureConfig) -> MonomialBasis:

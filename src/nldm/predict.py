@@ -13,11 +13,12 @@ the previous ``delays`` samples carried in behind them, so a step's
 window is one contiguous slice and the step writes its state in place.
 Each block builds its lift plan once (``MonomialBasis._lift_plan``),
 with the windows of all the block's steps as one strided view, and a
-step slices nothing.  A step copies its window into the degree-1 rows
-(one copy per run of them), forms the higher monomials, multiplies them
-by the weights into (features, states, rows) terms, and sums those over
-the feature axis in feature order (``core._ordered_sum``).  It takes one
-of two forms, by the block's row count:
+step slices nothing.  A step copies its window into the degree-1 rows,
+forms the higher monomials, multiplies them by the weights into
+(features, states, rows) terms, and sums those over the feature axis in
+the canonical order (``core._ordered_sum``); a reordered basis steps as
+the canonical one, the operator's columns reordered once per run.  It
+takes one of two forms, by the block's row count:
 
 - a narrow block, of at most ``_NARROW_ROWS`` rows, forms each degree
   >= 2 with one ``take`` of its variable and parent rows and one
@@ -82,6 +83,8 @@ def _iterate(seeds, steps, basis, matrix, block):
     n, delays, num_states = seeds.shape
     span = delays * num_states
     seed_columns = seeds.transpose(1, 2, 0)  # (delays, S, rows)
+    if basis._order is not None:  # stepped as the canonical basis
+        matrix = matrix[:, np.argsort(basis._order)]
     weights = np.ascontiguousarray(matrix.T)[:, :, None]
     num_features = weights.shape[0]
     total = delays + steps
@@ -89,7 +92,7 @@ def _iterate(seeds, steps, basis, matrix, block):
     # history holds a block's samples newest first and the ``delays``
     # samples before them behind, shape (length + delays, S, rows), so
     # the lags of a step, newest first, are one contiguous slice.
-    lift_space = np.empty(basis._lift_rows * n)
+    lift_space = np.empty(num_features * n)
     terms_space = np.empty(num_features * num_states * n)
     history_space = np.empty((min(block, total) + delays) * num_states * n)
     # A narrow block's degree operands and its weights, one column per row.
@@ -100,7 +103,7 @@ def _iterate(seeds, steps, basis, matrix, block):
     for first in range(0, total, block):
         length = min(first + block, total) - first
         history = _leading(history_space, (length + delays, num_states, rows))
-        lift = _leading(lift_space, (basis._lift_rows, rows))
+        lift = _leading(lift_space, (num_features, rows))
         terms = _leading(terms_space, (num_features, num_states, rows))
         if carried is not None:
             history[length:] = carried
@@ -108,26 +111,26 @@ def _iterate(seeds, steps, basis, matrix, block):
         seeded = max(min(first + length, delays) - first, 0)
         history[length - seeded:length] = seed_columns[first:first + seeded][::-1]
         stepped = length - seeded  # produced samples, at positions 0 .. stepped - 1
-        # The block's lift plan: windows[i], shape (span, rows), is the
-        # window of the step that writes position i.
+        # windows[i], shape (span, rows), is the window of the step that
+        # writes position i, and fills the lift's degree-1 rows.
         windows = as_strided(history[1:], (length, span, rows), history.strides, writeable=False)
+        linear = lift[:span]
         buffer = np.getbufsize()
         if rows <= _NARROW_ROWS:
-            reads, products = basis._lift_plan(windows, lift, pair_space)
+            products = basis._lift_plan(lift, pair_space)
             factors = _leading(weights_space, terms.shape)
             np.copyto(factors, weights)
         else:
-            reads, products = basis._lift_plan(windows, lift)
+            products = basis._lift_plan(lift)
             factors = weights
             # No longer than a row, in the multiples of 16 numpy takes.
             buffer = min(buffer, max(rows // 16 * 16, 16))
-        features = lift[:num_features, None, :]
+        features = lift[:, None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             default = np.setbufsize(buffer)
             try:
                 for i in range(stepped - 1, -1, -1):
-                    for source, target in reads:
-                        np.copyto(target, source[i])
+                    np.copyto(linear, windows[i])
                     for gather, operands in products:
                         if gather:
                             lift.take(*gather)

@@ -40,9 +40,9 @@ def make_series():
 def graded_permutation(exponents, rng):
     """Permutation that shuffles monomials within each total-degree block.
 
-    Evaluation builds each monomial from a lower-degree divisor, so any
-    reordering must keep divisors in front; shuffling inside degree
-    blocks exercises every ordering freedom the format actually has.
+    ``MonomialBasis.from_exponents`` takes the graded monomials in any
+    order within degrees and no other, so shuffling inside degree blocks
+    exercises every ordering freedom the format actually has.
     """
     degrees = exponents.sum(axis=1)
     perm = np.arange(len(exponents))

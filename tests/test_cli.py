@@ -490,22 +490,28 @@ def _command(argv, closed=None):
     return proc.returncode, stdout, stderr
 
 
+def _flat_config():
+    """A config whose one training series never leaves the origin, so its
+    fit fails: a pipeline error."""
+    flat = base_config()
+    flat["model"] = {"delays": 1, "degree": 1}
+    flat["train"] = [{"ic": [0.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60}]
+    del flat["test"], flat["basin"]
+    return flat
+
+
 def test_module_entry_exits_with_the_code_and_messages_of_main(tmp_path, capsys):
     # The command leaves through os._exit once main returns: its exit code
     # and its stderr lines are main's, and no process it forked is left.
     config_path = write_config(tmp_path)
     bad = write_config(tmp_path, {**base_config(), "extra": 1}, name="bad.json")
-    flat = base_config()
-    flat["model"] = {"delays": 1, "degree": 1}
-    flat["train"] = [{"ic": [0.0, 0.0], "t_span": [0.0, 0.59], "num_samples": 60}]
-    del flat["test"], flat["basin"]
     few = base_config()
     few["model"] = {"delays": 2, "degree": 2}
     for entry in few["train"]:
         entry.update(t_span=[0.0, 0.05], num_samples=6)
     cases = [("run", config_path, EXIT_OK),
              ("run", bad, EXIT_CONFIG),
-             ("run", write_config(tmp_path, flat, name="flat.json"), EXIT_PIPELINE),
+             ("run", write_config(tmp_path, _flat_config(), name="flat.json"), EXIT_PIPELINE),
              ("train", write_config(tmp_path, few, name="few.json"), EXIT_OK)]
     for command, path, code in cases:
         argv = [command, "--config", str(path), "--out", str(tmp_path / "main")]
@@ -538,6 +544,20 @@ def test_module_entry_with_a_closed_stream_keeps_its_exit_code(tmp_path):
                                     timeout=120)
             assert (result.returncode, result.stdout) == (code, printed)
             assert "Traceback" not in result.stderr
+
+
+def test_module_entry_with_a_readerless_stderr_pipe_keeps_its_exit_code(tmp_path):
+    # The error line goes into a pipe whose reader has closed it, which
+    # fails (EPIPE): the line is lost, and the exit code is the command's.
+    bad = write_config(tmp_path, {**base_config(), "extra": 1}, name="bad.json")
+    flat = write_config(tmp_path, _flat_config(), name="flat.json")
+    for path, code in ((bad, EXIT_CONFIG), (flat, EXIT_PIPELINE)):
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        proc = subprocess.Popen([sys.executable, "-m", "nldm.cli", *argv],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                env=_package_env())
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == code
 
 
 def test_prediction_matches_test_series_shape(tmp_path):

@@ -1,5 +1,8 @@
 """Monomial enumeration, lifting, delay stacking, snapshot assembly."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from nldm import (
     build_snapshot_pair,
     monomial_basis,
 )
-from nldm.features import MonomialBasis, _graded_exponents
+from nldm.features import MonomialBasis, _cached_basis
 
 
 finite_points = st.lists(
@@ -26,21 +29,35 @@ finite_points = st.lists(
 def test_exponents_match_enumeration_oracle():
     for num_vars in range(1, 7):
         for degree in range(1, 5):
-            rows = _graded_exponents(num_vars, degree)
+            rows = _cached_basis(num_vars, degree).exponents
             found = {tuple(int(e) for e in row) for row in rows}
             assert found == oracles.enumerate_monomial_exponents(num_vars, degree)
             assert len(found) == len(rows)  # no duplicates
 
 
+def test_canonical_order_is_combinations_with_replacement():
+    # model.txt's columns follow this order.
+    for num_vars in range(1, 7):
+        for degree in range(1, 5):
+            expected = []
+            for total in range(1, degree + 1):
+                for combo in itertools.combinations_with_replacement(range(num_vars), total):
+                    row = [0] * num_vars
+                    for var in combo:
+                        row[var] += 1
+                    expected.append(row)
+            assert _cached_basis(num_vars, degree).exponents.tolist() == expected
+
+
 def test_exponents_are_graded():
-    rows = _graded_exponents(4, 3)
+    rows = _cached_basis(4, 3).exponents
     degrees = rows.sum(axis=1)
     assert (np.diff(degrees) >= 0).all()
     assert degrees[0] == 1 and degrees[-1] == 3
 
 
 def test_linear_block_comes_first_in_variable_order():
-    rows = _graded_exponents(3, 2)
+    rows = _cached_basis(3, 2).exponents
     np.testing.assert_array_equal(rows[:3], np.eye(3, dtype=rows.dtype))
 
 
@@ -104,22 +121,48 @@ def test_batch_evaluation_matches_single_points(points):
 
 # --- MonomialBasis construction -------------------------------------------
 
-def test_from_exponents_accepts_reordered_degree_blocks():
+@pytest.mark.parametrize("shape", [(2, 1, 3), (3, 2, 2), (1, 4, 3)])
+def test_from_exponents_accepts_reordered_degree_blocks(shape):
+    # A reordered basis evaluates as the canonical one, its columns taken
+    # in the basis's order: exactly, not to a tolerance.
     from conftest import graded_permutation
 
-    reference = monomial_basis(FeatureConfig(2, 1, 3))
-    perm = graded_permutation(reference.exponents, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    reference = monomial_basis(FeatureConfig(*shape))
+    perm = graded_permutation(reference.exponents, rng)
     shuffled = MonomialBasis.from_exponents(reference.exponents[perm])
-    point = np.array([[1.5, -0.5]])
-    np.testing.assert_allclose(
-        shuffled.evaluate_batch(point), reference.evaluate_batch(point)[:, perm], rtol=1e-12
-    )
+    np.testing.assert_array_equal(shuffled.exponents, reference.exponents[perm])
+    points = rng.normal(size=(5, reference.num_vars))
+    for block in (points, points[:1]):
+        expected = reference.evaluate_batch(block)[:, perm]
+        assert shuffled.evaluate_batch(block).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_from_exponents_returns_the_canonical_basis_for_the_canonical_order():
+    basis = monomial_basis(FeatureConfig(2, 2, 3))
+    assert MonomialBasis.from_exponents(basis.exponents.tolist()) is basis
 
 
 def test_from_exponents_rejects_parent_after_child():
     # The square of a variable cannot be listed before the variable itself.
-    with pytest.raises(ValueError, match="divisor"):
+    with pytest.raises(ValueError, match="sorted by total degree"):
         MonomialBasis.from_exponents(np.array([[0, 2], [0, 1]]))
+
+
+def test_from_exponents_rejects_a_proper_subset_of_the_graded_set():
+    exponents = monomial_basis(FeatureConfig(2, 1, 3)).exponents
+    # Without the pure powers of the first variable, every divisor is
+    # still there; without the last cube, every row of degree 3 is not.
+    for subset in (exponents[exponents[:, 0] != exponents.sum(axis=1)], exponents[:-1]):
+        with pytest.raises(ValueError, match="must appear once"):
+            MonomialBasis.from_exponents(subset)
+
+
+def test_from_exponents_refuses_a_huge_graded_set_without_building_it():
+    started = time.perf_counter()
+    with pytest.raises(ValueError):
+        MonomialBasis.from_exponents(np.eye(20, dtype=np.int64)[:1] * 30)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_from_exponents_rejects_rows_not_sorted_by_degree():
@@ -132,7 +175,7 @@ def test_from_exponents_rejects_rows_not_sorted_by_degree():
 def test_from_exponents_rejects_duplicates_and_orphans():
     with pytest.raises(ValueError):
         MonomialBasis.from_exponents(np.array([[1, 0], [1, 0]]))
-    # A degree-3 row with no earlier divisor row cannot be built incrementally.
+    # A degree-3 row alone leaves out every row below it.
     with pytest.raises(ValueError):
         MonomialBasis.from_exponents(np.array([[3, 0]]))
 

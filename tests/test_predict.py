@@ -144,7 +144,8 @@ def test_iterate_batch_matches_the_loop_reference_bitwise(shape, permuted):
 
     rng = np.random.default_rng(6)
     config = FeatureConfig(*shape)
-    basis = monomial_basis(config)
+    canonical = basis = monomial_basis(config)
+    perm = np.arange(config.num_features)
     if permuted:
         perm = graded_permutation(basis.exponents, rng)
         basis = MonomialBasis.from_exponents(basis.exponents[perm])
@@ -153,7 +154,9 @@ def test_iterate_batch_matches_the_loop_reference_bitwise(shape, permuted):
     seeds = rng.normal(size=(9, config.delays, config.num_states))
     seeds[::3] *= 20.0
     states, diverged = iterate_batch(seeds, 50, basis, matrix)
-    expected, expected_div = oracles.loop_iterate(seeds, 50, basis.exponents, matrix)
+    # A reordered basis sums its terms in the canonical order.
+    expected, expected_div = oracles.loop_iterate(
+        seeds, 50, canonical.exponents, matrix[:, np.argsort(perm)])
     assert states.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(diverged, expected_div)
     np.testing.assert_array_equal(diverged[::3] >= 0, True)
@@ -255,29 +258,23 @@ def test_blocks_of_any_size_match_the_loop_reference_bitwise(delays):
         assert all(len(np.concatenate(pieces[row])) == length for row in rows)
 
 
-@pytest.mark.parametrize("unread_linear", [False, True])
 @pytest.mark.parametrize("delays", [1, 2, 5])
-def test_permuted_basis_with_rows_dropped_between_blocks_matches_the_loop_reference(
-        delays, unread_linear):
+def test_permuted_basis_with_rows_dropped_between_blocks_matches_the_loop_reference(delays):
     # The kernel builds its lift plan per block, so a mask that drops rows
-    # must leave the next plan reading the kept rows.  Without the pure
-    # powers of the first variable, the lift reads that variable into a
-    # row past the monomials.
+    # must leave the next plan reading the kept rows.  A reordered basis
+    # sums its terms in the canonical order.
     from conftest import graded_permutation
 
     rng = np.random.default_rng(12)
     config = FeatureConfig(2, delays, 3)
     exponents = monomial_basis(config).exponents
-    exponents = exponents[graded_permutation(exponents, rng)]
-    if unread_linear:
-        exponents = exponents[exponents[:, 0] != exponents.sum(axis=1)]
-    basis = MonomialBasis.from_exponents(exponents)
-    assert basis._lift_rows == basis.num_monomials + unread_linear
+    perm = graded_permutation(exponents, rng)
+    basis = MonomialBasis.from_exponents(exponents[perm])
     matrix = 1.0 / basis.num_monomials * rng.normal(size=(2, basis.num_monomials))
     seeds = rng.normal(size=(9, delays, 2))
     seeds[::4] *= 20.0  # rows 0, 4 and 8 cross the divergence threshold
     steps = 45
-    expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
+    expected, _ = oracles.loop_iterate(seeds, steps, exponents, matrix[:, np.argsort(perm)])
     length = delays + steps
     # Rows leave after the blocks that hold samples 3, 10 and 33.
     drops = {3: [1, 4], 10: [0, 7], 33: [5]}
@@ -308,42 +305,38 @@ def study_shapes():
     return sorted(shapes)
 
 
-@pytest.mark.parametrize("order", ["canonical", "permuted", "unread_linear"])
+@pytest.mark.parametrize("order", ["canonical", "permuted"])
 @pytest.mark.parametrize("shape", study_shapes(), ids=lambda shape: "S{}d{}o{}".format(*shape))
 def test_rows_crossing_from_wide_to_narrow_blocks_match_the_loop_reference(
         shape, order, monkeypatch):
     # With blocks of at most 5 rows narrow, 40 rows step wide, as do the
     # 20 left after the first drop between blocks, with ufunc buffers of
     # 32 and 16 entries, no longer than a row.  The 5 left after the
-    # second drop step narrow, where one more row leaves.  Without the
-    # pure powers of the first variable, the lift reads that variable
-    # into a row past the monomials.
+    # second drop step narrow, where one more row leaves.  A reordered
+    # basis sums its terms in the canonical order.
     from conftest import graded_permutation
 
     monkeypatch.setattr(kernel_module, "_NARROW_ROWS", 5)
     forms = []
     plan = MonomialBasis._lift_plan
 
-    def recorded_plan(self, points, values, pair=None):
+    def recorded_plan(self, values, pair=None):
         forms.append("wide" if pair is None else "narrow")
-        return plan(self, points, values, pair)
+        return plan(self, values, pair)
 
     monkeypatch.setattr(MonomialBasis, "_lift_plan", recorded_plan)
     rng = np.random.default_rng(13)
     config = FeatureConfig(*shape)
     exponents = monomial_basis(config).exponents
-    if order != "canonical":
-        exponents = exponents[graded_permutation(exponents, rng)]
-    if order == "unread_linear":
-        exponents = exponents[exponents[:, 0] != exponents.sum(axis=1)]
-    basis = MonomialBasis.from_exponents(exponents)
-    unread = order == "unread_linear" and config.degree > 1
-    assert basis._lift_rows == basis.num_monomials + unread
+    perm = np.arange(len(exponents))
+    if order == "permuted":
+        perm = graded_permutation(exponents, rng)
+    basis = MonomialBasis.from_exponents(exponents[perm])
     matrix = 1.0 / basis.num_monomials * rng.normal(size=(config.num_states, basis.num_monomials))
     seeds = rng.normal(size=(40, config.delays, config.num_states))
     seeds[::3] *= 20.0  # every third row goes far out, most of them past the threshold
     steps, size = 30, 4
-    expected, _ = oracles.loop_iterate(seeds, steps, basis.exponents, matrix)
+    expected, _ = oracles.loop_iterate(seeds, steps, exponents, matrix[:, np.argsort(perm)])
     length = config.delays + steps
     # Rows leave after the blocks that hold samples 9, 17 and 25.
     drops = {9: range(1, 40, 2), 17: [row for row in range(0, 40, 2) if row % 8], 25: [8]}
@@ -377,19 +370,35 @@ def test_all_zero_window_with_negative_coefficients_steps_to_positive_zero():
     assert stepped.tobytes() == expected[:, -1].tobytes()
 
 
-def test_feature_order_invariance():
+def test_feature_order_invariance(monkeypatch):
+    # A reordered basis with the operator's columns reordered forecasts
+    # bitwise like the canonical basis: 12 rows step wide, and the 4 left
+    # after the block that holds sample 5 step narrow.
     from conftest import graded_permutation
 
+    monkeypatch.setattr(kernel_module, "_NARROW_ROWS", 5)
     rng = np.random.default_rng(5)
-    config = FeatureConfig(num_states=2, delays=2, degree=2)
+    config = FeatureConfig(num_states=2, delays=2, degree=3)
     matrix = 0.1 * rng.normal(size=(2, config.num_features))
     basis = monomial_basis(config)
     perm = graded_permutation(basis.exponents, rng)
     shuffled = MonomialBasis.from_exponents(basis.exponents[perm])
-    seeds = rng.normal(size=(3, 2, 2))
+    seeds = rng.normal(size=(12, 2, 2))
+    seeds[::3] *= 20.0  # rows 0, 3, 6 and 9 go far out
     base_states, _ = iterate_batch(seeds, 30, basis, matrix)
     perm_states, _ = iterate_batch(seeds, 30, shuffled, matrix[:, perm])
-    np.testing.assert_allclose(base_states, perm_states, atol=1e-10)
+    assert base_states.tobytes() == perm_states.tobytes()
+    runs = []
+    for kernel in (_iterate(seeds, 30, basis, matrix, 4),
+                   _iterate(seeds, 30, shuffled, matrix[:, perm], 4)):
+        blocks, keep = [], None
+        for lo in range(0, 32, 4):
+            blocks.append(kernel.send(keep))
+            keep = np.isin(np.arange(12), [0, 1, 5, 10]) if lo == 4 else None
+        runs.append(blocks)
+    assert [len(block) for block in runs[0]] == [12, 12] + [4] * 6
+    for base, reordered in zip(*runs):
+        assert base.tobytes() == reordered.tobytes()
 
 
 # --- divergence handling ----------------------------------------------------
