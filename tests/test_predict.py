@@ -258,17 +258,23 @@ def test_blocks_of_any_size_match_the_loop_reference_bitwise(delays):
         assert all(len(np.concatenate(pieces[row])) == length for row in rows)
 
 
+@pytest.mark.parametrize("reversed_blocks", [False, True])
 @pytest.mark.parametrize("delays", [1, 2, 5])
-def test_permuted_basis_with_rows_dropped_between_blocks_matches_the_loop_reference(delays):
+def test_permuted_basis_with_rows_dropped_between_blocks_matches_the_loop_reference(
+        delays, reversed_blocks):
     # The kernel builds its lift plan per block, so a mask that drops rows
     # must leave the next plan reading the kept rows.  A reordered basis
-    # sums its terms in the canonical order.
+    # sums its terms in the canonical order, whether its degree blocks are
+    # shuffled or each taken back to front.
     from conftest import graded_permutation
 
     rng = np.random.default_rng(12)
     config = FeatureConfig(2, delays, 3)
     exponents = monomial_basis(config).exponents
     perm = graded_permutation(exponents, rng)
+    if reversed_blocks:
+        degrees = exponents.sum(axis=1)
+        perm = np.concatenate([np.flatnonzero(degrees == g)[::-1] for g in range(1, 4)])
     basis = MonomialBasis.from_exponents(exponents[perm])
     matrix = 1.0 / basis.num_monomials * rng.normal(size=(2, basis.num_monomials))
     seeds = rng.normal(size=(9, delays, 2))
@@ -305,7 +311,7 @@ def study_shapes():
     return sorted(shapes)
 
 
-@pytest.mark.parametrize("order", ["canonical", "permuted"])
+@pytest.mark.parametrize("order", ["canonical", "permuted", "reversed"])
 @pytest.mark.parametrize("shape", study_shapes(), ids=lambda shape: "S{}d{}o{}".format(*shape))
 def test_rows_crossing_from_wide_to_narrow_blocks_match_the_loop_reference(
         shape, order, monkeypatch):
@@ -313,7 +319,8 @@ def test_rows_crossing_from_wide_to_narrow_blocks_match_the_loop_reference(
     # 20 left after the first drop between blocks, with ufunc buffers of
     # 32 and 16 entries, no longer than a row.  The 5 left after the
     # second drop step narrow, where one more row leaves.  A reordered
-    # basis sums its terms in the canonical order.
+    # basis, shuffled or with each degree block back to front, sums its
+    # terms in the canonical order.
     from conftest import graded_permutation
 
     monkeypatch.setattr(kernel_module, "_NARROW_ROWS", 5)
@@ -331,6 +338,10 @@ def test_rows_crossing_from_wide_to_narrow_blocks_match_the_loop_reference(
     perm = np.arange(len(exponents))
     if order == "permuted":
         perm = graded_permutation(exponents, rng)
+    elif order == "reversed":
+        degrees = exponents.sum(axis=1)
+        perm = np.concatenate(
+            [np.flatnonzero(degrees == g)[::-1] for g in range(1, config.degree + 1)])
     basis = MonomialBasis.from_exponents(exponents[perm])
     matrix = 1.0 / basis.num_monomials * rng.normal(size=(config.num_states, basis.num_monomials))
     seeds = rng.normal(size=(40, config.delays, config.num_states))
