@@ -345,6 +345,12 @@ def ground_truth_grid(
     ``system.rhs`` must evaluate a (num_states, cells) array column by
     column, as every catalog right-hand side does.
     """
+    scan = _truth_scan(system, window, resolution, steps, dt, tol, fixed_coords)
+    return scan.grid(scan.codes())
+
+
+def _truth_scan(system, window, resolution, steps, dt, tol=0.05, fixed_coords=None) -> _Scan:
+    """``ground_truth_grid``'s scan, whose cells can be labelled a run at a time."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     horizon = steps * dt
@@ -355,9 +361,8 @@ def ground_truth_grid(
             system.rhs, points, (0.0, horizon), num_samples, GRID_SETTINGS, _BLOCK
         )
 
-    scan = _scan("integrator", system, window, resolution, steps, dt, tol, fixed_coords,
+    return _scan("integrator", system, window, resolution, steps, dt, tol, fixed_coords,
                  blocks, horizon=float(horizon), num_samples=num_samples)
-    return scan.grid(scan.codes())
 
 
 def _operator_blocks(operator, points, steps):

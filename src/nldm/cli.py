@@ -2,12 +2,11 @@
 
 Each command is a row of ``_STAGES``, the stages it runs out of one
 pipeline (series files, fit, test forecasts, basin grids), and
-``_Pipeline.execute`` runs any row the same way.  A command that scans
-a basin and has other work forks the truth grid at once, and once it has
-an operator, a forked worker claims the rest of the work with it from
-one queue.  The modules every command runs are imported here, those of
-one stage only where that stage runs, so a command loads no module it
-does not run.  The console entry (``entry``) leaves through ``os._exit``
+``_Pipeline.execute`` runs any row the same way: two queues of items,
+one before the solve and one after it, each of which a forked worker may
+claim with the command, one worker at a time.  The modules every command
+runs are imported here, those of one stage only where that stage runs,
+so a command loads no module it does not run.  The console entry (``entry``) leaves through ``os._exit``
 once ``main`` has returned, skipping the interpreter's teardown.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basin import _operator_scan, classify_series, ground_truth_grid, grid_agreement
+from .basin import _operator_scan, _truth_scan, classify_series, grid_agreement
 from .config import (
     BasinSpec,
     ConfigError,
@@ -57,10 +56,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
 
-# An operator grid is cut into chunks of at least this many contiguous
-# cells, each one item of the claim queue (``_Pipeline._claim_all``): from
-# about this many rows on, the forecasting kernel's cost per row levels
-# off (CHANGES.md has the per-step table).
+# A grid is cut into chunks of at least this many contiguous cells, each
+# one item of the claim queue (``_Pipeline._claim_all``): from about this
+# many rows on, the forecasting kernel's cost per row levels off
+# (CHANGES.md has the per-step table).
 _CHUNK_CELLS = 2500
 # A claim token is an index in this many bytes.  A queue holds at most
 # ``_MAX_CLAIMS`` tokens, so that they all go into the pipe in one write
@@ -150,22 +149,6 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
-class _Ran:
-    """``work()`` run here, in the shape of a ``_Child``."""
-
-    def __init__(self, work):
-        self.value = work()
-
-    def join(self):
-        return self.value
-
-    def kill(self):
-        pass
-
-    def reap(self):
-        return 0
-
-
 class _Child:
     """A forked child that runs ``work()`` (``_start_child``)."""
 
@@ -224,8 +207,8 @@ def _flush_std_streams():
 
 def _start_child(work):
     """Run ``work()`` in a forked child while the caller goes on, and
-    return the ``_Child``.  Where the system refuses the fork or has none,
-    ``work`` runs here before this returns (``_Ran``)."""
+    return the ``_Child``; None where the system refuses the fork or has
+    none."""
     _flush_std_streams()
     read_end, write_end = os.pipe()
     try:
@@ -233,7 +216,7 @@ def _start_child(work):
     except (OSError, AttributeError):  # refused, or a platform without fork
         os.close(read_end)
         os.close(write_end)
-        return _Ran(work)
+        return None
     if pid == 0:
         # The child never returns into the caller: whatever happens, it
         # leaves through os._exit, which runs no exit handlers and
@@ -322,7 +305,7 @@ class _Pipeline:
         # which a forked child shares.
         self.runs: dict[str, list[tuple[float, float]]] = {}
         self.artifacts: list[str] = []
-        self.children = []  # the forked children, each reaped before ``execute`` returns
+        self.children = []  # the forked workers, each reaped before ``execute`` returns
         self.train_data = None
         self.test_data = None
 
@@ -421,21 +404,22 @@ class _Pipeline:
         return dict(window=spec.window, resolution=spec.resolution, steps=spec.steps,
                     tol=spec.tol, fixed_coords=dict(spec.fixed) or None)
 
-    def _truth_grid(self):
-        """Scan and write the truth grid, which steps the series' dt."""
-        dt = self.config.train[0].dt
-        truth = self._timed("basin_truth",
-                            lambda: ground_truth_grid(self.system, dt=dt, **self._scan()))
-        save_basin_csv(self.out / "basin_truth.csv", truth)
-        return truth
+    def _chunks(self, stage, scan):
+        """Items that label ``scan``'s cells in cell order, each a chunk of
+        at least ``_CHUNK_CELLS`` contiguous cells timed under ``stage``."""
+        cells = len(scan.points)
+        return [partial(self._timed, stage, partial(scan.codes, chunk.start, chunk.stop))
+                for chunk in _split(cells, max(cells // _CHUNK_CELLS, 1))]
 
-    def _list_grids(self, truth, predicted):
-        """List the written grids and, given both, write their agreement."""
-        self.artifacts.append("basin_truth.csv")
-        if predicted is None:
+    def _write_grids(self, grids):
+        """Write each of ``grids`` (stage -> grid) to the stage's file and,
+        given both, their agreement; list the files."""
+        for stage, grid in grids.items():
+            save_basin_csv(self.out / f"{stage}.csv", grid)
+            self.artifacts.append(f"{stage}.csv")
+        if len(grids) < 2:
             return
-        self.artifacts.append("basin_operator.csv")
-        agreement = grid_agreement(truth, predicted)
+        agreement = grid_agreement(grids["basin_truth"], grids["basin_operator"])
         write_json(
             self.out / "agreement.json",
             {
@@ -447,19 +431,21 @@ class _Pipeline:
         self.artifacts.append("agreement.json")
 
     def _claim_all(self, items, fork: bool):
-        """Run every item of ``items``; returns ``{index: its result}``.
+        """Run every item of ``items``; returns their results in the items'
+        order.
 
         Each process claims a token from one pipe (``_claims``), runs the
         items it names and claims again until none is left.  Given
         ``fork`` and two or more items, a forked worker (``_start_child``,
         listed in ``children``) claims alongside this process and sends
-        home its results and its stages' runs; otherwise this process runs them
-        all.  A process whose item fails claims the rest unrun, so the
-        other stops after its current item, and raises its error; this
-        process's error comes first, and ``execute`` reaps the worker.
+        home its results and its stages' runs; otherwise, or where the
+        fork is refused, this process runs them all.  A process whose item
+        fails claims the rest unrun, so the other stops after its current
+        item, and raises its error; this process's error comes first, and
+        ``execute`` reaps the worker.
         """
         if not items:
-            return {}
+            return []
         runs = _split(len(items), min(len(items), _MAX_CLAIMS))
         read_end = _claims(len(runs))
 
@@ -476,59 +462,73 @@ class _Pipeline:
             return done
 
         try:
-            if fork and len(items) > 1:
-                worker = _start_child(lambda: (work(), self.runs))
+            worker = _start_child(lambda: (work(), self.runs)) if fork and len(items) > 1 else None
+            if worker is not None:
                 self.children.append(worker)
-            else:
-                worker = _Ran(lambda: ({}, {}))
             done = work()
         finally:
             os.close(read_end)
-        theirs, runs = worker.join()
-        self._merge(runs)
-        return {**done, **theirs}
+        if worker is not None:
+            theirs, their_runs = worker.join()
+            self._merge(their_runs)
+            done.update(theirs)
+        return [done[index] for index in range(len(items))]
 
     def execute(self, stages):
-        """Run ``stages``, one value of ``_STAGES``.
+        """Run ``stages``, one value of ``_STAGES``, as two queues of items
+        (``_claim_all``) split by the solve.
 
-        A command that scans a basin and has other work too (``run``,
-        ``basin --model``) first forks a child (``_start_child``) that
-        scans and writes the truth grid, which reads nothing but the
-        config.  Every stage but the grids reads the simulated series,
-        and a command that fits solves next (``identify._solve``).  The
-        rest of the work is a queue of items, in this order: the operator
-        grid in chunks of at least ``_CHUNK_CELLS`` contiguous cells; one
-        forecast batch over the training seeds and then the test seeds
-        (``_forecast_batch``), whose rows score and write the fit and are
-        the test forecasts, with their files; and each series file.  Once
-        the command has an operator and the queue two or more items, a
-        forked worker claims them with this process (``_claim_all``), so
-        at most two children are alive at once.  This process then lays
-        out and writes the operator grid from its chunks' codes, waits
-        for the truth grid and writes the agreement; the manifest lists
-        the files in the stages' order, whichever process wrote them.
-        Every child is reaped before this returns, on every path; on an
-        error, those still running are killed first, and the first error
-        raised is the one reported.  A stage's time is the time its runs
-        cover in either process, waits in the queue left out: ``train``
-        runs the solve and then the batch and the training scores; a
-        command that fits nothing times the batch under its forecast
-        stage.  Stage times overlap, so the manifest's ``total`` holds the
-        pipeline's own wall time.
+        The first queue needs only the config and ``--model``'s operator:
+        the simulate, whose series every stage but the grids reads, then
+        the truth grid and, given an operator, the operator grid, each in
+        chunks of at least ``_CHUNK_CELLS`` contiguous cells.  A command
+        that fits then solves alone (``identify._solve``).  The second
+        queue holds, in this order: the operator grid of a command that
+        fits, in chunks; one forecast batch over the training seeds and
+        then the test seeds (``_forecast_batch``), whose rows score and
+        write the fit and are the test forecasts, with their files; and
+        each series file.  A command that scans both grids forks a worker
+        for the first queue, and one with an operator forks one for the
+        second, each only to share two or more items; the first worker
+        has sent its results before the second is forked, so at most one
+        child is at work at any moment.  This process then lays out and
+        writes the grids from their chunks' codes, and the agreement; the
+        manifest lists the files in the stages' order, whichever process
+        wrote them.  Every child is reaped before this returns, on every
+        path; on an error, those still running are killed first, and the
+        first error raised is the one reported.  A stage's time is the
+        time its runs cover in either process, waits in the queue left
+        out: ``train`` runs the solve and then the batch and the training
+        scores; a command that fits nothing times the batch under its
+        forecast stage.  Stage times overlap, so the manifest's ``total``
+        holds the pipeline's own wall time.
         """
         fits = "fit" in stages
         forecast = next((stage for stage in ("predict", "evaluate") if stage in stages), None)
         grids = "grids" in stages and self.config.basin is not None
-        scans_operator = grids and (fits or self.operator is not None)
-        predicted = None
+        items, at = [], {}  # both queues' items, and each group's places among them
+        scans = {}  # a grid's stage -> its scan, in the order of the grids' files
+
+        def add(group, new):
+            at[group] = range(len(items), len(items) + len(new))
+            items.extend(new)
+
+        def add_grid(stage, scan):
+            scans[stage] = scan
+            add(stage, self._chunks(stage, scan))
+
         try:
-            if grids:
-                alone = stages == ("grids",) and not scans_operator
-                truth = (_Ran if alone else _start_child)(lambda: (self._truth_grid(), self.runs))
-                self.children.append(truth)
             if stages != ("grids",):
-                self.train_data, self.test_data = self._timed(
-                    "simulate", lambda: _simulate(self.config, self.system, self.global_seed))
+                add("simulate", [partial(self._timed, "simulate", partial(
+                    _simulate, self.config, self.system, self.global_seed))])
+            if grids:
+                add_grid("basin_truth", _truth_scan(self.system, dt=self.config.train[0].dt,
+                                                    **self._scan()))
+            if grids and self.operator is not None:
+                add_grid("basin_operator", _operator_scan(self.operator, self.system, **self._scan()))
+            done = self._claim_all(items, fork=grids and (fits or self.operator is not None))
+            if "simulate" in at:
+                self.train_data, self.test_data = done[at["simulate"][0]]
             fit = None
             if fits:
                 from .identify import _solve
@@ -538,32 +538,25 @@ class _Pipeline:
                 fit = self._timed("train", lambda: _solve([data.working for data in train], shape,
                                                           [data.clean for data in train]))
                 self.operator = fit.operator
-            items = []
-            if scans_operator:
-                scan = _operator_scan(self.operator, self.system, **self._scan())
-                cells = len(scan.points)
-                chunks = _split(cells, max(cells // _CHUNK_CELLS, 1))
-                items += [partial(self._timed, "basin_operator",
-                                  partial(scan.codes, chunk.start, chunk.stop))
-                          for chunk in chunks]
-            forecast_item = None
+                if grids:
+                    add_grid("basin_operator",
+                             _operator_scan(self.operator, self.system, **self._scan()))
             if fits or forecast is not None:
-                forecast_item = len(items)
-                items.append(partial(self._forecast, fit, forecast))
+                add("forecast", [partial(self._forecast, fit, forecast)])
             series = self._series_files() if "series" in stages else []
-            items += [partial(self._timed, "series",
-                              partial(save_trajectory_csv, self.out / name, trajectory))
-                      for name, trajectory in series]
-            done = self._claim_all(items, fork=self.operator is not None)
-            if scans_operator:
-                predicted = scan.grid(np.concatenate([done[k] for k in range(len(chunks))]))
-                save_basin_csv(self.out / "basin_operator.csv", predicted)
-            written = done[forecast_item] if forecast_item is not None else []
+            add("series", [partial(self._timed, "series",
+                                   partial(save_trajectory_csv, self.out / name, trajectory))
+                           for name, trajectory in series])
+            # The second worker is forked right after the solve, and that
+            # matters: after a solve, OpenBLAS's helper thread spins on,
+            # about 83 ms of CPU in the next 300 ms at its default two
+            # threads, taken from the queue's work.  The fork handler it
+            # registers (pthread_atfork) stops that thread.
+            done += self._claim_all(items[len(done):], fork=self.operator is not None)
+            written = done[at["forecast"][0]] if "forecast" in at else []
             self.artifacts = [name for name, _ in series] + written
-            if grids:
-                grid, runs = truth.join()
-                self._merge(runs)
-                self._list_grids(grid, predicted)
+            self._write_grids({stage: scan.grid(np.concatenate([done[k] for k in at[stage]]))
+                               for stage, scan in scans.items()})
         except BaseException:
             # A failing command waits for no child's work.
             for child in self.children:
@@ -624,9 +617,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="accepted and ignored; run and basin --model scan the truth grid in one "
-            "forked child, and fork one worker to share the rest of the work only when "
-            "it has two or more items",
+            help="accepted and ignored; a command forks at most one worker at a time, to "
+            "share a queue of two or more items, whatever this says",
         )
     return parser
 

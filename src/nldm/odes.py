@@ -215,11 +215,12 @@ def integrate(
 
 
 def _check_span(t_span, num_samples):
-    """A uniformly sampled span: it increases and has at least two
-    samples.  Returns its ends as floats."""
+    """A uniformly sampled span: it increases, its width is finite as a
+    float, and it has at least two samples.  Returns its ends as floats."""
     t_start, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t_start:
-        raise ValueError(f"t_span must increase, got ({t_start}, {t_end})")
+    if not 0 < t_end - t_start < math.inf:
+        raise ValueError(
+            f"t_span must increase by a width finite as a float, got ({t_start}, {t_end})")
     if num_samples < 2:
         raise ValueError(f"num_samples must be >= 2, got {num_samples}")
     return t_start, t_end

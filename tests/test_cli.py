@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +211,9 @@ def test_run_where_fork_is_refused_writes_the_same_files(tmp_path, monkeypatch, 
 def test_operator_grid_chunks_claimed_by_both_processes_write_the_one_chunk_files(
         tmp_path, monkeypatch, command):
     # A 5² grid in chunks of at least 6 cells is 4 chunks of 6, 6, 6 and 7
-    # cells.  This process waits in its first chunk until the forked
-    # worker has claimed one, so both label chunks.  With at most 3 claim
+    # cells.  Each process waits in its first chunk until the other has
+    # begun one, so both label chunks whatever the claim order (basin
+    # --model queues the truth grid's chunks first).  With at most 3 claim
     # tokens, each token names a run of the queue's items.
     raw = base_config()
     raw["basin"]["resolution"] = 5
@@ -227,9 +229,7 @@ def test_operator_grid_chunks_claimed_by_both_processes_write_the_one_chunk_file
 
         def blocks(points):
             (claims / f"{os.getpid()}-{len(list(claims.iterdir()))}").write_text(str(len(points)))
-            while os.getpid() == _TEST_PID and time.monotonic() < deadline and all(
-                    path.name.startswith(f"{_TEST_PID}-") for path in claims.iterdir()):
-                time.sleep(0.01)
+            _await_the_other(claims, deadline)
             return scan_blocks(points)
 
         scan_blocks, scan.blocks = scan.blocks, blocks
@@ -261,38 +261,76 @@ def test_two_processes_claim_each_token_of_a_full_queue_once():
     assert sorted(mine + theirs) == list(range(cli._MAX_CLAIMS))
 
 
-def _scan_failing_in_the_worker(*args, **kwargs):
-    """An operator scan whose chunks fail in the forked worker; this
-    process sleeps in its chunk, leaving the others to the worker."""
-    scan = basin._operator_scan(*args, **kwargs)
+def _await_the_other(directory, deadline):
+    """Wait until ``directory`` holds a file of another process, named by
+    its pid and a dash, or ``deadline`` (time.monotonic) has passed."""
+    mine = f"{os.getpid()}-"
+    while time.monotonic() < deadline and all(
+            path.name.startswith(mine) for path in directory.iterdir()):
+        time.sleep(0.01)
 
-    def blocks(points):
-        if os.getpid() != _TEST_PID:
-            raise ValueError("operator chunk failed in the worker")
-        time.sleep(0.2)
-        return scan_blocks(points)
 
-    scan_blocks, scan.blocks = scan.blocks, blocks
-    return scan
+_TEST_PID = os.getpid()
+
+
+def _in_the_worker():
+    return os.getpid() != _TEST_PID
+
+
+def _scan_with(make_scan, begin):
+    """``make_scan`` whose scans call ``begin()`` as each chunk begins."""
+    def make(*args, **kwargs):
+        scan = make_scan(*args, **kwargs)
+        scan_blocks = scan.blocks
+
+        def blocks(points):
+            begin()
+            return scan_blocks(points)
+
+        scan.blocks = blocks
+        return scan
+
+    return make
+
+
+# The directory in which each process that begins a chunk of an
+# ``_after_the_other`` scan leaves a file; each test sets its own.
+_BEGUN = None
+
+
+def _after_the_other(action):
+    """A chunk's start that, once another process has begun one too, runs
+    ``action()``.  Given two or more chunks, both processes begin one,
+    whichever process claims which item."""
+    def begin(*args, **kwargs):
+        (_BEGUN / f"{os.getpid()}-begun").touch()
+        _await_the_other(_BEGUN, time.monotonic() + 10.0)
+        action()
+
+    return begin
+
+
+def _in_the_worker_only(action):
+    def act():
+        if _in_the_worker():
+            action()
+
+    return act
+
+
+def _truth_failing_in_the_worker(action):
+    return _scan_with(basin._truth_scan, _after_the_other(_in_the_worker_only(action)))
 
 
 _simulate = cli._simulate
 # The pids that simulated, as the reading process holds the list: a
-# forked child sees it as it was at the fork.
+# forked worker sees it as it was at the fork.
 _SIMULATED = []
 
 
 def _noted_simulate(*args):
     _SIMULATED.append(os.getpid())
     return _simulate(*args)
-
-
-def _truth_before_the_series(*args, **kwargs):
-    """A truth grid that fails in a child forked before the series were
-    simulated, and is scanned anywhere else."""
-    if os.getpid() != _TEST_PID and not _SIMULATED:
-        raise IntegrationError("truth grid started before the series")
-    return basin.ground_truth_grid(*args, **kwargs)
 
 
 class _Unpicklable(ValueError):
@@ -311,48 +349,55 @@ def _raises(exc):
 
 
 # Longer than any failing command may take.
-_SLOW_TRUTH_SECONDS = 30.0
+_SLOW_SECONDS = 30.0
 
 
-def _slow_truth(*args, **kwargs):
-    """A truth grid that outlasts the command's failure elsewhere."""
-    time.sleep(_SLOW_TRUTH_SECONDS)
-    return basin.ground_truth_grid(*args, **kwargs)
+def _fails_here_and_is_slow_in_the_worker():
+    if not _in_the_worker():
+        raise ValueError("operator cell 4 failed")
+    time.sleep(_SLOW_SECONDS)
 
 
-_TEST_PID = os.getpid()
-
-
-def _dies(*args, **kwargs):
-    assert os.getpid() != _TEST_PID, "expected to run in the forked child"
+def _dies():
     os._exit(7)
 
 
+def _needs_the_series():
+    if not _SIMULATED:
+        raise IntegrationError("truth grid started before the series")
+
+
 _FORK_FAILURES = {
-    "child-error": ("ground_truth_grid", _raises(IntegrationError("truth cell 4 failed")),
+    "child-error": ("_truth_scan",
+                    _truth_failing_in_the_worker(_raises(IntegrationError("truth cell 4 failed"))),
                     "pipeline error: truth cell 4 failed"),
-    "child-unpicklable-error": ("ground_truth_grid", _raises(_Unpicklable(4, "no label")),
+    "child-unpicklable-error": ("_truth_scan",
+                                _truth_failing_in_the_worker(_raises(_Unpicklable(4, "no label"))),
                                 "pipeline error: _Unpicklable: cell 4: no label"),
-    "child-dies": ("ground_truth_grid", _dies, "ended with exit code 7 and no result"),
-    "parent-error": ("_operator_scan", _raises(ValueError("operator cell 4 failed")),
+    "child-dies": ("_truth_scan", _truth_failing_in_the_worker(_dies),
+                   "ended with exit code 7 and no result"),
+    "parent-error": ("_operator_scan", _scan_with(
+        basin._operator_scan, _after_the_other(_fails_here_and_is_slow_in_the_worker)),
                      "pipeline error: operator cell 4 failed"),
-    "simulate-error": ("_simulate", _raises(IntegrationError("series step too small")),
+    "simulate-error": ("_simulate",
+                       _after_the_other(_raises(IntegrationError("series step too small"))),
                        "pipeline error: series step too small"),
     "parent-forecast-error": ("_forecast_batch",
                               _raises(ValueError("seeds contain non-finite entries")),
                               "pipeline error: seeds contain non-finite entries"),
-    "worker-chunk-error": ("_operator_scan", _scan_failing_in_the_worker,
+    "worker-chunk-error": ("_operator_scan", _scan_with(basin._operator_scan, _after_the_other(
+        _in_the_worker_only(_raises(ValueError("operator chunk failed in the worker"))))),
                            "pipeline error: operator chunk failed in the worker"),
-    "early-truth-child-error": ("ground_truth_grid", _truth_before_the_series,
+    "early-truth-child-error": ("_truth_scan",
+                                _scan_with(basin._truth_scan, _after_the_other(_needs_the_series)),
                                 "pipeline error: truth grid started before the series"),
 }
-# Further settings of some failures: a truth grid slower than the
-# failing command, the grid in 4 chunks of 2-3 cells, and simulations
-# that leave a note in the process's memory.
+# Further settings of some failures: truth chunks that, in the worker,
+# outlast the failing simulate, and simulations that leave a note in the
+# process's memory.
 _FORK_FAILURE_SETTINGS = {
-    "parent-error": {"ground_truth_grid": _slow_truth},
-    "simulate-error": {"ground_truth_grid": _slow_truth},
-    "worker-chunk-error": {"_CHUNK_CELLS": 2},
+    "simulate-error": {"_truth_scan": _scan_with(basin._truth_scan, _after_the_other(
+        _in_the_worker_only(partial(time.sleep, _SLOW_SECONDS))))},
     "early-truth-child-error": {"_simulate": _noted_simulate},
 }
 
@@ -364,20 +409,82 @@ _FORK_FAILURE_SETTINGS = {
 ])
 def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
         tmp_path, capsys, monkeypatch, command, failure):
+    # Each failure holds whichever process claims which item: a failing
+    # chunk or simulate strikes only once the other process has begun a
+    # chunk, so a command that fails while its worker is still asleep in
+    # a chunk must kill it.  The early-truth failure strikes a truth chunk
+    # in a process that has not simulated, which a worker forked before
+    # the simulate is, unless it took the simulate itself.
     argv = forking_argv(tmp_path, command)
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 2)  # each grid in 4 chunks of 2-3 cells
     name, replacement, message = _FORK_FAILURES[failure]
     monkeypatch.setattr(cli, name, replacement)
     for setting, value in _FORK_FAILURE_SETTINGS.get(failure, {}).items():
         monkeypatch.setattr(cli, setting, value)
     _SIMULATED.clear()
+    monkeypatch.setitem(globals(), "_BEGUN", tmp_path / "begun")
+    _BEGUN.mkdir()
     out = tmp_path / "out"
     started = time.monotonic()
     assert main([*argv, "--out", str(out)]) == EXIT_PIPELINE
     # A child still at work when the command fails is killed, not awaited.
-    assert time.monotonic() - started < _SLOW_TRUTH_SECONDS / 2
+    assert time.monotonic() - started < _SLOW_SECONDS / 2
     assert_no_child_left()
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", FORKING)
+def test_a_queue_forks_its_worker_only_once_the_last_worker_has_sent_its_result(
+        tmp_path, monkeypatch, command):
+    # run's first queue is the simulate and the truth grid's chunks; its
+    # worker has sent its result before the solve, and the second worker
+    # is forked as the solve returns, before any item of the second queue
+    # (the operator grid's chunks, the forecast batch and the series
+    # files) runs.  basin --model has one queue, both grids' chunks.
+    from nldm import identify
+
+    argv = forking_argv(tmp_path, command)
+    log = tmp_path / "events"
+
+    def note(event):
+        with open(log, "a") as file:  # one append per event, from either process
+            file.write(f"{event}\n")
+
+    def noting(event, fn, after=False):
+        def call(*args, **kwargs):
+            if not after:
+                note(event)
+            result = fn(*args, **kwargs)
+            if after:
+                note(event)
+            return result
+
+        return call
+
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 2)  # 4 chunks of each grid
+    monkeypatch.setattr(os, "fork", noting("fork", os.fork))
+    monkeypatch.setattr(cli._Child, "join", noting("join", cli._Child.join, after=True))
+    monkeypatch.setattr(identify, "_solve", noting("solved", identify._solve, after=True))
+    monkeypatch.setattr(cli, "_simulate", noting("simulate", cli._simulate))
+    monkeypatch.setattr(cli, "_forecast_batch", noting("forecast", cli._forecast_batch))
+    monkeypatch.setattr(cli, "save_trajectory_csv", noting("csv", cli.save_trajectory_csv))
+    for stage in ("truth", "operator"):
+        scan = getattr(basin, f"_{stage}_scan")
+        monkeypatch.setattr(cli, f"_{stage}_scan", _scan_with(scan, partial(note, stage)))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert_no_child_left()
+    events = log.read_text().split()
+    assert (events[0], events[-1]) == ("fork", "join")
+    joined = events.index("join")
+    if command == "run":
+        assert sorted(events[1:joined]) == ["simulate"] + ["truth"] * 4
+        assert events[joined + 1:joined + 3] == ["solved", "fork"]
+        second = events[joined + 3:-1]
+        assert sorted(set(second)) == ["csv", "forecast", "operator"]
+        assert second.count("operator") == 4
+    else:
+        assert sorted(events[1:-1]) == ["operator"] * 4 + ["truth"] * 4
 
 
 def test_commands_with_one_half_of_the_work_do_not_fork(tmp_path, monkeypatch):
@@ -790,6 +897,7 @@ def test_model_file_with_cut_header_exits_2(tmp_path, capsys):
         ("basin", "fixed", {"0": 1.0}),  # one free axis: once exit 3 after the truth grid
         ("basin", "window", [[float("-inf"), 2.0], [-2.0, 2.0]]),  # once exit 0, axis not finite
         ("train", "noise", {"sigma_pct": float("inf")}),  # once exit 3 after simulating
+        ("train", "t_span", [-1e308, 1e308]),  # width inf: once exit 3 after simulating
         ("system", "params", {"delta": float("nan")}),  # written as JSON's NaN
     ],
 )

@@ -197,6 +197,9 @@ def test_system_errors_are_wrapped():
         (lambda raw: raw["train"][0].update(ic=[]), "ic must be"),
         (lambda raw: raw["train"][0].update(ic=[np.inf, 0.0]), "ic must be"),
         (lambda raw: raw["train"][0].update(t_span=[1.0, 1.0]), "t_span must increase"),
+        # Finite ends whose width overflows: once exit 3 in the simulate.
+        (lambda raw: raw["train"][0].update(t_span=[-1e308, 1e308]),
+         "train[0].t_span must increase by a width finite as a float"),
         (lambda raw: raw["train"][0].update(t_span=[0.0]), "t_span must be"),
         (lambda raw: raw["train"][0].update(num_samples=1), "num_samples must be >= 2"),
         (lambda raw: raw["train"][0]["noise"].update(sigma_pct=-0.1), "sigma_pct"),

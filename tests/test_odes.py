@@ -169,6 +169,8 @@ def test_integration_validation():
         integrate(system, (1.0, 0.0), (0.0, 1.0), 1)
     with pytest.raises(ValueError):
         integrate(system, (1.0, 0.0), (1.0, 1.0), 10)
+    with pytest.raises(ValueError, match="width finite as a float"):  # both ends finite
+        integrate(system, (1.0, 0.0), (-1e308, 1e308), 10)
     with pytest.raises(ValueError):
         integrate(system, (1.0,), (0.0, 1.0), 10)
 
