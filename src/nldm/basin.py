@@ -95,6 +95,8 @@ class BasinGrid:
 
 @dataclass(frozen=True)
 class GridAgreement:
+    """How far two basin grids agree (``grid_agreement``)."""
+
     fraction_agree: float
     compared_cells: int
     confusion: dict

@@ -57,9 +57,9 @@ EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
 
 # A grid is cut into chunks of at least this many contiguous cells, each
-# one item of the claim queue (``_Pipeline._claim_all``): from about this
-# many rows on, the forecasting kernel's cost per row levels off
-# (CHANGES.md has the per-step table).
+# one item of the claim queue (``_Pipeline._claim_all``): the forecasting
+# kernel's cost per row is near its least from about 900 rows to a few
+# thousand (CHANGES.md has the per-step table).
 _CHUNK_CELLS = 2500
 # A claim token is an index in this many bytes.  A queue holds at most
 # ``_MAX_CLAIMS`` tokens, so that they all go into the pipe in one write

@@ -52,6 +52,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """Gaussian noise on a series, ``sigma_pct`` percent of each state's range."""
+
     sigma_pct: float
     seed: int | None = None
 
@@ -61,6 +63,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SeriesSpec:
+    """One series: its initial condition, span, samples and noise."""
+
     ic: tuple[float, ...]
     t_span: tuple[float, float]
     num_samples: int
@@ -78,6 +82,8 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """The model's delays and monomial degree."""
+
     delays: int
     degree: int
 
@@ -104,6 +110,8 @@ def _fixed_from_json(raw, path: str) -> tuple[tuple[int, float], ...]:
 
 @dataclass(frozen=True)
 class BasinSpec:
+    """The basin scan: window, resolution, steps, tolerance, fixed axes."""
+
     window: tuple[tuple[float, float], tuple[float, float]]
     resolution: int
     steps: int = 1000
@@ -117,12 +125,16 @@ class BasinSpec:
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """A catalog system and its parameter overrides."""
+
     ident: str
     params: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: the system, model, series, basin scan and output."""
+
     system: SystemSpec
     model: ModelSpec
     train: tuple[SeriesSpec, ...]

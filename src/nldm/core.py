@@ -145,8 +145,8 @@ def _ordered_sum(terms, out=None):
 
     numpy reduces a leading axis plane by plane, in order, except over a
     one-element plane, where it may take a pairwise sum; such planes are
-    summed two wide.  Every sum of the forecasting kernel and the
-    integrator goes through here, so their rows are batch-invariant.
+    summed two wide.  Every integrator sum goes through here, as do the
+    kernel's where einsum adds otherwise (``predict._weighted_sum``).
     """
     if terms.size != len(terms):  # planes of two or more elements
         return np.add.reduce(terms, axis=0, initial=0.0, out=out)

@@ -43,6 +43,8 @@ __all__ = ["TrainingResult", "train"]
 
 @dataclass(frozen=True, eq=False)
 class TrainingResult:
+    """A fitted operator and its mean training RRMSE."""
+
     operator: LearnedOperator
     mean_rrmse: float
 

@@ -23,6 +23,8 @@ __all__ = ["SkillScore", "rrmse"]
 
 @dataclass(frozen=True, eq=False)
 class SkillScore:
+    """A forecast's RRMSE per state and their mean (``rrmse``)."""
+
     per_state_rrmse: np.ndarray
     mean_rrmse: float
     compared_points: int

@@ -71,6 +71,8 @@ class CycleAttractor:
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkSystem:
+    """A catalog system with its parameters bound into ``rhs``."""
+
     ident: str
     params: dict
     num_states: int

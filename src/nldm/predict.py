@@ -7,49 +7,36 @@ training re-prediction and operator basin grids.  It is a block source
 like ``odes._dormand_prince_blocks``: it yields each row's seeds and then
 its forecast as fresh (rows, T, num_states) blocks, and after each block
 takes a mask of the rows to step further.  It holds its arrays
-state-major, one column per row, and works in buffers allocated once per
-run.  A block's samples live in one history buffer, newest first, with
-the previous ``delays`` samples carried in behind them, so a step's
-window is one contiguous slice and the step writes its state in place.
-Each block builds its lift plan once (``MonomialBasis._lift_plan``),
-with the windows of all the block's steps as one strided view, and a
-step slices nothing.  A step copies its window into the degree-1 rows,
-forms the higher monomials, multiplies them by the weights into
-(features, states, rows) terms, and sums those over the feature axis in
-the canonical order (``core._ordered_sum``); a reordered basis steps as
-the canonical one, the operator's columns reordered once per run.  It
-takes one of two forms, by the block's row count:
-
-- a narrow block, of at most ``_NARROW_ROWS`` rows, forms each degree
-  >= 2 with one ``take`` of its variable and parent rows and one
-  multiply, and multiplies by a (features, states, rows) copy of the
-  weights made once per block, so a step is a fixed few numpy calls;
-- a wider block forms each run of monomials with one multiply of views
-  of the lift and multiplies by the weights broadcast over the rows,
-  which copies nothing, with numpy's ufunc buffer no longer than a row.
-
-A narrow step's cost is numpy's per-call overhead, which the narrow form
-cuts.  A wider step's is the traffic over its arrays, to which the
-narrow form's gathers and weight copy add, and so does numpy's default
-buffering: a ufunc over a broadcast operand whose rows are shorter than
-the buffer (8192 entries) copies its operands through the buffer, which
-took two to three times as long per entry as iterating them in place
-from a few hundred rows on (numpy 2.4).  ``_NARROW_ROWS`` is the
-crossover of the two forms measured on a 2-core AMD EPYC (CHANGES.md has
-the per-step table).  Both forms multiply the same weight by the same monomial, each
-monomial being its variable times its parent, and sum in the same
-order, and buffering changes no value, so a row's samples are bitwise
-identical alone or in a batch of any size, in blocks of any length and
-in either form.
-Once a produced state exceeds ``DIVERGENCE_THRESHOLD`` in max-norm (or
-is non-finite), the rest of the trajectory is NaN; the test runs once
-per block, which gives the same samples as a test after every step,
-since a row's later samples depend only on its earlier ones.
+state-major, one column per row, in buffers allocated once per run.  A
+block's samples live in one history buffer, newest first, with the
+previous ``delays`` samples carried in behind them, so a step's window
+is one contiguous slice.  Each block builds its lift plan once
+(``MonomialBasis._lift_plan``), and a step slices nothing: it copies its
+window into the degree-1 rows, forms the higher monomials and writes
+their weighted sum into the history (``_weighted_sum``); a reordered
+basis steps as the canonical one, the operator's columns reordered once
+per run.  A narrow block, of at most ``_NARROW_ROWS`` rows, forms each
+degree >= 2 with one ``take`` of its variable and parent rows and one
+multiply, a fixed few calls, since numpy's per-call overhead is most of
+its cost.  A wider block forms each run of monomials with one multiply
+of views, with numpy's ufunc buffer no longer than a row: a ufunc copies
+a broadcast operand whose rows are shorter than its buffer through it,
+which was slower than iterating in place at most widths (numpy 2.4).
+``_NARROW_ROWS`` is the crossover of the two forms measured on a 2-core
+AMD EPYC (CHANGES.md has the per-step table).  Every path forms the same
+monomials and adds the same products in the same order, so a row's
+samples are bitwise identical alone or in a batch of any size, in blocks
+of any length and in either form.  Once a produced state exceeds
+``DIVERGENCE_THRESHOLD`` in max-norm (or is non-finite), the rest of the
+trajectory is NaN; the test runs once per block, which gives the same
+samples as a test after every step, since a row's later samples depend
+only on its earlier ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -61,7 +48,12 @@ __all__ = ["Prediction", "predict", "iterate_batch"]
 
 DIVERGENCE_THRESHOLD = 1e6
 # Blocks of at most this many rows step in the narrow form (see above).
-_NARROW_ROWS = 256
+_NARROW_ROWS = 512
+# Whether einsum rounds each product before adding it: (1 + 2**-30) *
+# (1 - 2**-30) rounds to 1 and the sum to 0.0; a fused multiply-add
+# keeps -2**-60.
+_EINSUM_ADDS_IN_ORDER = np.einsum("sf,fr->sr", [[1.0, 1.0 + 2.0**-30]],
+                                  [[-1.0] * 2, [1.0 - 2.0**-30] * 2]).tobytes() == bytes(16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,32 +71,28 @@ def _iterate(seeds, steps, basis, matrix, block):
     """Yield each kept row's seeds and then ``steps`` forecast states,
     ``block`` samples at a time; a boolean mask sent after a block keeps
     the rows of that block to step further.  Each state is one
-    ``core._ordered_sum`` of its feature terms."""
+    ``_weighted_sum`` of its features."""
     n, delays, num_states = seeds.shape
     span = delays * num_states
     seed_columns = seeds.transpose(1, 2, 0)  # (delays, S, rows)
     if basis._order is not None:  # stepped as the canonical basis
         matrix = matrix[:, np.argsort(basis._order)]
-    weights = np.ascontiguousarray(matrix.T)[:, :, None]
-    num_features = weights.shape[0]
+    weights = np.ascontiguousarray(matrix)  # (S, features)
+    num_features = weights.shape[1]
     total = delays + steps
     # Workspaces sized for the first block (see ``core._leading``).  The
     # history holds a block's samples newest first and the ``delays``
     # samples before them behind, shape (length + delays, S, rows), so
     # the lags of a step, newest first, are one contiguous slice.
     lift_space = np.empty(num_features * n)
-    terms_space = np.empty(num_features * num_states * n)
     history_space = np.empty((min(block, total) + delays) * num_states * n)
-    # A narrow block's degree operands and its weights, one column per row.
-    narrow = min(n, _NARROW_ROWS)
-    pair_space = np.empty(2 * basis._widest_degree * narrow)
-    weights_space = np.empty(num_features * num_states * narrow)
+    # A narrow block's degree operands, one column per row.
+    pair_space = np.empty(2 * basis._widest_degree * min(n, _NARROW_ROWS))
     rows, carried = n, None
     for first in range(0, total, block):
         length = min(first + block, total) - first
         history = _leading(history_space, (length + delays, num_states, rows))
         lift = _leading(lift_space, (num_features, rows))
-        terms = _leading(terms_space, (num_features, num_states, rows))
         if carried is not None:
             history[length:] = carried
         # Sample first + j sits at position length - 1 - j.
@@ -115,17 +103,12 @@ def _iterate(seeds, steps, basis, matrix, block):
         # writes position i, and fills the lift's degree-1 rows.
         windows = as_strided(history[1:], (length, span, rows), history.strides, writeable=False)
         linear = lift[:span]
-        buffer = np.getbufsize()
-        if rows <= _NARROW_ROWS:
-            products = basis._lift_plan(lift, pair_space)
-            factors = _leading(weights_space, terms.shape)
-            np.copyto(factors, weights)
-        else:
-            products = basis._lift_plan(lift)
-            factors = weights
-            # No longer than a row, in the multiples of 16 numpy takes.
-            buffer = min(buffer, max(rows // 16 * 16, 16))
-        features = lift[:, None, :]
+        narrow = rows <= _NARROW_ROWS
+        products = basis._lift_plan(lift, pair_space if narrow else None)
+        # A wide block's ufunc buffer is no longer than a row, in the
+        # multiples of 16 numpy takes.
+        buffer = np.getbufsize() if narrow else min(np.getbufsize(), max(rows // 16 * 16, 16))
+        weighted_sum = _weighted_sum(weights, lift)
         with np.errstate(over="ignore", invalid="ignore"):
             default = np.setbufsize(buffer)
             try:
@@ -135,8 +118,7 @@ def _iterate(seeds, steps, basis, matrix, block):
                         if gather:
                             lift.take(*gather)
                         np.multiply(*operands)
-                    np.multiply(factors, features, terms)
-                    _ordered_sum(terms, out=history[i])
+                    weighted_sum(out=history[i])
             finally:
                 np.setbufsize(default)
         if stepped:
@@ -149,6 +131,23 @@ def _iterate(seeds, steps, basis, matrix, block):
             carried = carried[:, :, keep]
             seed_columns = seed_columns[:, :, keep]
             rows = carried.shape[2]
+
+
+def _weighted_sum(weights, lift):
+    """A function of ``out`` that writes there ``weights`` (S, features)
+    times ``lift`` (features, rows), each product rounded and added in
+    feature order from +0.0, as a loop of ``+=`` would.  At numpy's
+    default ``optimize=False``, einsum over two or more rows loops over
+    the features outside an inner loop along the rows, so it adds in that
+    order without writing the (features, states, rows) products.  One row,
+    whose inner loop runs along the features, and a numpy whose einsum
+    fuses the multiply and the add (``_EINSUM_ADDS_IN_ORDER``) take the
+    products and their ``core._ordered_sum`` instead."""
+    if lift.shape[1] > 1 and _EINSUM_ADDS_IN_ORDER:
+        return partial(np.einsum, "sf,fr->sr", weights, lift)
+    terms = np.empty((len(lift), len(weights), lift.shape[1]))
+    products = partial(np.multiply, weights.T[:, :, None], lift[:, None, :], terms)
+    return lambda out: _ordered_sum(products(), out=out)
 
 
 def _cut_divergent(produced):

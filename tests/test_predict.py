@@ -2,6 +2,9 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -21,7 +24,8 @@ from nldm import (
     predict,
 )
 from nldm.features import MonomialBasis
-from nldm.predict import DIVERGENCE_THRESHOLD, _forecast_batch, _iterate, iterate_batch
+from nldm.predict import (
+    DIVERGENCE_THRESHOLD, _forecast_batch, _iterate, _weighted_sum, iterate_batch)
 
 # The module, which the package's ``predict`` function shadows.
 kernel_module = importlib.import_module("nldm.predict")
@@ -410,6 +414,117 @@ def test_feature_order_invariance(monkeypatch):
     assert [len(block) for block in runs[0]] == [12, 12] + [4] * 6
     for base, reordered in zip(*runs):
         assert base.tobytes() == reordered.tobytes()
+
+
+# --- the weighted sum ----------------------------------------------------------
+
+def loop_sum(weights, lift):
+    """The sum over the features as the ``+=`` loop from +0.0 forms it."""
+    total = np.zeros((len(weights), lift.shape[1]))
+    for f in range(len(lift)):
+        total += weights[:, f:f + 1] * lift[f]
+    return total
+
+
+SUM_ROWS = [2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 100, 255, 256, 257, 511, 512, 513, 1000,
+            4095, 4096, 4097, 8191, 8192, 8193, 10_000]
+
+
+@pytest.mark.parametrize("einsum", [True, False], ids=["einsum", "products"])
+def test_weighted_sum_is_the_loop_of_adds_from_positive_zero(einsum, monkeypatch):
+    # Terms spread over 2**-40 .. 2**40 so that any other grouping or a
+    # fused multiply-add changes the bits.  ``out`` is contiguous, or
+    # every third column of a wider array.  The products path, which one
+    # row always takes, runs on fewer shapes: it writes all its products.
+    if not einsum:
+        monkeypatch.setattr(kernel_module, "_EINSUM_ADDS_IN_ORDER", False)
+    rng = np.random.default_rng(17)
+    shapes = 0
+    for num_features in (1, 2, 9, 17, 34, 65, 120):
+        for num_states in (1, 2, 3, 4):
+            for rows in [1] + (SUM_ROWS if einsum else SUM_ROWS[:19:3]):
+                weights = rng.normal(size=(num_states, num_features))
+                lift = rng.normal(size=(num_features, rows))
+                lift *= 2.0 ** rng.integers(-40, 41, size=(num_features, 1))
+                expected = loop_sum(weights, lift).tobytes()
+                strided = np.full((num_states, 3 * rows), np.nan)[:, ::3]
+                for out in (np.empty((num_states, rows)), strided):
+                    assert _weighted_sum(weights, lift)(out=out) is out
+                    assert out.tobytes() == expected, (num_features, num_states, rows)
+                    shapes += 1
+    assert shapes == 7 * 4 * 2 * (1 + (len(SUM_ROWS) if einsum else 7))
+
+
+def test_einsum_probe_finds_no_fused_multiply_add():
+    # (1 + 2**-30)(1 - 2**-30) = 1 - 2**-60 rounds to 1, so the loop of
+    # adds gives 0.0; a fused multiply-add keeps -2**-60.  The kernel
+    # probed this at import and takes its sum by einsum only if it held.
+    weights = np.array([[1.0, 1.0 + 2.0**-30]])
+    lift = np.array([[-1.0, -1.0], [1.0 - 2.0**-30, 1.0 - 2.0**-30]])
+    got = np.einsum("sf,fr->sr", weights, lift)
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions")
+    except TypeError:  # numpy before 1.26 prints it only
+        simd = "unknown"
+    build = f"numpy {np.__version__}, SIMD {simd}"
+    assert got.tobytes() == bytes(16), f"einsum gave {got.tolist()} on {build}"
+    assert kernel_module._EINSUM_ADDS_IN_ORDER, build
+    assert _weighted_sum(weights, lift).func is np.einsum
+    assert getattr(_weighted_sum(weights, lift[:, :1]), "func", None) is not np.einsum
+
+
+# A contracting map with sinks near (+-1, 0), as two_attractor has:
+# x' = x + (x - x**3) / 10 and y' = 0.9 y, plus small terms on every
+# feature.  It forecasts seven series in one batch and one alone, steps
+# 600 rows wide, and labels a 24 x 24 operator grid, whose 576 cells step
+# wide, then narrow.
+DISPATCH_DIGEST = """
+import hashlib
+import numpy as np
+from nldm import (
+    FeatureConfig, LearnedOperator, make_system, monomial_basis, operator_grid, predict)
+from nldm.predict import _forecast_batch, iterate_batch
+
+rng = np.random.default_rng(3)
+config = FeatureConfig(2, 2, 3)
+exponents = [tuple(row) for row in monomial_basis(config).exponents.tolist()]
+matrix = 1e-4 * rng.normal(size=(2, config.num_features))
+matrix[0, 0] += 1.1
+matrix[0, exponents.index((3, 0, 0, 0))] -= 0.1
+matrix[1, 1] += 0.9
+operator = LearnedOperator(matrix, config, dt=0.01)
+digest = hashlib.sha256()
+starts = [(rng.normal(size=(2, 2)), 50 + 40 * k, 0.0) for k in range(7)]
+for forecast in _forecast_batch(operator, starts) + [predict(operator, starts[0][0], 90)]:
+    digest.update(forecast.trajectory.states.tobytes())
+seeds = rng.uniform(-3, 3, size=(600, 2, 2))
+digest.update(iterate_batch(seeds, 300, monomial_basis(config), matrix)[0].tobytes())
+grid = operator_grid(operator, make_system("two_attractor"), [[-3, 3], [-3, 3]], 24, steps=300)
+labels = grid.labels.ravel().tolist()
+digest.update(" ".join(labels).encode())
+print(digest.hexdigest(), sorted(set(labels)))
+"""
+
+
+def test_kernel_bytes_do_not_depend_on_numpy_cpu_dispatch(capsys):
+    # With every dispatch target numpy built disabled, its loops run at
+    # the baseline; the multiplies and ordered adds round the same.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    targets = getattr(umath, "__cpu_dispatch__", [])
+    if not targets:
+        pytest.skip("this numpy has no dispatch targets")
+    exec(DISPATCH_DIGEST, {})
+    here = capsys.readouterr().out
+    assert "'left_sink', 'right_sink'" in here
+    src = Path(kernel_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    result = subprocess.run([sys.executable, "-c", DISPATCH_DIGEST], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == here, f"disabled {targets}"
 
 
 # --- divergence handling ----------------------------------------------------
