@@ -61,9 +61,10 @@ GRID_SETTINGS = IntegratorSettings(rel_tol=1e-6, abs_tol=1e-9)
 PERSISTENCE = 10  # consecutive captured samples that complete a capture
 
 # Truth cells are sampled min(steps, _TRUTH_INTERVALS) + 1 times over
-# steps * dt.  Sampling every dt took 2-3x the truth-grid time (two_attractor,
-# 2000 steps, 2 cores: 0.46 -> 1.36 s at 100²), all in dense output and the
-# capture walk over 5x the samples; it waits for a cheaper per-sample source.
+# steps * dt.  Sampling every dt took 2.5-2.8x the truth-grid time
+# (two_attractor, 2000 steps of 0.005, one process: 0.34 -> 0.94 s at 100²),
+# most of it in dense output and the capture walk over 5x the samples; it
+# waits for a cheaper per-sample source.
 _TRUTH_INTERVALS = 400
 
 _OPEN, _DIVERGED = -1, -2  # capture-walk codes of cells without a label

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -145,8 +146,9 @@ def _ordered_sum(terms, out=None):
 
     numpy reduces a leading axis plane by plane, in order, except over a
     one-element plane, where it may take a pairwise sum; such planes are
-    summed two wide.  Every integrator sum goes through here, as do the
-    kernel's where einsum adds otherwise (``predict._weighted_sum``).
+    summed two wide.  The integrator's error norm and dense-output
+    evaluation go through here, as do the weighted sums where einsum
+    adds otherwise (``_weighted_sum``).
     """
     if terms.size != len(terms):  # planes of two or more elements
         return np.add.reduce(terms, axis=0, initial=0.0, out=out)
@@ -155,6 +157,34 @@ def _ordered_sum(terms, out=None):
         out = np.empty_like(terms[0])
     out[...] = np.add.reduce(pair, axis=0, initial=0.0)[0]
     return out
+
+
+# Whether einsum rounds each product and adds in feature order.  Row 0:
+# (1 + 2**-30) * (1 - 2**-30) rounds to 1 and the sum to 0.0, where a
+# fused multiply-add keeps -2**-60.  Row 1: 1 + 0 + 2**53 - 2**53 is 0.0
+# in order (2**53 + 1 rounds to 2**53), and 1.0 reversed or pairwise.
+_EINSUM_ADDS_IN_ORDER = np.einsum(
+    "sf,fr->sr", [[1.0, 1.0 + 2.0**-30, 0.0, 0.0], [-1.0, 0.0, 1.0, 1.0]],
+    [[-1.0] * 2, [1.0 - 2.0**-30] * 2, [2.0**53] * 2, [-2.0**53] * 2]).tobytes() == bytes(32)
+
+
+def _weighted_sum(weights, lift):
+    """A function of ``out`` that writes there, or into a new array,
+    ``weights`` (outputs, features) times ``lift`` (features, r), each
+    product rounded and added in feature order from +0.0, as a loop of
+    ``+=`` would.  At numpy's default ``optimize=False``, einsum over two
+    or more columns loops over the features outside an inner loop along
+    the columns, so it adds in that order without writing the (features,
+    outputs, r) products.  One column, whose inner loop runs along the
+    features, and a numpy whose einsum adds otherwise
+    (``_EINSUM_ADDS_IN_ORDER``) take the products and their
+    ``_ordered_sum`` instead.  The forecasting kernel's steps and the
+    integrator's stage sums all go through here."""
+    if lift.shape[1] > 1 and _EINSUM_ADDS_IN_ORDER:
+        return partial(np.einsum, "sf,fr->sr", weights, lift)
+    terms = np.empty((len(lift), len(weights), lift.shape[1]))
+    products = partial(np.multiply, weights.T[:, :, None], lift[:, None, :], terms)
+    return lambda out=None: _ordered_sum(products(), out=out)
 
 
 def _leading(space, shape):

@@ -14,14 +14,15 @@ points at once, keeps every one on its own steps, and samples each from
 its dense output on a uniform time grid.  A step keeps its seven stage
 derivatives in one (stages, num_states, cells) workspace allocated once
 per run, and forms each stage, the update, the error estimate and the
-dense-output coefficients as one product of tableau weights and stages
-summed over the stage axis, in stage order.  The cells still stepping
-advance on gathered copies of their state, regathered only when one of
-them fails or passes the block's last sample, and every step goes into
-a log whose samples are evaluated from the dense output in one gather
-when the log fills or the block ends.  Training and test series,
-a config's series of one span and length, and whole basin grids each
-run as one batch; a series comes out bitwise the same alone or batched.
+dense-output coefficients as one weighted sum of the stages, added in
+stage order by the forecasting kernel's rule (``core._weighted_sum``),
+with no array of products.  The cells still stepping advance on gathered
+copies of their state, regathered only when one of them fails or passes
+the block's last sample, and every step goes into a log whose samples
+are evaluated from the dense output in one gather when the log fills or
+the block ends.  Training and test series, a config's series of one span
+and length, and whole basin grids each run as one batch; a series comes
+out bitwise the same alone or batched.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from functools import partial
 
 import numpy as np
 
-from .core import DimensionError, IntegrationError, Provenance, Trajectory, _leading, _ordered_sum
+from .core import (
+    DimensionError, IntegrationError, Provenance, Trajectory, _leading, _ordered_sum,
+    _weighted_sum)
 
 __all__ = [
     "PointAttractor",
@@ -285,18 +288,11 @@ _P = np.array([
 ])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
-# The weights of each sum over the stages, shaped to scale (num_states,
-# cells) planes: stages 2..6, the update, the error estimate and the
-# dense-output coefficients.
-_WEIGHTS = [_A[stage, :stage, None, None] for stage in range(1, len(_C))] + [
-    _B[:, None, None], _E[:, None, None], _P[..., None, None]]
+# The weights of each sum over the stages, (outputs, stages): stages
+# 2..6, the update, the error estimate and the dense-output coefficients.
+_WEIGHTS = [np.ascontiguousarray(weights) for weights in (
+    [_A[stage:stage + 1, :stage] for stage in range(1, len(_C))] + [_B[None], _E[None], _P.T])]
 _LOG_SIZE = 1024  # cell-steps logged before their samples are evaluated
-
-
-def _combine(weights, stages, terms):
-    """Sum ``weights[i] * stages[i]`` over the leading (stage) axis, stage
-    by stage in order, with the products in ``terms``."""
-    return _ordered_sum(np.multiply(weights, stages, terms))
 
 
 def _rms(rows):
@@ -351,10 +347,9 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     only the cells kept are integrated further.  A cell whose step size
     falls below ten times the spacing of floats at its time fails, and
     its remaining samples are NaN.  Each stage, the update, the error
-    estimate and the dense-output coefficients are one product of
-    weights and stage derivatives summed over the stage axis in stage
-    order (``core._ordered_sum``), so a cell's samples are bitwise the
-    same alone or in any batch.
+    estimate and the dense-output coefficients are one weighted sum of
+    the stage derivatives, added in stage order (``core._weighted_sum``),
+    so a cell's samples are bitwise the same alone or in any batch.
 
     The cells still short of the block's last sample step together on
     gathered copies of their state, and the views of the step's
@@ -380,10 +375,9 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
     # coefficients, which evaluates to the start point, covers sample 0.
     t_old, h, y_old = np.full(cells, np.nextafter(t_start, -np.inf)), np.ones(cells), y.copy()
     q = np.zeros((_P.shape[1],) + y.shape)
-    # The stage derivatives, (stages, num_states, cells), and their weighted
-    # terms live in workspaces sized for the first step (``core._leading``).
+    # The stage derivatives, (stages, num_states, cells), live in a
+    # workspace sized for the first step (``core._leading``).
     stage_space = np.empty(len(_E) * y.size)
-    terms_space = np.empty(_P.size * y.size)
     # The step log: each logged step's cell, start time, size, start state,
     # dense-output coefficients and the cell's time after it, which is its
     # start time if the step was rejected, so that it covers no sample.
@@ -422,17 +416,15 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
                 rows = (~failed & (t < t_stop)).nonzero()[0]
                 if not rows.size:
                     break
-                # The active cells' state, and the workspace views of each
-                # weighted sum: (weights, stages, terms).
+                # The active cells' state, and each weighted sum over the
+                # stages, which sees them as (stages, num_states * m).
                 m = rows.size
                 t0, y0, f0 = t[rows], y[:, rows], f[:, rows]
                 proposed, retried = h_abs[rows], rejected[rows]
                 k = _leading(stage_space, (len(_E), num_states, m))
-                operands = [k[:stage] for stage in range(1, len(_C))] + [k[:-1], k, k[:, None]]
+                flat = k.reshape(len(k), -1)
                 *stage_sums, update, estimate, dense = [
-                    (weights, stages, _leading(terms_space, weights.shape[:-2] + (num_states, m)))
-                    for weights, stages in zip(_WEIGHTS, operands)
-                ]
+                    _weighted_sum(weights, flat[:weights.shape[1]]) for weights in _WEIGHTS]
                 while True:
                     min_step = 10 * np.abs(np.nextafter(t0, np.inf) - t0)
                     size = np.where(retried, proposed, np.maximum(proposed, min_step))
@@ -444,17 +436,17 @@ def _dormand_prince_blocks(rhs, starts, t_span, num_samples, settings, block):
                     step = t1 - t0
                     k[0] = f0
                     stage_times = t0 + _C[1:, None] * step
-                    for stage, weighted in enumerate(stage_sums, 1):
-                        dy = _combine(*weighted) * step
+                    for stage, stage_sum in enumerate(stage_sums, 1):
+                        dy = stage_sum().reshape(num_states, m) * step
                         k[stage] = rhs(stage_times[stage - 1], y0 + dy)
-                    y1 = y0 + step * _combine(*update)
+                    y1 = y0 + step * update().reshape(num_states, m)
                     k[-1] = rhs(t1, y1)
                     scale = atol + np.maximum(np.abs(y0), np.abs(y1)) * rtol
-                    error = _rms(_combine(*estimate) * step / scale)
+                    error = _rms(estimate().reshape(num_states, m) * step / scale)
                     factor = _SAFETY * error**_ERROR_EXPONENT
                     # Every cell's coefficients; a rejected step's stages may
                     # be non-finite, and it covers no sample.
-                    coefficients = _combine(*dense)
+                    coefficients = dense().reshape(-1, num_states, m)
                     accept = error < 1
                     grow = np.where(error == 0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
                     grow = np.where(retried, np.minimum(1.0, grow), grow)

@@ -13,15 +13,16 @@ previous ``delays`` samples carried in behind them, so a step's window
 is one contiguous slice.  Each block builds its lift plan once
 (``MonomialBasis._lift_plan``), and a step slices nothing: it copies its
 window into the degree-1 rows, forms the higher monomials and writes
-their weighted sum into the history (``_weighted_sum``); a reordered
-basis steps as the canonical one, the operator's columns reordered once
-per run.  A narrow block, of at most ``_NARROW_ROWS`` rows, forms each
-degree >= 2 with one ``take`` of its variable and parent rows and one
-multiply, a fixed few calls, since numpy's per-call overhead is most of
-its cost.  A wider block forms each run of monomials with one multiply
-of views, with numpy's ufunc buffer no longer than a row: a ufunc copies
-a broadcast operand whose rows are shorter than its buffer through it,
-which was slower than iterating in place at most widths (numpy 2.4).
+their weighted sum into the history (``core._weighted_sum``, by which
+the integrator forms its stage sums too); a reordered basis steps as the
+canonical one, the operator's columns reordered once per run.  A narrow
+block, of at most ``_NARROW_ROWS`` rows, forms each degree >= 2 with one
+``take`` of its variable and parent rows and one multiply, a fixed few
+calls, since numpy's per-call overhead is most of its cost.  A wider
+block forms each run of monomials with one multiply of views, with
+numpy's ufunc buffer no longer than a row: a ufunc copies a broadcast
+operand whose rows are shorter than its buffer through it, which was
+slower than iterating in place at most widths (numpy 2.4).
 ``_NARROW_ROWS`` is the crossover of the two forms measured on a 2-core
 AMD EPYC (CHANGES.md has the per-step table).  Every path forms the same
 monomials and adds the same products in the same order, so a row's
@@ -36,12 +37,11 @@ only on its earlier ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import DimensionError, LearnedOperator, Trajectory, _leading, _ordered_sum
+from .core import DimensionError, LearnedOperator, Trajectory, _leading, _weighted_sum
 from .features import MonomialBasis, monomial_basis
 
 __all__ = ["Prediction", "predict", "iterate_batch"]
@@ -49,11 +49,6 @@ __all__ = ["Prediction", "predict", "iterate_batch"]
 DIVERGENCE_THRESHOLD = 1e6
 # Blocks of at most this many rows step in the narrow form (see above).
 _NARROW_ROWS = 512
-# Whether einsum rounds each product before adding it: (1 + 2**-30) *
-# (1 - 2**-30) rounds to 1 and the sum to 0.0; a fused multiply-add
-# keeps -2**-60.
-_EINSUM_ADDS_IN_ORDER = np.einsum("sf,fr->sr", [[1.0, 1.0 + 2.0**-30]],
-                                  [[-1.0] * 2, [1.0 - 2.0**-30] * 2]).tobytes() == bytes(16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +66,7 @@ def _iterate(seeds, steps, basis, matrix, block):
     """Yield each kept row's seeds and then ``steps`` forecast states,
     ``block`` samples at a time; a boolean mask sent after a block keeps
     the rows of that block to step further.  Each state is one
-    ``_weighted_sum`` of its features."""
+    ``core._weighted_sum`` of its features."""
     n, delays, num_states = seeds.shape
     span = delays * num_states
     seed_columns = seeds.transpose(1, 2, 0)  # (delays, S, rows)
@@ -131,23 +126,6 @@ def _iterate(seeds, steps, basis, matrix, block):
             carried = carried[:, :, keep]
             seed_columns = seed_columns[:, :, keep]
             rows = carried.shape[2]
-
-
-def _weighted_sum(weights, lift):
-    """A function of ``out`` that writes there ``weights`` (S, features)
-    times ``lift`` (features, rows), each product rounded and added in
-    feature order from +0.0, as a loop of ``+=`` would.  At numpy's
-    default ``optimize=False``, einsum over two or more rows loops over
-    the features outside an inner loop along the rows, so it adds in that
-    order without writing the (features, states, rows) products.  One row,
-    whose inner loop runs along the features, and a numpy whose einsum
-    fuses the multiply and the add (``_EINSUM_ADDS_IN_ORDER``) take the
-    products and their ``core._ordered_sum`` instead."""
-    if lift.shape[1] > 1 and _EINSUM_ADDS_IN_ORDER:
-        return partial(np.einsum, "sf,fr->sr", weights, lift)
-    terms = np.empty((len(lift), len(weights), lift.shape[1]))
-    products = partial(np.multiply, weights.T[:, :, None], lift[:, None, :], terms)
-    return lambda out: _ordered_sum(products(), out=out)
 
 
 def _cut_divergent(produced):
@@ -268,7 +246,7 @@ def predict(
     seeds plus steps must make at least two samples; the returned
     trajectory has the seeds as its first rows and inherits the
     operator's sampling interval.  It is bitwise the forecast of these
-    seeds in any batch (see ``core._ordered_sum``), padded or not: the
+    seeds in any batch (see ``core._weighted_sum``), padded or not: the
     commands forecast all their series, training and test, in one
     (``_forecast_batch``).
     """

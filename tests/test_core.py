@@ -25,7 +25,8 @@ from nldm import (
     TrainingSummary,
     feature_dim,
 )
-from nldm.core import _ordered_sum
+from nldm import core
+from nldm.core import _ordered_sum, _weighted_sum
 
 
 # --- feature_dim -----------------------------------------------------------
@@ -254,3 +255,74 @@ def test_ordered_sum_adds_in_index_order_from_positive_zero(plane):
             out = np.full(plane, np.nan)
             assert _ordered_sum(terms, out=out) is out
             assert out.tobytes() == expected, shape
+
+
+# --- the weighted sum ------------------------------------------------------
+
+def loop_sum(weights, lift):
+    """The sum over the features as the ``+=`` loop from +0.0 forms it."""
+    total = np.zeros((len(weights), lift.shape[1]))
+    for f in range(len(lift)):
+        total += weights[:, f:f + 1] * lift[f]
+    return total
+
+
+SUM_ROWS = [2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 100, 255, 256, 257, 511, 512, 513, 1000,
+            4095, 4096, 4097, 8191, 8192, 8193, 10_000]
+# The forecasting kernel's feature counts, and the integrator's 1..7
+# stages, summed into 1 (a stage, the update, the error) or 4 outputs
+# (the dense-output coefficients).
+SUM_FEATURES = (1, 2, 3, 4, 5, 6, 7, 9, 17, 34, 65, 120)
+
+
+@pytest.mark.parametrize("einsum", [True, False], ids=["einsum", "products"])
+def test_weighted_sum_is_the_loop_of_adds_from_positive_zero(einsum, monkeypatch):
+    # Terms spread over 2**-40 .. 2**40 so that any other grouping or a
+    # fused multiply-add changes the bits.  The sum goes to a new array,
+    # as the integrator's do, or into ``out``, as the kernel's do:
+    # contiguous, or every third column of a wider array.  The products
+    # path, which one column always takes, runs on fewer shapes: it
+    # writes all its products.
+    if not einsum:
+        monkeypatch.setattr(core, "_EINSUM_ADDS_IN_ORDER", False)
+    rng = np.random.default_rng(17)
+    shapes = 0
+    for num_features in SUM_FEATURES:
+        for num_states in (1, 2, 3, 4):
+            for rows in [1] + (SUM_ROWS if einsum else SUM_ROWS[:19:3]):
+                weights = rng.normal(size=(num_states, num_features))
+                lift = rng.normal(size=(num_features, rows))
+                lift *= 2.0 ** rng.integers(-40, 41, size=(num_features, 1))
+                expected = loop_sum(weights, lift).tobytes()
+                weighted_sum = _weighted_sum(weights, lift)
+                assert weighted_sum().tobytes() == expected, (num_features, num_states, rows)
+                strided = np.full((num_states, 3 * rows), np.nan)[:, ::3]
+                for out in (np.empty((num_states, rows)), strided):
+                    assert weighted_sum(out=out) is out
+                    assert out.tobytes() == expected, (num_features, num_states, rows)
+                shapes += 1
+    assert shapes == len(SUM_FEATURES) * 4 * (1 + (len(SUM_ROWS) if einsum else 7))
+
+
+def test_einsum_probe_finds_no_fused_multiply_add():
+    # Row 0: (1 + 2**-30)(1 - 2**-30) = 1 - 2**-60 rounds to 1, so the
+    # loop of adds gives 0.0; a fused multiply-add keeps -2**-60.  Row 1:
+    # 1 + 0 + 2**53 - 2**53 is 0.0 added in feature order, since 2**53 + 1
+    # rounds to 2**53, and 1.0 added in reverse or pairwise.  The package
+    # probed both at import and takes its sums by einsum only if they held.
+    weights = np.array([[1.0, 1.0 + 2.0**-30, 0.0, 0.0], [-1.0, 0.0, 1.0, 1.0]])
+    lift = np.repeat([[-1.0], [1.0 - 2.0**-30], [2.0**53], [-2.0**53]], 2, axis=1)
+    assert loop_sum(weights, lift).tobytes() == bytes(32)
+    assert loop_sum(weights[:, ::-1], lift[::-1])[1].tolist() == [1.0, 1.0]
+    got = np.einsum("sf,fr->sr", weights, lift)
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions")
+    except TypeError:  # numpy before 1.26 prints it only
+        simd = "unknown"
+    build = f"numpy {np.__version__}, SIMD {simd}"
+    for row, rule in enumerate(("rounds each product", "adds in feature order")):
+        assert got[row].tobytes() == bytes(16), (
+            f"einsum gave {got.tolist()} on {build}; row {row} checks that it {rule}")
+    assert core._EINSUM_ADDS_IN_ORDER, build
+    assert _weighted_sum(weights, lift).func is np.einsum
+    assert getattr(_weighted_sum(weights, lift[:, :1]), "func", None) is not np.einsum

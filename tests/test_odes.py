@@ -267,7 +267,10 @@ ONE_STATE = BenchmarkSystem(
 def test_integrator_samples_match_the_term_by_term_stepper_bitwise(ident):
     # Each start point alone and the five in one batch, in blocks of one
     # sample, of the capture walk's 32 and of the whole span.  With one
-    # state and one cell, every stage sum reduces a single column.
+    # state and one cell, every stage sum has a single column, which takes
+    # the products and their ordered sum.  Then a batch of 9000 state
+    # values (num_states * cells) over a short span, whose stage sums are
+    # wider than numpy's 8192-entry buffer.
     system = ONE_STATE if ident == "one_state" else make_system(ident)
     points = np.random.default_rng(9).uniform(-2.0, 2.0, (5, system.num_states))
     span, num_samples, tols = (0.5, 3.0), 120, (1e-8, 1e-11)
@@ -279,6 +282,12 @@ def test_integrator_samples_match_the_term_by_term_stepper_bitwise(ident):
             blocks = _dormand_prince_blocks(system.rhs, starts, span, num_samples, settings, block)
             got = np.concatenate(list(blocks), axis=1)
             assert got.tobytes() == expected.tobytes(), (len(starts), block)
+    cells = 9000 // system.num_states
+    wide = np.random.default_rng(10).uniform(-2.0, 2.0, (cells, system.num_states))
+    span, num_samples = (0.5, 0.6), 5
+    expected = oracles.loop_dormand_prince(system.rhs, wide, span, num_samples, *tols)
+    blocks = _dormand_prince_blocks(system.rhs, wide, span, num_samples, settings, num_samples)
+    assert next(blocks).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("ident", ALL_IDENTS)

@@ -24,8 +24,7 @@ from nldm import (
     predict,
 )
 from nldm.features import MonomialBasis
-from nldm.predict import (
-    DIVERGENCE_THRESHOLD, _forecast_batch, _iterate, _weighted_sum, iterate_batch)
+from nldm.predict import DIVERGENCE_THRESHOLD, _forecast_batch, _iterate, iterate_batch
 
 # The module, which the package's ``predict`` function shadows.
 kernel_module = importlib.import_module("nldm.predict")
@@ -414,63 +413,6 @@ def test_feature_order_invariance(monkeypatch):
     assert [len(block) for block in runs[0]] == [12, 12] + [4] * 6
     for base, reordered in zip(*runs):
         assert base.tobytes() == reordered.tobytes()
-
-
-# --- the weighted sum ----------------------------------------------------------
-
-def loop_sum(weights, lift):
-    """The sum over the features as the ``+=`` loop from +0.0 forms it."""
-    total = np.zeros((len(weights), lift.shape[1]))
-    for f in range(len(lift)):
-        total += weights[:, f:f + 1] * lift[f]
-    return total
-
-
-SUM_ROWS = [2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 100, 255, 256, 257, 511, 512, 513, 1000,
-            4095, 4096, 4097, 8191, 8192, 8193, 10_000]
-
-
-@pytest.mark.parametrize("einsum", [True, False], ids=["einsum", "products"])
-def test_weighted_sum_is_the_loop_of_adds_from_positive_zero(einsum, monkeypatch):
-    # Terms spread over 2**-40 .. 2**40 so that any other grouping or a
-    # fused multiply-add changes the bits.  ``out`` is contiguous, or
-    # every third column of a wider array.  The products path, which one
-    # row always takes, runs on fewer shapes: it writes all its products.
-    if not einsum:
-        monkeypatch.setattr(kernel_module, "_EINSUM_ADDS_IN_ORDER", False)
-    rng = np.random.default_rng(17)
-    shapes = 0
-    for num_features in (1, 2, 9, 17, 34, 65, 120):
-        for num_states in (1, 2, 3, 4):
-            for rows in [1] + (SUM_ROWS if einsum else SUM_ROWS[:19:3]):
-                weights = rng.normal(size=(num_states, num_features))
-                lift = rng.normal(size=(num_features, rows))
-                lift *= 2.0 ** rng.integers(-40, 41, size=(num_features, 1))
-                expected = loop_sum(weights, lift).tobytes()
-                strided = np.full((num_states, 3 * rows), np.nan)[:, ::3]
-                for out in (np.empty((num_states, rows)), strided):
-                    assert _weighted_sum(weights, lift)(out=out) is out
-                    assert out.tobytes() == expected, (num_features, num_states, rows)
-                    shapes += 1
-    assert shapes == 7 * 4 * 2 * (1 + (len(SUM_ROWS) if einsum else 7))
-
-
-def test_einsum_probe_finds_no_fused_multiply_add():
-    # (1 + 2**-30)(1 - 2**-30) = 1 - 2**-60 rounds to 1, so the loop of
-    # adds gives 0.0; a fused multiply-add keeps -2**-60.  The kernel
-    # probed this at import and takes its sum by einsum only if it held.
-    weights = np.array([[1.0, 1.0 + 2.0**-30]])
-    lift = np.array([[-1.0, -1.0], [1.0 - 2.0**-30, 1.0 - 2.0**-30]])
-    got = np.einsum("sf,fr->sr", weights, lift)
-    try:
-        simd = np.show_config(mode="dicts").get("SIMD Extensions")
-    except TypeError:  # numpy before 1.26 prints it only
-        simd = "unknown"
-    build = f"numpy {np.__version__}, SIMD {simd}"
-    assert got.tobytes() == bytes(16), f"einsum gave {got.tolist()} on {build}"
-    assert kernel_module._EINSUM_ADDS_IN_ORDER, build
-    assert _weighted_sum(weights, lift).func is np.einsum
-    assert getattr(_weighted_sum(weights, lift[:, :1]), "func", None) is not np.einsum
 
 
 # A contracting map with sinks near (+-1, 0), as two_attractor has:
