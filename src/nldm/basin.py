@@ -24,11 +24,10 @@ cells apart (``_Scan.codes``); only their block sources differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, LearnedOperator, _leading
+from .core import DimensionError, LearnedOperator, _leading, record
 from .features import monomial_basis
 from .odes import (
     BenchmarkSystem,
@@ -71,7 +70,7 @@ _OPEN, _DIVERGED = -1, -2  # capture-walk codes of cells without a label
 _BLOCK = 32  # samples per capture-walk block
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BasinGrid:
     """Labeled grid: ``labels[i, j]`` classifies the cell at
     ``xs[i], ys[j]``; label values are attractor idents, ``unresolved``,
@@ -94,7 +93,7 @@ class BasinGrid:
         return np.linspace(self.y_range[0], self.y_range[1], self.resolution)
 
 
-@dataclass(frozen=True)
+@record
 class GridAgreement:
     """How far two basin grids agree (``grid_agreement``)."""
 
@@ -283,8 +282,7 @@ class _Scan:
     labels a run of cells at a time and ``grid`` lays out once every
     cell has its code.  ``blocks`` maps start points, shape (cells,
     num_states), to a block source (see the module docstring).  A plain
-    class, as each command imports this module: a dataclass would cost
-    0.3 ms to define."""
+    class, not a record: nothing compares, prints or copies a scan."""
 
     def __init__(self, points, blocks, attractors, tol, fields):
         self.points = points

@@ -25,7 +25,7 @@ import platform
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -41,7 +41,8 @@ from .config import (
     config_to_dict,
     derived_seed,
 )
-from .core import FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError, _dt_differs
+from .core import (
+    FeatureConfig, IntegrationError, Trajectory, UndefinedScoreError, _dt_differs, record)
 from .io import (
     load_model,
     save_basin_csv,
@@ -69,7 +70,7 @@ _TOKEN_BYTES = 2
 _MAX_CLAIMS = 2048
 
 
-@dataclass
+@record
 class SeriesData:
     """One simulated series: clean reference, optional noisy copy."""
 
@@ -595,31 +596,35 @@ class _Pipeline:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nldm",
-        description="Learn one-step operators from simulated trajectories, "
-        "forecast, score, and map basins of attraction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
+    """One parser for every command: the command is a positional choice
+    and all of them take the same options, so no subparser is built."""
+    commands = (
         ("simulate", "integrate the configured series and write CSVs"),
         ("train", "fit an operator to the training series"),
         ("predict", "forecast the test series with a trained operator"),
         ("evaluate", "forecast and score the test series"),
         ("basin", "map basins of attraction"),
         ("run", "simulate, train, evaluate, and map basins in one pass"),
-    ):
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--config", required=True, help="experiment config (JSON)")
-        cmd.add_argument("--model", help="previously saved operator file")
-        cmd.add_argument("--out", help="output directory (overrides config)")
-        cmd.add_argument("--seed", type=int, help="override the global seed")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            help="accepted and ignored; a command forks at most one worker at a time, to "
-            "share a queue of two or more items, whatever this says",
-        )
+    )
+    parser = argparse.ArgumentParser(
+        prog="nldm",
+        description="Learn one-step operators from simulated trajectories, forecast,\n"
+        "score, and map basins of attraction.",
+        epilog="commands:\n" + "".join(f"  {name:<10}{text}\n" for name, text in commands),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_STAGES, metavar="command",
+                        help="the command to run, one of those below")
+    parser.add_argument("--config", required=True, help="experiment config (JSON)")
+    parser.add_argument("--model", help="previously saved operator file")
+    parser.add_argument("--out", help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, help="override the global seed")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        help="accepted and ignored; a command forks at most one worker at a time, to "
+        "share a queue of two or more items, whatever this says",
+    )
     return parser
 
 

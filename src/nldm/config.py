@@ -21,7 +21,7 @@ back out.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, field, fields, is_dataclass
 from functools import cache
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -29,7 +29,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .basin import _check_attractors, _check_capture, _check_window, _free_axes
-from .core import FeatureConfig, _check_positive, _dt_differs
+from .core import FeatureConfig, _check_positive, _dt_differs, record
 from .odes import IntegratorSettings, _check_noise, _check_span, make_system
 
 __all__ = [
@@ -50,7 +50,7 @@ class ConfigError(ValueError):
     """A configuration is malformed; the message names the field."""
 
 
-@dataclass(frozen=True)
+@record
 class NoiseSpec:
     """Gaussian noise on a series, ``sigma_pct`` percent of each state's range."""
 
@@ -61,7 +61,7 @@ class NoiseSpec:
         _check_noise(self.sigma_pct, self.seed)
 
 
-@dataclass(frozen=True)
+@record
 class SeriesSpec:
     """One series: its initial condition, span, samples and noise."""
 
@@ -80,7 +80,7 @@ class SeriesSpec:
         return (self.t_span[1] - self.t_span[0]) / (self.num_samples - 1)
 
 
-@dataclass(frozen=True)
+@record
 class ModelSpec:
     """The model's delays and monomial degree."""
 
@@ -108,7 +108,7 @@ def _fixed_from_json(raw, path: str) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(fixed.items()))
 
 
-@dataclass(frozen=True)
+@record
 class BasinSpec:
     """The basin scan: window, resolution, steps, tolerance, fixed axes."""
 
@@ -123,7 +123,7 @@ class BasinSpec:
         _check_capture(self.tol, steps=self.steps)
 
 
-@dataclass(frozen=True)
+@record
 class SystemSpec:
     """A catalog system and its parameter overrides."""
 
@@ -131,7 +131,7 @@ class SystemSpec:
     params: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """One experiment: the system, model, series, basin scan and output."""
 

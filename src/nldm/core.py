@@ -9,8 +9,9 @@ which total degree the stacked vector is lifted into monomial features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import partial
+from inspect import Parameter, Signature
 
 import numpy as np
 
@@ -48,7 +49,102 @@ class IntegrationError(RuntimeError):
     """The ODE solver failed to produce the requested samples."""
 
 
-@dataclass(frozen=True)
+def _record_init(self, *args, **kwargs):
+    """Bind the arguments to the record's fields as a dataclass's
+    ``__init__`` does, fill the rest from their defaults or factories and
+    run ``__post_init__``."""
+    cls = type(self)
+    specs = cls.__dataclass_fields__
+    if len(args) > len(specs):
+        raise TypeError(f"{cls.__qualname__}() takes {len(specs)} positional arguments "
+                        f"but {len(args)} were given")
+    values = dict(zip(specs, args))
+    for name, value in kwargs.items():
+        if name not in specs:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
+        if name in values:
+            raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+        values[name] = value
+    state = self.__dict__
+    for name, spec in specs.items():
+        if name in values:
+            state[name] = values[name]
+        elif spec.default is not MISSING:
+            state[name] = spec.default
+        elif spec.default_factory is not MISSING:
+            state[name] = spec.default_factory()
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+
+
+def _record_repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _compared(record):
+    return tuple(getattr(record, f.name) for f in fields(record) if f.compare)
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _compared(self) == _compared(other)
+
+
+def _record_hash(self):
+    return hash(_compared(self))
+
+
+def _record_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, eq=True):
+    """Declare ``cls`` a frozen dataclass whose methods are the shared
+    functions above, so that defining it compiles no code.
+
+    ``dataclasses.dataclass(frozen=True, eq=eq)`` would compile each
+    class's ``__init__``, ``__repr__``, ``__eq__``, ``__hash__``,
+    ``__setattr__`` and ``__delattr__`` from generated source, one
+    ``exec`` each, at every process start.  The class is declared with
+    ``dataclass(init=False, repr=False, eq=False)``, which generates
+    nothing, so ``fields``, ``replace``, ``asdict`` and ``is_dataclass``
+    work as on any dataclass; the shared functions then behave as the
+    generated ones: positional or keyword arguments, defaults, a fresh
+    ``default_factory`` value per instance and ``__post_init__``; the
+    repr; value equality and a hash over the fields for a value record
+    (``eq=True``) and identity otherwise; ``FrozenInstanceError`` on
+    every assignment and deletion.  ``__signature__`` lists the fields
+    as the generated ``__init__`` would.  Every field must be a plain
+    one that ``__init__`` takes by position or keyword.
+    """
+    if cls is None:
+        return partial(record, eq=eq)
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    specs = fields(cls)
+    if len(specs) != len(cls.__dataclass_fields__) or any(
+            not f.init or f.kw_only for f in specs):
+        raise TypeError(f"{cls.__qualname__}: a record takes only plain positional fields")
+    cls.__init__, cls.__repr__ = _record_init, _record_repr
+    cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+    if eq:
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    cls.__signature__ = Signature([
+        Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                  default=(f.default if f.default is not MISSING else Parameter.empty
+                           if f.default_factory is MISSING else _HAS_DEFAULT_FACTORY))
+        for f in specs], return_annotation=None)
+    return cls
+
+
+@record
 class Provenance:
     """Where a trajectory's values came from.
 
@@ -76,7 +172,7 @@ class Provenance:
         return cls("noisy", sigma_pct, seed)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Trajectory:
     """Uniformly sampled states, one row per sample.
 
@@ -223,7 +319,7 @@ def feature_dim(num_states: int, delays: int, degree: int) -> int:
     return count - 1
 
 
-@dataclass(frozen=True)
+@record
 class FeatureConfig:
     """Shape of the lifted feature space.
 
@@ -250,7 +346,7 @@ class FeatureConfig:
         return self.delays * self.num_states
 
 
-@dataclass(frozen=True)
+@record
 class TrainingSummary:
     """Fit diagnostics attached to a learned operator.
 
@@ -268,7 +364,7 @@ class TrainingSummary:
     origin_multiplier: float
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class LearnedOperator:
     """Linear map from lifted delayed features to the next state.
 

@@ -12,12 +12,11 @@ predict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionError, FeatureConfig, _dt_differs, _leading, feature_dim
+from .core import DimensionError, FeatureConfig, _dt_differs, _leading, feature_dim, record
 
 __all__ = [
     "MonomialBasis",
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MonomialBasis:
     """Every monomial of total degree 1..D over ``num_vars`` variables,
     sorted by total degree.
@@ -215,7 +214,7 @@ def _delayed_block(states: np.ndarray, delays: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SnapshotPair:
     """Aligned training matrices: one column per usable sample.
 

@@ -22,7 +22,7 @@ item of the queue that ``nldm run``'s two processes claim.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .core import (
     LearnedOperator,
     TrainingSummary,
     UndefinedScoreError,
+    record,
 )
 from .features import build_snapshot_pair
 from .lstsq import LstsqReport, solve_min_frobenius
@@ -41,7 +42,7 @@ from .predict import _forecast_batch, _starts
 __all__ = ["TrainingResult", "train"]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TrainingResult:
     """A fitted operator and its mean training RRMSE."""
 
@@ -62,7 +63,7 @@ def _origin_multiplier(operator: LearnedOperator) -> float:
     return float(np.abs(np.linalg.eigvals(companion)).max())
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class _Fit:
     """What ``_solve`` hands to ``_score``: the operator, which has no
     summary yet, and the series and solve diagnostics its scores need.

@@ -9,16 +9,14 @@ truncated, which is what makes rank-deficient problems well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DimensionError
+from .core import DimensionError, record
 
 __all__ = ["LstsqReport", "solve_min_frobenius"]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class LstsqReport:
     """Solution plus diagnostics of one least-squares solve.
 

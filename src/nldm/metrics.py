@@ -12,16 +12,14 @@ its score stays finite; every other state keeps the plain formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DimensionError, Trajectory, UndefinedScoreError, _dt_differs
+from .core import DimensionError, Trajectory, UndefinedScoreError, _dt_differs, record
 
 __all__ = ["SkillScore", "rrmse"]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SkillScore:
     """A forecast's RRMSE per state and their mean (``rrmse``)."""
 

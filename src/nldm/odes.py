@@ -28,14 +28,14 @@ out bitwise the same alone or batched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from functools import partial
 
 import numpy as np
 
 from .core import (
     DimensionError, IntegrationError, Provenance, Trajectory, _leading, _ordered_sum,
-    _weighted_sum)
+    _weighted_sum, record)
 
 __all__ = [
     "PointAttractor",
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class PointAttractor:
     """A stable equilibrium, identified by name and location."""
 
@@ -57,7 +57,7 @@ class PointAttractor:
     location: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CycleAttractor:
     """A stable circular limit cycle.
 
@@ -72,7 +72,7 @@ class CycleAttractor:
     plane: tuple[tuple[int, float], ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BenchmarkSystem:
     """A catalog system with its parameters bound into ``rhs``."""
 
@@ -83,7 +83,7 @@ class BenchmarkSystem:
     attractors: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class IntegratorSettings:
     """Tolerances for the adaptive integrator, each positive and finite."""
 

@@ -36,12 +36,10 @@ only on its earlier ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import DimensionError, LearnedOperator, Trajectory, _leading, _weighted_sum
+from .core import DimensionError, LearnedOperator, Trajectory, _leading, _weighted_sum, record
 from .features import MonomialBasis, monomial_basis
 
 __all__ = ["Prediction", "predict", "iterate_batch"]
@@ -51,7 +49,7 @@ DIVERGENCE_THRESHOLD = 1e6
 _NARROW_ROWS = 512
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Prediction:
     """Seeded forecast: ``trajectory`` holds the seeds followed by the
     predicted states.  ``diverged_at`` is the index of the first NaN

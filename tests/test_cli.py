@@ -543,6 +543,80 @@ def test_cli_import_loads_no_process_pool_module():
     assert result.stdout.strip() == "[]"
 
 
+def test_command_modules_compile_no_source_at_import():
+    # Every command pays its imports at start-up; a class whose methods
+    # are compiled from generated source, as a stdlib dataclass's are,
+    # would add an exec of a string per method.  numpy is loaded first:
+    # only this package's share counts.  Python 3.13's dataclass runs one
+    # builder per class even where it makes no method, a source that
+    # returns ``()``; it is not counted.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import builtins, importlib, numpy\n"
+            "sources, real_exec = [], builtins.exec\n"
+            "def counting_exec(source, *args, **kwargs):\n"
+            "    if isinstance(source, str) and not source.endswith('return ()'):\n"
+            "        sources.append(source)\n"
+            "    return real_exec(source, *args, **kwargs)\n"
+            "builtins.exec = counting_exec\n"
+            "for name in ('nldm.cli', 'nldm.identify', 'nldm.lstsq', 'nldm.metrics'):\n"
+            "    importlib.import_module(name)\n"
+            "    print(name, len(sources))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert result.stdout.split("\n") == [
+        "nldm.cli 0", "nldm.identify 0", "nldm.lstsq 0", "nldm.metrics 0", ""]
+
+
+COMMAND_HELP = {
+    "simulate": "integrate the configured series and write CSVs",
+    "train": "fit an operator to the training series",
+    "predict": "forecast the test series with a trained operator",
+    "evaluate": "forecast and score the test series",
+    "basin": "map basins of attraction",
+    "run": "simulate, train, evaluate, and map basins in one pass",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_HELP)
+def test_every_command_parses_the_shared_options(command):
+    args = cli._build_parser().parse_args(
+        [command, "--config", "c.json", "--model", "m.txt", "--out", "o", "--seed", "7",
+         "--threads", "2"])
+    assert vars(args) == dict(command=command, config="c.json", model="m.txt", out="o",
+                              seed=7, threads=2)
+    args = cli._build_parser().parse_args([command, "--config", "c.json"])
+    assert vars(args) == dict(command=command, config="c.json", model=None, out=None,
+                              seed=None, threads=None)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["fit", "--config", "c.json"], "argument command: invalid choice: 'fit'"),
+    (["run"], "the following arguments are required: --config"),
+    (["run", "--config", "c.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_2_with_the_usage_line(argv, error, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: nldm [-h] --config CONFIG")
+    assert f"nldm: error: {error}" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_names_every_command_with_its_one_line_help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: nldm [-h]") and err == ""
+    listed = [line.split(None, 1) for line in out.partition("\ncommands:\n")[2].splitlines()]
+    assert listed == [[name, text] for name, text in COMMAND_HELP.items()]
+    for option in ("--config", "--model", "--out", "--seed", "--threads"):
+        assert f"  {option} " in out
+
+
 def _package_env():
     # Buffered, as a console's pipes are, so that only a flush at exit
     # delivers what is left in a buffer.

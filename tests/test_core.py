@@ -1,9 +1,13 @@
 """Container types, the feature-count formula and the package exports."""
 
+import copy
 import dataclasses
 import importlib
+import inspect
 import math
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +179,220 @@ def test_training_summary_round_trip_fields():
     assert summary.num_trajectories == 2
     assert summary.per_trajectory_rrmse == (0.1, 0.2)
     assert summary.origin_multiplier == 0.9
+
+
+# --- records ---------------------------------------------------------------
+
+# Records compared by identity, as a stdlib dataclass declared eq=False;
+# every other record compares and hashes by value.
+IDENTITY_RECORDS = {
+    "nldm.core.Trajectory", "nldm.core.LearnedOperator", "nldm.odes.BenchmarkSystem",
+    "nldm.basin.BasinGrid", "nldm.features.MonomialBasis", "nldm.features.SnapshotPair",
+    "nldm.predict.Prediction", "nldm.identify.TrainingResult", "nldm.identify._Fit",
+    "nldm.lstsq.LstsqReport", "nldm.metrics.SkillScore",
+}
+
+
+def _package_records():
+    """Every dataclass an nldm module defines, private ones included, by
+    module and qualified name."""
+    records = {}
+    for info in pkgutil.iter_modules(nldm.__path__):
+        module = importlib.import_module(f"nldm.{info.name}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and dataclasses.is_dataclass(value)):
+                records[f"{module.__name__}.{value.__qualname__}"] = value
+    return records
+
+
+def _record_samples():
+    """Keyword arguments of one valid instance of every record."""
+    from nldm import basin, cli, config, features, identify, lstsq, metrics, odes
+
+    predict = importlib.import_module("nldm.predict")  # nldm.predict is the function
+    states = np.arange(6.0).reshape(3, 2)
+    trajectory = Trajectory(states, 0.1)
+    operator = LearnedOperator(np.ones((2, 5)), FeatureConfig(2, 1, 2), 0.1)
+    basis = features.monomial_basis(FeatureConfig(2, 1, 2))
+    series = config.SeriesSpec(ic=(1.0, 0.0), t_span=(0.0, 1.0), num_samples=11)
+    report = lstsq.LstsqReport(np.ones((2, 5)), 0.5, 5, 0)
+    samples = {
+        core.Provenance: dict(kind="noisy", sigma_pct=1.5, seed=4),
+        core.Trajectory: dict(states=states, dt=0.1),
+        core.FeatureConfig: dict(num_states=2, delays=1, degree=2),
+        core.TrainingSummary: dict(
+            num_trajectories=2, total_columns=9, residual_frobenius=0.25,
+            per_trajectory_rrmse=(0.1, None), effective_rank=5, underdetermined=False,
+            origin_multiplier=0.9),
+        core.LearnedOperator: dict(matrix=np.ones((2, 5)), config=FeatureConfig(2, 1, 2), dt=0.1),
+        config.NoiseSpec: dict(sigma_pct=1.0, seed=2),
+        config.SeriesSpec: dict(ic=(1.0, 0.0), t_span=(0.0, 1.0), num_samples=11),
+        config.ModelSpec: dict(delays=1, degree=2),
+        config.BasinSpec: dict(window=((-1.0, 1.0), (-1.0, 1.0)), resolution=4,
+                               fixed=((2, 0.5),)),
+        config.SystemSpec: dict(ident="lho"),
+        config.ExperimentConfig: dict(system=config.SystemSpec("lho"),
+                                      model=config.ModelSpec(1, 2), train=(series,)),
+        odes.PointAttractor: dict(ident="p", location=(0.0, 0.0)),
+        odes.CycleAttractor: dict(ident="c", radius=1.0),
+        odes.BenchmarkSystem: dict(ident="s", params={"delta": 0.1}, num_states=2, rhs=len),
+        odes.IntegratorSettings: dict(),
+        basin.BasinGrid: dict(x_range=(0.0, 1.0), y_range=(0.0, 1.0), resolution=2,
+                              labels=np.array([["p", "q"], ["p", "p"]]),
+                              source={"kind": "truth"}, meta={}),
+        basin.GridAgreement: dict(fraction_agree=0.5, compared_cells=4,
+                                  confusion={"p": {"q": 2}}),
+        features.MonomialBasis: {f.name: getattr(basis, f.name)
+                                 for f in dataclasses.fields(basis)},
+        features.SnapshotPair: dict(targets=np.ones((2, 3)), features=np.ones((5, 3))),
+        predict.Prediction: dict(trajectory=trajectory, diverged_at=None),
+        identify.TrainingResult: dict(operator=operator, mean_rrmse=0.1),
+        identify._Fit: dict(operator=operator, trajectories=[trajectory],
+                            references=[trajectory], total_columns=2, report=report,
+                            origin_multiplier=0.9),
+        lstsq.LstsqReport: {f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
+        metrics.SkillScore: dict(per_state_rrmse=np.array([0.1, 0.2]), mean_rrmse=0.15,
+                                 compared_points=2),
+        cli.SeriesData: dict(clean=trajectory, noisy=None, seed=None),
+    }
+    return {f"{cls.__module__}.{cls.__qualname__}": (cls, kwargs)
+            for cls, kwargs in samples.items()}
+
+
+RECORDS = sorted(_record_samples())
+
+
+def _twin(cls, eq):
+    """``cls`` declared as a stdlib ``@dataclass(frozen=True, eq=eq)``:
+    the same fields, defaults and ``__post_init__``."""
+    namespace = {"__qualname__": cls.__qualname__}
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    specs = [(f.name, f.type, dataclasses.field(default=f.default,
+                                                default_factory=f.default_factory))
+             for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace,
+                                      frozen=True, eq=eq)
+
+
+def _outcome(call):
+    """``call()``, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+def test_every_package_dataclass_is_a_record_with_the_shared_methods():
+    # A record declared with a bare @dataclass compiles its own methods at
+    # import, one exec each, and fails here.
+    records = _package_records()
+    assert sorted(records) == RECORDS
+    for name, cls in records.items():
+        shared = {"__init__": core._record_init, "__repr__": core._record_repr,
+                  "__setattr__": core._record_setattr, "__delattr__": core._record_delattr}
+        if name in IDENTITY_RECORDS:
+            assert (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__), name
+        else:
+            shared.update(__eq__=core._record_eq, __hash__=core._record_hash)
+        assert {key: vars(cls).get(key) for key in shared} == shared, name
+        generated = [key for key, value in vars(cls).items()
+                     if getattr(getattr(value, "__code__", None), "co_filename", "") == "<string>"]
+        assert generated == [], name
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_behaves_as_its_stdlib_frozen_dataclass_twin(name):
+    cls, kwargs = _record_samples()[name]
+    eq = name not in IDENTITY_RECORDS
+    twin = _twin(cls, eq)
+    specs = dataclasses.fields(cls)
+    mine, theirs = cls(**kwargs), twin(**kwargs)
+    again, twin_again = cls(**kwargs), twin(**kwargs)
+    values = {f.name: getattr(mine, f.name) for f in specs}
+
+    assert repr(mine) == repr(theirs)
+    assert repr(cls(*values.values())) == repr(mine)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert repr(dataclasses.asdict(mine)) == repr(dataclasses.asdict(theirs))
+
+    # Equal, and hashed alike, by value for a value record and by identity
+    # otherwise; a field that differs makes a value record unequal.  A
+    # value record's hash is its twin's, or the same TypeError.
+    for a, b in ((mine, again), (theirs, twin_again)):
+        assert (a == b, a != b) == (eq, not eq)
+        differs = copy.copy(b)
+        differs.__dict__[specs[-1].name] = object()
+        assert (a == differs, a != differs) == (False, True)
+    assert (_outcome(lambda: hash(mine) == hash(again))
+            == _outcome(lambda: hash(theirs) == hash(twin_again)))
+    if eq:
+        assert _outcome(lambda: hash(mine)) == _outcome(lambda: hash(theirs))
+    assert (mine == theirs, mine != theirs) == (False, True)
+
+    for record in (mine, theirs):
+        for field_name in (specs[0].name, "not_a_field"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field_name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field_name)
+        assert repr(dataclasses.replace(record)) == repr(record)
+
+    required = [f.name for f in specs
+                if dataclasses.MISSING is f.default and dataclasses.MISSING is f.default_factory]
+    for make in (cls, twin):
+        if required:
+            with pytest.raises(TypeError):
+                make(**{key: value for key, value in values.items() if key != required[-1]})
+        with pytest.raises(TypeError):
+            make(**values, not_a_field=1)
+        with pytest.raises(TypeError):
+            make(values[specs[0].name], **values)
+        with pytest.raises(TypeError):
+            make(*values.values(), None)
+
+    # A field left to its factory gets a fresh object in each instance.
+    for f in specs:
+        if f.default_factory is not dataclasses.MISSING and f.name not in kwargs:
+            assert getattr(mine, f.name) is not getattr(again, f.name)
+            assert getattr(theirs, f.name) is not getattr(twin_again, f.name)
+
+    # Records cross the forked worker's result pipe; a copy equals the
+    # original as a deep copy of the twin does (a value record of
+    # identity records is not).
+    back = pickle.loads(pickle.dumps(mine))
+    assert type(back) is cls and repr(back) == repr(mine)
+    assert (back == mine) == (copy.deepcopy(theirs) == theirs)
+
+
+def test_record_replace_reruns_post_init():
+    cls, kwargs = _record_samples()["nldm.config.ExperimentConfig"]
+    config = cls(**kwargs)
+    assert dataclasses.replace(config, global_seed=5).global_seed == 5
+    with pytest.raises(ValueError, match="global_seed must be >= 0"):
+        dataclasses.replace(config, global_seed=-1)
+    trajectory = Trajectory(np.zeros((2, 1)), 0.1)
+    with pytest.raises(DimensionError):
+        dataclasses.replace(trajectory, dt=0.0)
+    assert not dataclasses.replace(trajectory, states=[[1.0], [2.0]]).states.flags.writeable
+
+
+def test_record_factory_fields_are_fresh_per_instance():
+    from nldm.config import SystemSpec
+
+    assert SystemSpec("lho").params == {} and SystemSpec("lho").params is not SystemSpec("lho").params
+    states = np.zeros((2, 1))
+    assert Trajectory(states, 0.1).provenance is not Trajectory(states, 0.1).provenance
+    assert Trajectory(states, 0.1).provenance == Provenance.clean()
+
+
+def test_record_rejects_a_field_its_init_cannot_take():
+    with pytest.raises(TypeError, match="plain positional fields"):
+        @core.record
+        class Hidden:
+            shown: int
+            hidden: int = dataclasses.field(default=0, init=False)
 
 
 # --- package exports -------------------------------------------------------
