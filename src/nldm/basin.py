@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import DimensionError, LearnedOperator, _leading, record
+from .core import DimensionError, LearnedOperator, record
 from .features import monomial_basis
 from .odes import (
     BenchmarkSystem,
@@ -166,38 +166,38 @@ def _capture_mask(states: np.ndarray, attractor, tol: float) -> np.ndarray:
     raise TypeError(f"unknown attractor type {type(attractor).__name__}")
 
 
-def _capture_walk(block, attractors, tol, codes, runs, work):
+def _capture_walk(block, attractors, tol, tails):
     """Walk every cell through one block of samples, shape (cells, T,
-    num_states), updating ``codes`` (attractor index, ``_OPEN`` or
-    ``_DIVERGED`` per cell) and ``runs`` (capture run per attractor and
-    cell, carried from block to block) in place.  ``work`` is a pair of
-    int64 and bool workspaces of at least attractors * cells * T
-    entries, which hold the (attractors, cells, T) arrays."""
+    num_states); return each cell's code (attractor index, ``_OPEN`` or
+    ``_DIVERGED``) and the tails for the next block.
+
+    ``tails`` holds each attractor's capture test of each cell over the
+    ``PERSISTENCE - 1`` samples before the block, oldest first, shape
+    (attractors, cells, PERSISTENCE - 1); samples before a cell's first
+    count as misses.  A capture completes at the first sample that hits
+    together with the ``PERSISTENCE - 1`` samples before it.
+    """
     cells, length = block.shape[:2]
     if length == 0:
-        return
-    shape = (len(attractors), cells, length)
-    run, hit = _leading(work[0], shape), _leading(work[1], shape)
+        return np.full(cells, _OPEN), tails
+    # The hit window: the carried tails, then the block's capture tests.
+    lead = PERSISTENCE - 1
+    hits = np.empty((len(attractors), cells, lead + length), dtype=bool)
+    hits[..., :lead] = tails
     finite = np.isfinite(block).all(axis=2)
-    for attractor, captured in zip(attractors, hit):
-        np.logical_and(_capture_mask(block, attractor, tol), finite, out=captured)
-    # A run counts back to the last miss; a carried run of r samples acts
-    # as a miss at sample -1 - r.
-    t = np.arange(length)
-    run[...] = t
-    np.copyto(run, -1 - runs[..., None], where=hit)
-    np.maximum.accumulate(run, axis=2, out=run)
-    np.subtract(t, run, out=run)
-    runs[:] = run[..., -1]
-    # First completed run per attractor, then the first non-finite sample
-    # (``length`` if none); the earliest wins, ties in catalog order.
-    done = np.greater_equal(run, PERSISTENCE, out=hit)
+    for attractor, hit in zip(attractors, hits):
+        np.logical_and(_capture_mask(block, attractor, tol), finite, out=hit[:, lead:])
+    done = hits[..., lead:].copy()
+    for back in range(1, PERSISTENCE):
+        done &= hits[..., lead - back:lead - back + length]
+    # First completed capture per attractor, then the first non-finite
+    # sample (``length`` if none); the earliest wins, ties in catalog order.
     first = np.where(done.any(axis=2), done.argmax(axis=2), length)
     bad = np.where(finite.all(axis=1), length, (~finite).argmax(axis=1))
     first = np.vstack([first, bad])
     winner = first.argmin(axis=0)
-    settled = (codes == _OPEN) & (first.min(axis=0) < length)
-    codes[settled] = np.where(winner < len(attractors), winner, _DIVERGED)[settled]
+    codes = np.where(winner < len(attractors), winner, _DIVERGED)
+    return np.where(first.min(axis=0) < length, codes, _OPEN), hits[..., length:]
 
 
 def _capture_codes(blocks, attractors, tol):
@@ -207,24 +207,18 @@ def _capture_codes(blocks, attractors, tol):
     The first block holds every cell, shape (cells, T, num_states).  After
     each block it sends the generator a mask of that block's cells
     that are still open, and the next block holds only those; it stops
-    once no cell is open or the blocks run out.  The capture walk's
-    workspaces are sized for the first block and grow only for a larger
-    one.
+    once no cell is open or the blocks run out.  Only open cells are
+    walked, each with the tails of its capture tests.
     """
     block = next(blocks)
     rows = np.arange(len(block))
     codes = np.full(len(block), _OPEN)
-    runs = np.zeros((len(attractors), len(block)), dtype=np.int64)
-    work = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+    tails = np.zeros((len(attractors), len(block), PERSISTENCE - 1), dtype=bool)
     while True:
-        size = len(attractors) * block.shape[0] * block.shape[1]
-        if size > work[0].size:
-            work = (np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
-        open_codes, open_runs = codes[rows], runs[:, rows]
-        _capture_walk(block, attractors, tol, open_codes, open_runs, work)
-        codes[rows], runs[:, rows] = open_codes, open_runs
-        still_open = open_codes == _OPEN
-        rows = rows[still_open]
+        walked, tails = _capture_walk(block, attractors, tol, tails)
+        codes[rows] = walked
+        still_open = walked == _OPEN
+        rows, tails = rows[still_open], tails[:, still_open]
         if not rows.size:
             break
         try:

@@ -690,6 +690,9 @@ def main(argv=None) -> int:
         elif forecasts:
             raise ConfigError(f"--model is required for {args.command}")
         out_dir.mkdir(parents=True, exist_ok=True)
+        # The manifest is written last, so a directory without one is
+        # incomplete; a stale one would vouch for files this run replaces.
+        (out_dir / "manifest.json").unlink(missing_ok=True)
     except (OSError, json.JSONDecodeError, RecursionError, ConfigError, ValueError) as exc:
         _tell(f"nldm: configuration error: {exc}")
         return EXIT_CONFIG

@@ -283,6 +283,25 @@ def _weighted_sum(weights, lift):
     return lambda out=None: _ordered_sum(products(), out=out)
 
 
+def _rescue_overflow(stat, columns):
+    """``stat`` of each column of ``columns``, reduced over the leading axis.
+
+    A column of finite entries whose ``stat`` overflows takes ``stat`` of
+    the column divided by its largest magnitude, times that magnitude;
+    every other column keeps the plain value, bit for bit.  ``stat`` is an
+    RMS or a standard deviation, so the scaled value is at most 1 and its
+    product with the magnitude cannot overflow.  The overflow is the
+    caller's to silence.
+    """
+    value = stat(columns)
+    over = np.isinf(value)
+    if np.count_nonzero(over):
+        over &= np.isfinite(columns).all(axis=0)
+        big = np.abs(columns[:, over]).max(axis=0)
+        value[over] = big * stat(columns[:, over] / big)
+    return value
+
+
 def _leading(space, shape):
     """View the leading entries of the flat workspace ``space`` as
     ``shape``; workspaces are sized for the largest block of a run."""

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionError, Trajectory, UndefinedScoreError, _dt_differs, record
+from .core import (
+    DimensionError, Trajectory, UndefinedScoreError, _dt_differs, _rescue_overflow, record)
 
 __all__ = ["SkillScore", "rrmse"]
 
@@ -26,24 +27,6 @@ class SkillScore:
     per_state_rrmse: np.ndarray
     mean_rrmse: float
     compared_points: int
-
-
-def _column_stat(stat, columns: np.ndarray) -> np.ndarray:
-    """``stat`` of each column of ``columns``, shape (samples, states).
-
-    A column of finite entries whose ``stat`` overflows takes ``stat`` of
-    the column divided by its largest magnitude, times that magnitude, as
-    ``odes._rms`` does; every other column keeps the plain value, bit for
-    bit.  ``stat`` is a standard deviation or an RMS, so the scaled value
-    is at most 1 and its product with the magnitude cannot overflow.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = stat(columns)
-    over = np.isinf(value) & np.isfinite(columns).all(axis=0)
-    if np.count_nonzero(over):
-        big = np.abs(columns[:, over]).max(axis=0)
-        value[over] = big * stat(columns[:, over] / big)
-    return value
 
 
 def _std(columns):
@@ -89,7 +72,8 @@ def rrmse(predicted: Trajectory, reference: Trajectory, skip: int) -> SkillScore
     pred = predicted.states[skip:]
     if not np.all(np.isfinite(ref)):
         raise ValueError("reference contains non-finite entries")
-    std = _column_stat(_std, ref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = _rescue_overflow(_std, ref)
     flat = np.flatnonzero(std == 0.0)
     if flat.size:
         raise UndefinedScoreError(
@@ -98,9 +82,7 @@ def rrmse(predicted: Trajectory, reference: Trajectory, skip: int) -> SkillScore
     compared = ref.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
         error = pred - ref
-    rms = _column_stat(_rms, error)
-    with np.errstate(invalid="ignore", over="ignore"):
-        per_state = rms / std
+        per_state = _rescue_overflow(_rms, error) / std
         mean = float(np.mean(per_state))
     per_state.flags.writeable = False
     return SkillScore(per_state_rrmse=per_state, mean_rrmse=mean, compared_points=compared)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import (
     DimensionError, IntegrationError, Provenance, Trajectory, _leading, _ordered_sum,
-    _weighted_sum, record)
+    _rescue_overflow, _weighted_sum, record)
 
 __all__ = [
     "PointAttractor",
@@ -296,23 +296,17 @@ _LOG_SIZE = 1024  # cell-steps logged before their samples are evaluated
 
 
 def _rms(rows):
-    """RMS over the state rows of a (num_states, cells) array.
-
-    A cell of finite rows whose squares overflow takes the RMS of its rows
-    divided by their largest magnitude, times that magnitude; every other
-    cell keeps the plain sum of squares, bit for bit.  The overflow is
-    the caller's to silence: ``_initial_step`` does, where an infinite
-    norm would give a zero first step.  In the step loop an infinite and
-    a huge finite error norm reject the step alike.
+    """RMS over the state rows of a (num_states, cells) array, rescued
+    from overflow as ``core._rescue_overflow`` says.  The overflow is the
+    caller's to silence: ``_initial_step`` does, where an infinite norm
+    would give a zero first step.  In the step loop an infinite and a
+    huge finite error norm reject the step alike.
     """
-    norm = np.sqrt(_ordered_sum(rows * rows)) / len(rows) ** 0.5
-    over = np.isinf(norm)
-    if np.count_nonzero(over):
-        over &= np.isfinite(rows).all(axis=0)
-        big = np.abs(rows[:, over]).max(axis=0, initial=0.0)
-        scaled = rows[:, over] / big
-        norm[over] = big * (np.sqrt(_ordered_sum(scaled * scaled)) / len(rows) ** 0.5)
-    return norm
+    return _rescue_overflow(_plain_rms, rows)
+
+
+def _plain_rms(rows):
+    return np.sqrt(_ordered_sum(rows * rows)) / len(rows) ** 0.5
 
 
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol):

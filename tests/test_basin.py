@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nldm import basin
 from nldm.basin import (
@@ -309,6 +309,14 @@ def capture_cases(draw):
 
 @settings(max_examples=300)
 @given(case=capture_cases())
+# A capture completed across blocks each shorter than its carried tail,
+# beside a run one sample short.
+@example(case=([CATALOG[0]],
+               [[MISS] * 2 + [0] * PERSISTENCE, [MISS] * 3 + [0] * (PERSISTENCE - 1)],
+               [2, 5, 8, 10]))
+# A carried tail one sample short of a capture, then a miss.
+@example(case=([CATALOG[0]], [[0] * (PERSISTENCE - 1) + [MISS] + [0] * (PERSISTENCE - 1)],
+               [PERSISTENCE - 1]))
 def test_blockwise_capture_walk_matches_the_loop_reference(case):
     attractors, cells, cuts = case
     expected = [

@@ -425,6 +425,8 @@ def test_run_failing_on_either_side_of_the_fork_exits_3_and_leaves_no_child(
     monkeypatch.setitem(globals(), "_BEGUN", tmp_path / "begun")
     _BEGUN.mkdir()
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")  # a stale manifest from an earlier run
     started = time.monotonic()
     assert main([*argv, "--out", str(out)]) == EXIT_PIPELINE
     # A child still at work when the command fails is killed, not awaited.
@@ -898,6 +900,16 @@ def test_unwritable_artifact_path_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert str(blocker) in err
+
+
+def test_unremovable_stale_manifest_exits_2_before_any_write(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    argv = ["simulate", "--config", str(config_path), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
